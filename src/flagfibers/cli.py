@@ -22,15 +22,14 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .dims import enumerate_3dim_flag_varieties, fullcases_table
 from .flags import (
-    ExactMatrix,
-    GaussianRational,
     SymplecticForm,
     flag_from_json,
+    matrix_from_json,
+    matrix_to_json,
     relative_position_full,
     relative_position_symplectic,
 )
@@ -125,22 +124,8 @@ def _first_divergence(got: str, want: str) -> str:
     return "texts are identical"
 
 
-def _entry_pair(value: GaussianRational) -> list[str]:
-    return [str(value.real), str(value.imag)]
-
-
-def _matrix_json(matrix: ExactMatrix) -> list[list[list[str]]]:
-    return [
-        [_entry_pair(entry) for entry in matrix.row(i)] for i in range(matrix.rows)
-    ]
-
-
 def _form_from_json(data: dict) -> SymplecticForm:
-    entries = [
-        [GaussianRational(Fraction(re), Fraction(im)) for re, im in row]
-        for row in data["gram"]
-    ]
-    return SymplecticForm(ExactMatrix(entries))
+    return SymplecticForm(matrix_from_json(data["gram"]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +223,7 @@ def _cmd_reps(args) -> int:
         "admits_symplectic_form": symplectic,
         "basis": {"labels": list(basis.labels), "weights": list(basis.weights)},
         "invariant_form": (
-            _matrix_json(invariant_symplectic_form(p).gram) if symplectic else None
+            matrix_to_json(invariant_symplectic_form(p).gram) if symplectic else None
         ),
     }
     _emit(_json_text(payload), args.out)

@@ -565,26 +565,54 @@ def omega_perp(U: ExactMatrix, omega: SymplecticForm) -> ExactMatrix:
     return (U.transpose() @ omega.gram).nullspace()
 
 
+def matrix_to_json(matrix: ExactMatrix) -> list[list[list[str]]]:
+    """Rows of ``[real, imag]`` pairs of exact strings."""
+    return [
+        [[str(entry.real), str(entry.imag)] for entry in matrix.row(i)]
+        for i in range(matrix.rows)
+    ]
+
+
+def matrix_from_json(rows) -> ExactMatrix:
+    """Read rows of ``[real, imag]`` pairs, the parts strings or numbers.
+
+    Anything else (a bare number for an entry, a pair of the wrong length, a
+    part that is not a rational) raises ``ValueError``.
+
+    >>> print(matrix_from_json([[["1/2", "-1"], [0, 3]]]).entry(0, 0))
+    1/2-i
+    >>> matrix_from_json([[1, 0]])
+    Traceback (most recent call last):
+    ...
+    ValueError: matrix entries must be [real, imag] pairs, got 1
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("a matrix must be a list of rows")
+    return ExactMatrix([[_entry_from_json(entry) for entry in row] for row in rows])
+
+
+def _entry_from_json(entry) -> GaussianRational:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ValueError(f"matrix entries must be [real, imag] pairs, got {entry!r}")
+    try:
+        return GaussianRational(Fraction(entry[0]), Fraction(entry[1]))
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"matrix entry is not a pair of rationals: {entry!r}") from None
+
+
 def flag_to_json(flag: ExactFlag) -> dict:
     """A JSON-ready description: ambient, signature, basis entries as pairs."""
     return {
         "ambient": flag.signature.ambient,
         "signature": list(flag.signature.dims),
-        "matrix": [
-            [[str(entry.real), str(entry.imag)] for entry in flag.basis.row(i)]
-            for i in range(flag.basis.rows)
-        ],
+        "matrix": matrix_to_json(flag.basis),
     }
 
 
 def flag_from_json(data: dict) -> ExactFlag:
     """Rebuild a flag; the matrix may be the full basis or just leading columns."""
     signature = Signature(tuple(data["signature"]), int(data["ambient"]))
-    entries = [
-        [GaussianRational(Fraction(re), Fraction(im)) for re, im in row]
-        for row in data["matrix"]
-    ]
-    matrix = ExactMatrix(entries)
+    matrix = matrix_from_json(data["matrix"])
     if matrix.cols == signature.ambient:
         return ExactFlag(signature, matrix)
     if matrix.cols == signature.top:

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .flags import ExactMatrix, GaussianRational, SymplecticForm
 
 
@@ -311,7 +309,10 @@ def cartan_projection(m) -> list[float]:
 
     This is the package's only floating-point computation; the SVD is
     accepted only when it reconstructs the input to within 1e-9 (relative).
+    numpy is imported here, on first use, to keep it off the CLI's start-up.
     """
+    import numpy as np
+
     array = np.asarray(m, dtype=float)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise ValueError("expected a square matrix")

@@ -573,13 +573,13 @@ class WeightGraph:
     @staticmethod
     def from_json(text: str) -> "WeightGraph":
         data = json.loads(text)
-        return WeightGraph(
-            rounds=tuple(
-                (v["id"], 1 if v["sign"] == "+" else -1) for v in data["round"]
-            ),
-            squares=tuple((v["id"], v["euler"]) for v in data["squares"]),
-            edges=tuple((e["ends"][0], e["ends"][1], e["weight"]) for e in data["edges"]),
-        )
+        try:
+            rounds = tuple((v["id"], 1 if v["sign"] == "+" else -1) for v in data["round"])
+            squares = tuple((v["id"], v["euler"]) for v in data["squares"])
+            edges = tuple((e["ends"][0], e["ends"][1], e["weight"]) for e in data["edges"])
+        except KeyError as missing:
+            raise ValueError(f"weight graph JSON lacks the key {missing}") from None
+        return WeightGraph(rounds=rounds, squares=squares, edges=edges)
 
     def to_dot(self) -> str:
         lines = ["graph weightgraph {"]

@@ -17,12 +17,21 @@ Elements are stored in window notation: the tuple of images of 1..n.
 Multiplication is function composition, ``(w1 * w2)(j) = w1(w2(j))``, and a
 type-C window entry ``-k`` means the element maps ``j`` to ``-k`` (and, by the
 sign rule, ``-j`` to ``k``).
+
+Descents and the Bruhat order read both families as permutations of
+0..N-1: type A as it is, type C acting on the slots e_1..e_n, e_{-n}..e_{-1}
+of C^2n, where s_i swaps slots i-1 and i (and, for i < n, their mirror
+images).  Minimal double-coset representatives come from stripping
+descents, and the Bruhat order from the counting criterion of S_N
+(Bjoerner-Brenti, *Combinatorics of Coxeter Groups*, Ch. 2 and 8.1).
+Groups are closed breadth-first from the simple reflections, and only up to
+``GROUP_ORDER_LIMIT`` elements.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -46,6 +55,9 @@ __all__ = [
     "coset_inverse",
     "sign_vector",
 ]
+
+# A6 (5040) and C5 (3840) are the largest groups that are still enumerated.
+GROUP_ORDER_LIMIT = 5040
 
 
 class Family(enum.Enum):
@@ -93,10 +105,7 @@ class RootSystem:
         8
         """
         n = self.degree
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        return fact if self.family is Family.A else fact * 2**n
+        return math.factorial(n) * (1 if self.family is Family.A else 2**n)
 
 
 @dataclass(frozen=True, order=True)
@@ -157,40 +166,21 @@ class WeylElement:
     def length(self) -> int:
         """Coxeter length: the number of positive roots sent to negatives.
 
-        For type A this is the inversion count of the window; for type C it
-        is the signed-inversion count (pairs for the two root families
-        ``e_i - e_j`` and ``e_i + e_j`` plus the number of negative entries,
-        from the long roots ``2 e_i``).
+        Type A counts the inversions of the window.  In type C each short
+        root e_i +- e_j sent negative gives two inversions of the slot
+        permutation (see :func:`_slots`), and each long root 2 e_i, one per
+        negative window entry, gives one.
 
         >>> WeylElement(RootSystem(Family.C, 2), (-2, -1)).length()
         3
         >>> WeylElement(RootSystem(Family.C, 2), (-1, -2)).length()
         4
         """
-        w = self.window
-        n = len(w)
-        total = 0
+        perm = _slots(self)
+        inversions = sum(a > b for p, a in enumerate(perm) for b in perm[p + 1 :])
         if self.system.family is Family.A:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if w[i] > w[j]:
-                        total += 1
-            return total
-        total = sum(1 for a in w if a < 0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = w[i], w[j]
-                if (a > 0) == (b > 0):
-                    if a > b:  # e_i - e_j inverted, same-sign case
-                        total += 1
-                    if a < 0:  # e_i + e_j inverted whenever both negative
-                        total += 1
-                else:
-                    if a < 0:  # e_i - e_j inverted, mixed-sign case
-                        total += 1
-                    if a + b > 0:  # e_i + e_j inverted, mixed-sign case
-                        total += 1
-        return total
+            return inversions
+        return (inversions + sum(j < 0 for j in self.window)) // 2
 
     def window_str(self) -> str:
         """Compact window: ``"213"`` in type A, ``"2 -1"`` in type C."""
@@ -245,25 +235,20 @@ def longest_element(system: RootSystem) -> WeylElement:
 def group_elements(system: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, sorted by (length, window).
 
-    Generated by closing the simple reflections under multiplication
-    (breadth-first), which doubles as a cheap presentation sanity check:
-    the count must match ``system.order()``.
+    The count is checked against ``system.order()``, a cheap sanity check of
+    the presentation.
     """
-    gens = simple_reflections(system)
-    seen = {identity(system)}
-    frontier = [identity(system)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = w * s
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    if len(seen) != system.order():
+    elements = parabolic_elements(system, frozenset())
+    if len(elements) != system.order():
         raise AssertionError("generated group has wrong order")
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
+    return elements
+
+
+def _simple_subset(system: RootSystem, subset) -> frozenset[int]:
+    bad = [i for i in subset if i not in system.simple_indices]
+    if bad:
+        raise ValueError(f"not simple-root indices: {bad}")
+    return frozenset(subset)
 
 
 def opposition_involution(system: RootSystem, subset: frozenset[int]) -> frozenset[int]:
@@ -271,12 +256,10 @@ def opposition_involution(system: RootSystem, subset: frozenset[int]) -> frozens
 
     Type A reverses the Dynkin diagram (j -> rank+1-j); type C is trivial.
     """
-    bad = [i for i in subset if i not in system.simple_indices]
-    if bad:
-        raise ValueError(f"not simple-root indices: {bad}")
+    subset = _simple_subset(system, subset)
     if system.family is Family.A:
         return frozenset(system.rank + 1 - j for j in subset)
-    return frozenset(subset)
+    return subset
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -290,28 +273,52 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     (1, 2, 1)
     """
     letters: list[int] = []
-    current = w
-    length = current.length()
-    while length > 0:
-        for i in current.system.simple_indices:
-            candidate = current * simple_reflection(current.system, i)
-            if candidate.length() < length:
-                letters.append(i)
-                current = candidate
-                length -= 1
-                break
-        else:  # pragma: no cover - impossible for a Coxeter group
-            raise AssertionError("no descent found on a non-identity element")
+    while not w.is_identity():
+        slots = _slots(w)
+        i = next(i for i in w.system.simple_indices if slots[i - 1] > slots[i])
+        letters.append(i)
+        w = w * simple_reflection(w.system, i)
     return tuple(reversed(letters))
 
 
-def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order comparison via the subword property.
+def _slots(w: WeylElement) -> list[int]:
+    """``w`` as a permutation of 0..N-1; in type C, of the slots e_1..e_n,
+    e_{-n}..e_{-1}, the basis order of :meth:`SymplecticForm.standard`.
 
-    Fixes the greedy reduced word of ``w`` and collects all subword
-    products with a forward dynamic-programming sweep; ``u <= w`` iff ``u``
-    shows up.  (Every subword product lies in the interval [e, w], and every
-    element of it arises from a reduced subword.)
+    s_i is a right descent of ``w`` iff the images of slots i-1, i descend.
+    """
+    if w.system.family is Family.A:
+        return [j - 1 for j in w.window]
+    n = w.system.degree
+    images = w.window + tuple(-j for j in reversed(w.window))
+    return [j - 1 if j > 0 else 2 * n + j for j in images]
+
+
+def _bruhat_counts(w: WeylElement) -> tuple[int, ...]:
+    """#{p <= i : w(p) >= k} for 0 <= i < N-1 and 1 <= k < N, with w on slots."""
+    perm = _slots(w)
+    counts = []
+    for k in range(1, len(perm)):
+        count = 0
+        for image in perm[:-1]:
+            count += image >= k
+            counts.append(count)
+    return tuple(counts)
+
+
+def _counts_leq(low: tuple[int, ...], high: tuple[int, ...]) -> bool:
+    """The counting criterion on two outputs of :func:`_bruhat_counts`."""
+    return all(map(int.__le__, low, high))
+
+
+def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
+    """Bruhat order comparison by the counting (tableau) criterion.
+
+    ``u <= w`` iff #{p <= i : u(p) >= k} <= #{p <= i : w(p) >= k} for all i
+    and k, both read as permutations of their slots (see :func:`_slots`).
+    This is the criterion for S_N, and a signed permutation compares in the
+    hyperoctahedral group as it does inside S_2n (Bjoerner-Brenti, Theorems
+    2.1.5 and 8.1.8).
 
     >>> s = RootSystem(Family.A, 2)
     >>> bruhat_leq(WeylElement(s, (2, 1, 3)), WeylElement(s, (3, 1, 2)))
@@ -321,15 +328,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """
     if u.system != w.system:
         raise ValueError("cannot compare elements of different systems")
-    if u == w:
-        return True
-    if u.length() >= w.length():
-        return False
-    reachable = {identity(u.system)}
-    for i in reduced_word(w):
-        s = simple_reflection(u.system, i)
-        reachable |= {x * s for x in reachable}
-    return u in reachable
+    return _counts_leq(_bruhat_counts(u), _bruhat_counts(w))
 
 
 @cache
@@ -338,23 +337,22 @@ def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[Wey
 
     The complement convention matches flag types: typeset marks the levels a
     flag of that type keeps, so the full type (all indices) yields the
-    trivial subgroup, and W_emptyset is the whole group.
+    trivial subgroup, and W_emptyset is the whole group.  Generated
+    breadth-first from the identity, sorted by (length, window); refused
+    with a ``ValueError`` when the whole group has more than
+    ``GROUP_ORDER_LIMIT`` elements.
     """
-    bad = [i for i in typeset if i not in system.simple_indices]
-    if bad:
-        raise ValueError(f"not simple-root indices: {bad}")
+    typeset = _simple_subset(system, typeset)
+    if system.order() > GROUP_ORDER_LIMIT:
+        raise ValueError(
+            f"Weyl group {system.family.value}{system.rank} has order "
+            f"{system.order()}, above the limit of {GROUP_ORDER_LIMIT}"
+        )
     gens = [simple_reflection(system, i) for i in system.simple_indices if i not in typeset]
-    seen = {identity(system)}
-    frontier = [identity(system)]
+    seen = frontier = {identity(system)}
     while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = w * s
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
-        frontier = nxt
+        frontier = {w * s for w in frontier for s in gens} - seen
+        seen |= frontier
     return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
 
 
@@ -400,20 +398,39 @@ class PositionPoset:
         return self._index_of_window[w.window]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover relations (i, j) with coset i covered by coset j."""
-        out = []
+        """Cover relations (i, j) with coset i covered by coset j, sorted.
+
+        Transitive reduction on bitsets: the covers of j are the members of
+        its strict down-set with no other member of that set above them.
+        """
         n = len(self.cosets)
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self._leq[i][j]:
-                    continue
-                if any(
-                    k != i and k != j and self._leq[i][k] and self._leq[k][j]
-                    for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
-        return tuple(out)
+        up = [sum(1 << k for k in range(n) if k != i and self._leq[i][k]) for i in range(n)]
+        below = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+        return tuple(
+            (i, j) for i in range(n) for j in range(n) if up[i] >> j & 1 and not up[i] & below[j]
+        )
+
+
+def _min_rep(
+    system: RootSystem, theta: frozenset[int], eta: frozenset[int], w: WeylElement
+) -> WeylElement:
+    """The minimal element of W_theta w W_eta.
+
+    Strips left descents s_i (i not in theta) and right descents s_i (i not
+    in eta) until none is left; the element without such descents is the
+    unique shortest one of its double coset.
+    """
+    while True:
+        left, right = _slots(w.inverse()), _slots(w)
+        for i in system.simple_indices:
+            if i not in theta and left[i - 1] > left[i]:
+                w = simple_reflection(system, i) * w
+                break
+            if i not in eta and right[i - 1] > right[i]:
+                w = w * simple_reflection(system, i)
+                break
+        else:
+            return w
 
 
 def double_cosets(
@@ -421,29 +438,28 @@ def double_cosets(
 ) -> PositionPoset:
     """Partition W into W_theta \\ W / W_eta double cosets.
 
+    One walk over the group in (length, window) order: an element opens a
+    new coset when it is its own minimal representative, and otherwise
+    joins the coset of its representative, which came earlier.
+
     >>> s = RootSystem(Family.A, 3)
     >>> poset = double_cosets(s, frozenset({1, 2, 3}), frozenset({1}))
     >>> [dc.label() for dc in poset.cosets]
     ['1234', '2134', '3124', '4123']
     """
-    theta = frozenset(theta)
-    eta = frozenset(eta)
-    left = parabolic_elements(system, theta)
-    right = parabolic_elements(system, eta)
+    theta = _simple_subset(system, theta)
+    eta = _simple_subset(system, eta)
     index_of_window: dict[tuple[int, ...], int] = {}
     cosets: list[DoubleCoset] = []
     for w in group_elements(system):
-        if w.window in index_of_window:
-            continue
-        idx = len(cosets)
-        for u in left:
-            uw = u * w
-            for v in right:
-                index_of_window.setdefault((uw * v).window, idx)
-        cosets.append(DoubleCoset(system, theta, eta, w))
-    leq = tuple(
-        tuple(bruhat_leq(a.min_rep, b.min_rep) for b in cosets) for a in cosets
-    )
+        rep = _min_rep(system, theta, eta, w)
+        if rep == w:
+            index_of_window[w.window] = len(cosets)
+            cosets.append(DoubleCoset(system, theta, eta, w))
+        else:
+            index_of_window[w.window] = index_of_window[rep.window]
+    counts = [_bruhat_counts(dc.min_rep) for dc in cosets]
+    leq = tuple(tuple(_counts_leq(a, b) for b in counts) for a in counts)
     w0_action: tuple[int, ...] | None = None
     if opposition_involution(system, theta) == theta:
         w0 = longest_element(system)
@@ -458,16 +474,14 @@ def double_cosets(
 def double_coset_of(
     system: RootSystem, theta: frozenset[int], eta: frozenset[int], w: WeylElement
 ) -> DoubleCoset:
-    """The double coset of ``w`` in W_theta \\ W / W_eta."""
-    orbit = (
-        u * w * v
-        for u, v in itertools.product(
-            parabolic_elements(system, frozenset(theta)),
-            parabolic_elements(system, frozenset(eta)),
-        )
-    )
-    min_rep = min(orbit, key=lambda x: (x.length(), x.window))
-    return DoubleCoset(system, frozenset(theta), frozenset(eta), min_rep)
+    """The double coset of ``w`` in W_theta \\ W / W_eta.
+
+    Found by descent stripping from ``w`` alone, so it works in groups of
+    any order.
+    """
+    theta = _simple_subset(system, theta)
+    eta = _simple_subset(system, eta)
+    return DoubleCoset(system, theta, eta, _min_rep(system, theta, eta, w))
 
 
 def coset_inverse(dc: DoubleCoset) -> DoubleCoset:

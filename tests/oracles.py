@@ -8,6 +8,8 @@ Everything here deliberately avoids the library's own code paths:
   those matrices;
 - Bruhat order comes from reachability along length-increasing reflection
   edges;
+- minimal double-coset representatives come from the whole orbit u*w*v
+  and its shortest member by BFS length;
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination;
 - balanced ideals come from filtering all 2^n subsets of a poset.
@@ -74,9 +76,16 @@ def generator_windows(family: str, rank: int) -> list[Window]:
     return gens
 
 
-def bfs_lengths(family: str, rank: int) -> dict[Window, int]:
-    """Word length of every group element, by BFS from the identity."""
-    gens = [window_to_matrix(w) for w in generator_windows(family, rank)]
+def bfs_lengths(
+    family: str, rank: int, typeset: frozenset[int] = frozenset()
+) -> dict[Window, int]:
+    """Word length of every element of the subgroup generated by the s_i
+    with i not in ``typeset`` (the whole group by default), by BFS."""
+    gens = [
+        window_to_matrix(w)
+        for i, w in enumerate(generator_windows(family, rank), start=1)
+        if i not in typeset
+    ]
     n = rank + 1 if family == "A" else rank
     ident = window_to_matrix(tuple(range(1, n + 1)))
     dist = {ident: 0}
@@ -129,6 +138,28 @@ def bruhat_order_oracle(family: str, rank: int) -> dict[tuple[Window, Window], b
         for w in succ:
             closure[(start, w)] = w in seen
     return closure
+
+
+def double_coset_min_oracle(
+    family: str, rank: int, theta: frozenset[int], eta: frozenset[int]
+) -> dict[Window, Window]:
+    """The shortest element of W_theta * w * W_eta, for every w.
+
+    Each orbit is built whole from matrix products u*w*v over both parabolic
+    subgroups; its minimum is taken by (BFS length, window).
+    """
+    lengths = bfs_lengths(family, rank)
+    left = [window_to_matrix(u) for u in bfs_lengths(family, rank, theta)]
+    right = [window_to_matrix(v) for v in bfs_lengths(family, rank, eta)]
+    out: dict[Window, Window] = {}
+    for w in lengths:
+        if w in out:
+            continue
+        m = window_to_matrix(w)
+        orbit = {matrix_to_window(mat_mul(mat_mul(u, m), v)) for u in left for v in right}
+        lowest = min(orbit, key=lambda x: (lengths[x], x))
+        out.update(dict.fromkeys(orbit, lowest))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface and the golden artifacts."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ from flagfibers.cli import main
 from flagfibers.flags import (
     ExactFlag,
     ExactMatrix,
+    Signature,
     SymplecticForm,
     flag_to_json,
     full_signature,
@@ -37,6 +42,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*args) -> subprocess.CompletedProcess:
+    """Run ``python args...`` in a fresh interpreter that sees the package."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def write_flag_file(path: Path, flag: ExactFlag) -> str:
@@ -86,6 +100,21 @@ def test_signs_require_family_c(capsys):
     code, _, err = run(capsys, "hasse", "--family", "A", "--rank", "2", "--signs")
     assert code == 1
     assert "family C" in err
+
+
+def test_group_order_limit_exits_2_at_once(capsys):
+    for family, rank in (("A", "7"), ("C", "6")):
+        for command in ("hasse", "ideals"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--family", family, "--rank", rank)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and "above the limit" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    done = run_child("-c", "import sys, flagfibers.cli; print('numpy' in sys.modules)")
+    assert done.stdout == "False\n", done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +240,37 @@ def test_position_computation_errors(capsys, tmp_path):
     assert run(capsys, "position", f, str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_bare_integer_flag_entries_exit_2_without_traceback(tmp_path):
+    bare = tmp_path / "bare.json"
+    bare.write_text(
+        json.dumps({"ambient": 3, "signature": [1, 2], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    )
+    f = write_flag_file(tmp_path / "f.json", ExactFlag.standard(full_signature(3)))
+    done = run_child("-m", "flagfibers.cli", "position", str(bare), f)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: matrix entries must be [real, imag] pairs, got 1\n"
+
+
+@pytest.mark.parametrize("entry", [1, "1", ["1"], ["1", "0", "0"], ["x", "0"], [None, "0"]])
+def test_malformed_matrix_entries_are_computation_errors(capsys, tmp_path, entry):
+    std = ExactFlag.standard(full_signature(2))
+    f = write_flag_file(tmp_path / "f.json", std)
+    bad = flag_to_json(std)
+    bad["matrix"][0][0] = entry
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(bad))
+    code, _, err = run(capsys, "position", f, str(g))
+    assert code == 2
+    assert err.startswith("error: matrix entr") and err.count("\n") == 1
+    omega = tmp_path / "w.json"
+    omega.write_text(json.dumps({"gram": [[["0", "0"], entry], [["-1", "0"], ["0", "0"]]]}))
+    i = write_flag_file(tmp_path / "i.json", ExactFlag.standard(Signature((1,), 2)))
+    code, _, err = run(capsys, "position", i, i, "--symplectic", str(omega))
+    assert code == 2
+    assert err.startswith("error: matrix entr") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # reps
 
@@ -324,6 +384,11 @@ def test_classify_unmatched(capsys, tmp_path):
 
 def test_classify_missing_file(capsys, tmp_path):
     assert run(capsys, "classify", str(tmp_path / "none.json"))[0] == 2
+    no_squares = tmp_path / "no_squares.json"
+    no_squares.write_text('{"round": [], "edges": []}')
+    code, _, err = run(capsys, "classify", str(no_squares))
+    assert code == 2
+    assert err == "error: weight graph JSON lacks the key 'squares'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagfibers.weyl import (
+    GROUP_ORDER_LIMIT,
     DoubleCoset,
     Family,
     RootSystem,
@@ -28,6 +29,7 @@ import oracles
 
 A2 = RootSystem(Family.A, 2)
 A3 = RootSystem(Family.A, 3)
+A4 = RootSystem(Family.A, 4)
 C2 = RootSystem(Family.C, 2)
 C3 = RootSystem(Family.C, 3)
 
@@ -145,7 +147,8 @@ def test_reduced_word_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "family,rank,system", [("A", 2, A2), ("A", 3, A3), ("C", 2, C2)]
+    "family,rank,system",
+    [("A", 2, A2), ("A", 3, A3), ("C", 2, C2), ("A", 4, A4), ("C", 3, C3)],
 )
 def test_bruhat_matches_reflection_reachability_oracle(family, rank, system):
     oracle = oracles.bruhat_order_oracle(family, rank)
@@ -261,6 +264,37 @@ def test_double_coset_of_and_inverse():
         assert flipped.left_type == frozenset({2})
         assert flipped.right_type == FULL_C2
         assert coset_inverse(flipped) == dc
+
+
+@pytest.mark.parametrize("family,rank,system", [("A", 3, A3), ("C", 3, C3)])
+def test_min_reps_match_orbit_minimum_oracle(family, rank, system):
+    subsets = [
+        frozenset(c)
+        for size in range(rank + 1)
+        for c in itertools.combinations(system.simple_indices, size)
+    ]
+    for theta, eta in itertools.product(subsets, repeat=2):
+        expected = oracles.double_coset_min_oracle(family, rank, theta, eta)
+        poset = double_cosets(system, theta, eta)
+        assert len(poset) == len(set(expected.values()))
+        for elem in group_elements(system):
+            want = expected[elem.window]
+            assert double_coset_of(system, theta, eta, elem).min_rep.window == want
+            assert poset.cosets[poset.coset_index(elem)].min_rep.window == want
+
+
+def test_group_order_limit():
+    for largest in (RootSystem(Family.A, 6), RootSystem(Family.C, 5)):
+        assert len(group_elements(largest)) == largest.order() <= GROUP_ORDER_LIMIT
+    for big in (RootSystem(Family.A, 7), RootSystem(Family.C, 6)):
+        with pytest.raises(ValueError, match=f"order {big.order()}.*{GROUP_ORDER_LIMIT}"):
+            group_elements(big)
+        with pytest.raises(ValueError):
+            double_cosets(big, frozenset(big.simple_indices), frozenset({1}))
+    # descent stripping needs no enumeration of the group
+    a7 = RootSystem(Family.A, 7)
+    dc = double_coset_of(a7, frozenset({1}), frozenset({7}), longest_element(a7))
+    assert dc.min_rep.window == (2, 3, 4, 5, 6, 7, 8, 1)
 
 
 def test_covers_of_s3():
