@@ -28,6 +28,7 @@ from .dims import enumerate_3dim_flag_varieties, fullcases_table
 from .flags import (
     SymplecticForm,
     flag_from_json,
+    json_fields,
     matrix_from_json,
     matrix_to_json,
     relative_position_full,
@@ -124,8 +125,9 @@ def _first_divergence(got: str, want: str) -> str:
     return "texts are identical"
 
 
-def _form_from_json(data: dict) -> SymplecticForm:
-    return SymplecticForm(matrix_from_json(data["gram"]))
+def _form_from_json(data) -> SymplecticForm:
+    (gram,) = json_fields(data, "form", ("gram",))
+    return SymplecticForm(matrix_from_json(gram))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A flag in C^n is stored as an invertible matrix whose leading columns span
 the flag subspaces, together with a signature recording which prefix
-dimensions carry meaning.  Every computation here is exact: matrix entries
-are Gaussian rationals (a + b*i with a, b rational), so ranks and
-intersection dimensions never suffer rounding, even at the non-generic
-configurations where positions degenerate.
+dimensions carry meaning.  Entries are Gaussian rationals (a + b*i, a and b
+rational).  Ranks, kernels and intersection dimensions all come from one
+fraction-free elimination kernel over the Gaussian integers Z[i] (Bareiss,
+Math. Comp. 22, 1968), so they are exact even where positions degenerate.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`: a
 permutation window for pairs of full flags, a signed window for pairs of
@@ -19,6 +19,7 @@ isotropic flags in a symplectic space, and a double coset for partial flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -26,6 +27,7 @@ from typing import Iterable, Sequence, Union
 from .weyl import DoubleCoset, Family, RootSystem, WeylElement, double_coset_of
 
 Scalar = Union[int, str, Fraction, "GaussianRational"]
+_Row = list[tuple[int, int]]  # a vector over Z[i], entries as (re, im) pairs
 
 
 @dataclass(frozen=True)
@@ -207,43 +209,28 @@ class ExactMatrix:
             product.append(out_row)
         return ExactMatrix(product, cols=other.cols)
 
-    def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns."""
-        work = [list(row) for row in self._entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            inv = work[r][c]
-            work[r] = [x / inv for x in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix(work, cols=self.cols), tuple(pivots)
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        echelon: dict[int, _Row] = {}
+        columns = (self.column(j) for j in range(self.cols))
+        return sum(_reduce_into(echelon, _integral(c)) is not None for c in columns)
 
     def nullspace(self) -> "ExactMatrix":
-        """A matrix whose columns form an exact basis of the kernel."""
-        echelon, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        kernel_columns = []
-        for f in free:
-            vec = [GaussianRational()] * self.cols
-            vec[f] = GaussianRational(1)
-            for r, p in enumerate(pivots):
-                vec[p] = -echelon.entry(r, f)
-            kernel_columns.append(vec)
-        return ExactMatrix.from_columns(kernel_columns, rows=self.cols)
+        """A matrix whose columns form an exact basis of the kernel.
+
+        Column j is reduced stacked over a tag e_j, the two scaled to Z[i] as
+        one vector; when the column part vanishes, the tag is a kernel vector.
+
+        >>> print(ExactMatrix([[Fraction(1, 2), Fraction(1, 3), 1]]).nullspace())
+        ExactMatrix(3x2: -2 0; 3 3; 0 -1)
+        """
+        tags = ExactMatrix.identity(self.cols)
+        echelon: dict[int, _Row] = {}
+        kernel = []
+        for j in range(self.cols):
+            reduced = _reduce_into(echelon, _integral(self.column(j) + tags.column(j)))
+            if not any(a or b for a, b in reduced[: self.rows]):
+                kernel.append([GaussianRational(a, b) for a, b in reduced[self.rows :]])
+        return ExactMatrix.from_columns(kernel, rows=self.cols)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self._entries)
@@ -323,23 +310,18 @@ class ExactFlag:
 
     @classmethod
     def from_columns(cls, signature: Signature, columns: ExactMatrix) -> "ExactFlag":
-        """Complete leading columns to a basis, greedily appending standard vectors."""
+        """Complete leading columns to a basis by one echelon pass over them and
+        then e_1, ..., e_n, keeping each e_i independent of what came before."""
         n = signature.ambient
         if columns.rows != n or columns.cols != signature.top:
             raise ValueError("need exactly the top-dimension many leading columns")
-        if columns.rank() != columns.cols:
+        echelon: dict[int, _Row] = {}
+        leading = [columns.column(j) for j in range(columns.cols)]
+        if any(_reduce_into(echelon, _integral(c)) is None for c in leading):
             raise ValueError("leading columns are linearly dependent")
-        basis = columns
-        identity = ExactMatrix.identity(n)
-        for i in range(n):
-            if basis.cols == n:
-                break
-            candidate = ExactMatrix.from_columns(
-                [basis.column(j) for j in range(basis.cols)] + [identity.column(i)]
-            )
-            if candidate.rank() == basis.cols + 1:
-                basis = candidate
-        return cls(signature, basis)
+        units = map(ExactMatrix.identity(n).column, range(n))
+        completion = [e for e in units if _reduce_into(echelon, _integral(e)) is not None]
+        return cls(signature, ExactMatrix.from_columns(leading + completion))
 
     def subspace(self, k: int) -> ExactMatrix:
         """Columns spanning the ``k``-dimensional flag subspace."""
@@ -423,23 +405,19 @@ def _jump_permutation(
     """One-line permutation of the intersection-dimension jump pattern.
 
     The jump set K_j = {k : D_j(k) > D_j(k-1)} with D_j(k) = dim(F^k meet H^j)
-    is read off a single elimination per j: seed an echelon basis with H^j,
-    then feed the F-basis vectors one at a time; the k-th vector reduces to
-    zero exactly when dim(F^k meet H^j) jumped at k.
+    is read off one elimination per j: an echelon basis of H^j, fed the
+    F-basis vectors one at a time; the k-th vector reduces to zero exactly
+    when dim(F^k meet H^j) jumped at k.
     """
-    n = len(f_levels)
-    f_columns = _adapted_basis(f_levels)
+    f_basis = _adapted_basis(f_levels)
     window = []
     previous: frozenset[int] = frozenset()
-    for j in range(n):
-        echelon: dict[int, list[GaussianRational]] = {}
-        h = h_levels[j]
-        for c in range(h.cols):
-            _reduce_into(echelon, list(h.column(c)))
+    h_echelon: dict[int, _Row] = {}
+    for h in _adapted_basis(h_levels):
+        _reduce_into(h_echelon, h)
+        echelon = dict(h_echelon)
         jumps = frozenset(
-            k + 1
-            for k in range(n)
-            if _reduce_into(echelon, list(f_columns[k])) is None
+            k + 1 for k, f in enumerate(f_basis) if _reduce_into(echelon, f) is None
         )
         (new_level,) = jumps - previous
         window.append(new_level)
@@ -447,13 +425,13 @@ def _jump_permutation(
     return tuple(window)
 
 
-def _adapted_basis(levels: Sequence[ExactMatrix]) -> list[list[GaussianRational]]:
-    """Vectors v_1, v_2, ... whose prefixes span the given nested levels."""
-    echelon: dict[int, list[GaussianRational]] = {}
-    basis: list[list[GaussianRational]] = []
+def _adapted_basis(levels: Sequence[ExactMatrix]) -> list[_Row]:
+    """Vectors v_1, v_2, ... over Z[i] whose prefixes span the given nested levels."""
+    echelon: dict[int, _Row] = {}
+    basis: list[_Row] = []
     for index, matrix in enumerate(levels):
         for c in range(matrix.cols):
-            inserted = _reduce_into(echelon, list(matrix.column(c)))
+            inserted = _reduce_into(echelon, _integral(matrix.column(c)))
             if inserted is not None:
                 basis.append(inserted)
         if len(basis) != index + 1:
@@ -461,25 +439,36 @@ def _adapted_basis(levels: Sequence[ExactMatrix]) -> list[list[GaussianRational]
     return basis
 
 
-def _reduce_into(
-    echelon: dict[int, list[GaussianRational]], vector: list[GaussianRational]
-) -> list[GaussianRational] | None:
-    """Gaussian-reduce ``vector`` against ``echelon`` (pivot index -> row).
+def _integral(entries: Sequence[GaussianRational]) -> _Row:
+    """The vector times the lcm of its denominators: the same span, over Z[i]."""
+    parts = [(x.real, x.imag) for x in entries]
+    scale = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return [tuple(q.numerator * scale // q.denominator for q in pair) for pair in parts]
 
-    Inserts the normalized remainder under its pivot and returns it, or
-    returns None when the vector reduces to zero (dependent on the rows).
+
+def _reduce_into(echelon: dict[int, _Row], vector: _Row) -> _Row | None:
+    """Fraction-free reduction of a Z[i] vector against ``echelon`` (pivot -> row).
+
+    Entry v_i is cleared by v <- p*v - v_i*row, p the row's pivot entry, and
+    the integer content is divided out after each step.  Returns the remainder,
+    inserted under its first nonzero entry, or None if the vector reduces to 0.
     """
-    for i in range(len(vector)):
-        coeff = vector[i]
-        if not coeff:
-            continue
+    while True:
+        content = math.gcd(*(t for pair in vector for t in pair))
+        if content > 1:
+            vector = [(x // content, y // content) for x, y in vector]
+        i = next((k for k, (a, b) in enumerate(vector) if a or b), None)
+        if i is None:
+            return None
         row = echelon.get(i)
         if row is None:
-            inserted = [x / coeff for x in vector]
-            echelon[i] = inserted
-            return inserted
-        vector = [a - coeff * b for a, b in zip(vector, row)]
-    return None
+            echelon[i] = vector
+            return vector
+        (a, b), (c, d) = vector[i], row[i]
+        vector = [
+            (c * x - d * y - a * p + b * q, c * y + d * x - a * q - b * p)
+            for (x, y), (p, q) in zip(vector, row)
+        ]
 
 
 def relative_position_symplectic(
@@ -609,12 +598,27 @@ def flag_to_json(flag: ExactFlag) -> dict:
     }
 
 
-def flag_from_json(data: dict) -> ExactFlag:
-    """Rebuild a flag; the matrix may be the full basis or just leading columns."""
-    signature = Signature(tuple(data["signature"]), int(data["ambient"]))
-    matrix = matrix_from_json(data["matrix"])
+def flag_from_json(data) -> ExactFlag:
+    """Rebuild a flag from its full basis or leading columns; bad shapes raise ValueError."""
+    ambient, dims, rows = json_fields(data, "flag", ("ambient", "signature", "matrix"))
+    if type(ambient) is not int:
+        raise ValueError('flag JSON "ambient" must be an integer')
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise ValueError('flag JSON "signature" must be a list of integers')
+    signature = Signature(tuple(dims), ambient)
+    matrix = matrix_from_json(rows)
     if matrix.cols == signature.ambient:
         return ExactFlag(signature, matrix)
     if matrix.cols == signature.top:
         return ExactFlag.from_columns(signature, matrix)
     raise ValueError("matrix must supply the full basis or the leading columns")
+
+
+def json_fields(data, what: str, keys: Sequence[str]) -> tuple:
+    """The values under ``keys`` of a JSON object; ``ValueError`` names what is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks the key {key!r}")
+    return tuple(data[key] for key in keys)

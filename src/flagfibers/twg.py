@@ -35,6 +35,7 @@ from .flags import (
     SymplecticForm,
     full_signature,
     is_isotropic,
+    json_fields,
 )
 from .sl2reps import (
     Partition,
@@ -572,14 +573,33 @@ class WeightGraph:
 
     @staticmethod
     def from_json(text: str) -> "WeightGraph":
-        data = json.loads(text)
-        try:
-            rounds = tuple((v["id"], 1 if v["sign"] == "+" else -1) for v in data["round"])
-            squares = tuple((v["id"], v["euler"]) for v in data["squares"])
-            edges = tuple((e["ends"][0], e["ends"][1], e["weight"]) for e in data["edges"])
-        except KeyError as missing:
-            raise ValueError(f"weight graph JSON lacks the key {missing}") from None
-        return WeightGraph(rounds=rounds, squares=squares, edges=edges)
+        """Read a graph; a document of the wrong shape raises ``ValueError``."""
+        keys = ("round", "squares", "edges")
+        lists = json_fields(json.loads(text), "weight graph", keys)
+        for key, value in zip(keys, lists):
+            if not isinstance(value, list):
+                raise ValueError(f'weight graph JSON "{key}" must be a list')
+        rounds = []
+        for v in lists[0]:
+            i, sign = json_fields(v, "round vertex", ("id", "sign"))
+            if sign not in ("+", "-"):
+                raise ValueError(f'round vertex signs are "+" or "-", got {sign!r}')
+            rounds.append((i, 1 if sign == "+" else -1))
+        squares = []
+        for v in lists[1]:
+            i, euler = json_fields(v, "square vertex", ("id", "euler"))
+            if type(euler) is not int:
+                raise ValueError(f"square vertex Euler numbers are integers, got {euler!r}")
+            squares.append((i, euler))
+        edges = []
+        for e in lists[2]:
+            ends, weight = json_fields(e, "edge", ("ends", "weight"))
+            if not isinstance(ends, list) or len(ends) != 2:
+                raise ValueError(f"an edge has exactly two ends, got {ends!r}")
+            if type(weight) is not int:
+                raise ValueError(f"edge weights are integers, got {weight!r}")
+            edges.append((ends[0], ends[1], weight))
+        return WeightGraph(rounds=tuple(rounds), squares=tuple(squares), edges=tuple(edges))
 
     def to_dot(self) -> str:
         lines = ["graph weightgraph {"]

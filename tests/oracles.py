@@ -12,6 +12,7 @@ Everything here deliberately avoids the library's own code paths:
   and its shortest member by BFS length;
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination;
+- linear systems are solved by plain Gauss-Jordan elimination over Q(i);
 - balanced ideals come from filtering all 2^n subsets of a poset.
 """
 
@@ -219,6 +220,28 @@ def gq_rank(rows: list[list[GQ]]) -> int:
         if pivot_row == len(rows):
             break
     return rank
+
+
+def gq_solve(square: list[list[GQ]], targets: list[list[GQ]]) -> list[list[GQ]]:
+    """Rows of X with square @ X = targets, by Gauss-Jordan over Q(i).
+
+    Both matrices are given as rows; ``square`` must be invertible.
+    """
+    n = len(square)
+    zero = gq()
+    rows = [list(a) + list(b) for a, b in zip(square, targets)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != zero), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inverse = gq_div(gq(1), rows[col][col])
+        rows[col] = [gq_mul(inverse, x) for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != zero:
+                factor = rows[r][col]
+                rows[r] = [gq_sub(x, gq_mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
 
 
 def intersection_dim_oracle(

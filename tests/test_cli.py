@@ -5,10 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagfibers.cli import main
 from flagfibers.flags import (
@@ -19,6 +23,7 @@ from flagfibers.flags import (
     flag_to_json,
     full_signature,
     isotropic_signature,
+    matrix_to_json,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -238,6 +243,29 @@ def test_position_computation_errors(capsys, tmp_path):
     junk.write_text('{"not": "a flag"}')
     assert run(capsys, "position", f, str(junk))[0] == 2
     assert run(capsys, "position", f, str(tmp_path / "missing.json"))[0] == 2
+    malformed_flags = {
+        "[1, 2]": "flag JSON must be an object, not list",
+        '{"ambient": 3, "signature": 3, "matrix": 5}':
+            'flag JSON "signature" must be a list of integers',
+        '{"ambient": 3, "signature": [1, "2"], "matrix": []}':
+            'flag JSON "signature" must be a list of integers',
+        '{"ambient": "3", "signature": [1, 2], "matrix": []}':
+            'flag JSON "ambient" must be an integer',
+        '{"ambient": 3, "signature": [1, 2]}': "flag JSON lacks the key 'matrix'",
+    }
+    for text, message in malformed_flags.items():
+        junk.write_text(text)
+        assert run(capsys, "position", f, str(junk)) == (2, "", f"error: {message}\n")
+    i = write_flag_file(tmp_path / "i.json", ExactFlag.standard(isotropic_signature(1)))
+    malformed_forms = {
+        "[]": "form JSON must be an object, not list",
+        "{}": "form JSON lacks the key 'gram'",
+        '{"gram": 5}': "a matrix must be a list of rows",
+    }
+    for text, message in malformed_forms.items():
+        junk.write_text(text)
+        code_out_err = run(capsys, "position", i, i, "--symplectic", str(junk))
+        assert code_out_err == (2, "", f"error: {message}\n")
 
 
 def test_bare_integer_flag_entries_exit_2_without_traceback(tmp_path):
@@ -389,6 +417,29 @@ def test_classify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(no_squares))
     assert code == 2
     assert err == "error: weight graph JSON lacks the key 'squares'\n"
+    pair = [{"id": "a", "sign": "+"}, {"id": "b", "sign": "-"}]
+    malformed = {
+        "[1]": "weight graph JSON must be an object, not list",
+        '{"round": 5, "squares": [], "edges": []}': 'weight graph JSON "round" must be a list',
+        '{"round": [], "squares": {}, "edges": []}':
+            'weight graph JSON "squares" must be a list',
+        '{"round": [], "squares": [], "edges": "ab"}': 'weight graph JSON "edges" must be a list',
+        '{"round": [7], "squares": [], "edges": []}':
+            "round vertex JSON must be an object, not int",
+        json.dumps({"round": pair, "squares": [], "edges": [{"ends": ["a"], "weight": 2}]}):
+            "an edge has exactly two ends, got ['a']",
+        json.dumps({"round": pair, "squares": [], "edges": [{"ends": "ab", "weight": 2}]}):
+            "an edge has exactly two ends, got 'ab'",
+        json.dumps({"round": pair, "squares": [], "edges": [{"ends": ["a", "b"], "weight": "2"}]}):
+            "edge weights are integers, got '2'",
+        json.dumps({"round": [{"id": "a", "sign": -1}], "squares": [], "edges": []}):
+            'round vertex signs are "+" or "-", got -1',
+        json.dumps({"round": [], "squares": [{"id": "s", "euler": [1]}], "edges": []}):
+            "square vertex Euler numbers are integers, got [1]",
+    }
+    for text, message in malformed.items():
+        no_squares.write_text(text)
+        assert run(capsys, "classify", str(no_squares)) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +539,79 @@ def test_golden_twg_files_are_fiber_graphs():
     for name, (parts, kind, group) in cases.items():
         stored = WeightGraph.from_json((GOLDEN / name).read_text())
         assert stored == fiber_weight_graph(Partition(parts), kind, group)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON entry points: every input ends in an answer or exit 2
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def keyed(*keys):
+    """Objects with the right keys and values of any JSON type."""
+    return st.fixed_dictionaries({key: JSON_VALUES for key in keys})
+
+
+@st.composite
+def well_formed_graphs(draw):
+    """Graph files that usually pass validation, so classification runs.
+
+    At most five round vertices and edge weights 2..6 keep the catalogue
+    search short: larger weights and six round vertices make it run long.
+    """
+    ids = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+    rounds = [{"id": i, "sign": draw(st.sampled_from("+-"))} for i in ids]
+    eulers = draw(st.lists(st.integers(-3, 3), max_size=2))
+    squares = [{"id": f"s{k}", "euler": e} for k, e in enumerate(eulers)]
+    edges = []
+    if len(ids) >= 2:
+        for _ in range(draw(st.integers(0, 4))):
+            ends = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            edges.append({"ends": ends, "weight": draw(st.integers(2, 6))})
+    return {"round": rounds, "squares": squares, "edges": edges}
+
+
+FULL_FLAG = flag_to_json(ExactFlag.standard(full_signature(3)))
+ISOTROPIC_FLAG = flag_to_json(ExactFlag.standard(isotropic_signature(2)))
+FORM = {"gram": matrix_to_json(SymplecticForm.standard(2).gram)}
+FUZZED_FILES = {
+    "position": JSON_VALUES | keyed("ambient", "signature", "matrix") | st.just(FULL_FLAG),
+    "position --symplectic": JSON_VALUES | keyed("gram") | st.just(FORM),
+    "classify": JSON_VALUES | keyed("round", "squares", "edges") | well_formed_graphs(),
+}
+
+
+def _fuzz_argv(entry_point: str, path: str, folder: Path) -> list[str]:
+    if entry_point == "classify":
+        return ["classify", path]
+    if entry_point == "position":
+        other = folder / "other.json"
+        other.write_text(json.dumps(FULL_FLAG))
+        return ["position", path, str(other)]
+    flag = folder / "flag.json"
+    flag.write_text(json.dumps(ISOTROPIC_FLAG))
+    return ["position", str(flag), str(flag), "--symplectic", path]
+
+
+@pytest.mark.parametrize("entry_point", sorted(FUZZED_FILES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_json_entry_points_answer_or_exit_2(entry_point, data):
+    document = data.draw(FUZZED_FILES[entry_point])
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "fuzzed.json"
+        path.write_text(json.dumps(document))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(_fuzz_argv(entry_point, str(path), Path(folder)))
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -43,16 +43,21 @@ def gq_columns(matrix: ExactMatrix) -> list[list[tuple[Fraction, Fraction]]]:
     ]
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> ExactMatrix:
-    return ExactMatrix(
+def random_matrix(
+    rng: random.Random, rows: int, cols: int, span: int = 3, rational: bool = False
+) -> ExactMatrix:
+    """Gaussian-integer entries; ``rational`` divides each column by its own denominator."""
+    entries = [
         [
-            [
-                GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-                for _ in range(cols)
-            ]
-            for _ in range(rows)
+            GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
+            for _ in range(cols)
         ]
-    )
+        for _ in range(rows)
+    ]
+    if rational:
+        denominators = [rng.randint(1, 6) for _ in range(cols)]
+        entries = [[x / d for x, d in zip(row, denominators)] for row in entries]
+    return ExactMatrix(entries)
 
 
 def random_invertible(rng: random.Random, n: int) -> ExactMatrix:
@@ -195,23 +200,27 @@ def test_matrix_shape_validation():
 
 
 def test_rank_matches_oracle_on_random_matrices():
-    rng = random.Random(23)
-    for _ in range(60):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols, span=2)
-        assert m.rank() == oracles.gq_rank(gq_columns(m))
+    for rational in (False, True):
+        rng = random.Random(23)
+        for _ in range(60):
+            rows = rng.randint(1, 5)
+            cols = rng.randint(1, 5)
+            m = random_matrix(rng, rows, cols, span=2, rational=rational)
+            assert m.rank() == oracles.gq_rank(gq_columns(m))
 
 
 def test_nullspace_is_exact_kernel():
-    rng = random.Random(31)
-    for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), span=2)
-        kernel = m.nullspace()
-        assert kernel.cols == m.cols - m.rank()
-        if kernel.cols:
-            assert (m @ kernel).is_zero()
-        assert kernel.rank() == kernel.cols
+    for rational in (False, True):
+        rng = random.Random(31)
+        for _ in range(40):
+            m = random_matrix(
+                rng, rng.randint(1, 4), rng.randint(1, 5), span=2, rational=rational
+            )
+            kernel = m.nullspace()
+            assert kernel.cols == m.cols - m.rank()
+            if kernel.cols:
+                assert (m @ kernel).is_zero()
+            assert kernel.rank() == kernel.cols
 
 
 def test_nullspace_of_empty_pairing_is_everything():
@@ -252,17 +261,18 @@ def test_intersection_dim_ambient_mismatch():
 
 
 def test_intersection_dim_matches_oracle():
-    rng = random.Random(53)
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        u = random_matrix(rng, n, rng.randint(1, n), span=2)
-        v = random_matrix(rng, n, rng.randint(1, n), span=2)
-        if u.rank() != u.cols or v.rank() != v.cols:
-            continue
-        expected = oracles.intersection_dim_oracle(
-            gq_columns(u), gq_columns(v), u.cols, v.cols
-        )
-        assert intersection_dim(u, v) == expected
+    for rational in (False, True):
+        rng = random.Random(53)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            u = random_matrix(rng, n, rng.randint(1, n), span=2, rational=rational)
+            v = random_matrix(rng, n, rng.randint(1, n), span=2, rational=rational)
+            if u.rank() != u.cols or v.rank() != v.cols:
+                continue
+            expected = oracles.intersection_dim_oracle(
+                gq_columns(u), gq_columns(v), u.cols, v.cols
+            )
+            assert intersection_dim(u, v) == expected
 
 
 # ---------------------------------------------------------------------------

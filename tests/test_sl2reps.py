@@ -25,6 +25,8 @@ from flagfibers.sl2reps import (
     so2_weight_basis,
 )
 
+import oracles
+
 GR = GaussianRational.of
 
 
@@ -87,13 +89,12 @@ def monomial_vector(p: Poly, degree: int) -> list:
 
 def solve_columns(square: ExactMatrix, targets: ExactMatrix) -> ExactMatrix:
     """Solve square @ X = targets for an invertible square matrix."""
-    echelon, pivots = square.hstack(targets).rref()
-    assert pivots == tuple(range(square.cols))
-    columns = [
-        [echelon.entry(r, square.cols + j) for r in range(square.rows)]
-        for j in range(targets.cols)
-    ]
-    return ExactMatrix.from_columns(columns, rows=square.rows)
+
+    def as_rows(m: ExactMatrix) -> list[list[tuple[Fraction, Fraction]]]:
+        return [[(e.real, e.imag) for e in m.row(i)] for i in range(m.rows)]
+
+    solution = oracles.gq_solve(as_rows(square), as_rows(targets))
+    return ExactMatrix([[GaussianRational(re, im) for re, im in row] for row in solution])
 
 
 def action_block(d: int, g) -> ExactMatrix:
