@@ -248,6 +248,8 @@ def _cmd_classify(args) -> int:
         "model": record.model,
         "diffeotype": record.diffeotype,
     }
+    if not record.matched:
+        payload["reason"] = record.reason
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 

@@ -834,8 +834,11 @@ def graphs_isomorphic(g1: WeightGraph, g2: WeightGraph) -> bool:
 
 @dataclass(frozen=True)
 class Classification:
+    """A matched model and its diffeotype, or for no match the failed invariant."""
+
     model: str | None
     diffeotype: str | None
+    reason: str | None = None
 
     @property
     def matched(self) -> bool:
@@ -853,25 +856,90 @@ def _canonical_name(q: int, a: int, b: int) -> str:
     return f"Hir({q};{a},{b})"
 
 
-def _catalogue(max_weight: int) -> list[tuple[tuple[int, int, int], WeightGraph]]:
-    out = []
-    for q in range(0, 2 * max_weight + 1):
-        for mag_a in range(1, max_weight + 2):
-            for mag_b in range(1, max_weight + 1):
-                for a in (mag_a, -mag_a):
-                    for b in (mag_b, -mag_b):
-                        if math.gcd(mag_a, mag_b) != 1 or a + q * b == 0:
-                            continue
-                        out.append(((q, a, b), hirzebruch_graph(q, a, b)))
-    return out
+def _hirzebruch_candidates(weights: Iterable[int]) -> list[tuple[int, int, int]]:
+    """Every Hir(q;a,b), a, b != 0, whose edge weights all lie in ``weights``.
+
+    An edge of weight 1 disappears, so |a|, |b| and |a+qb| are drawn from
+    the weights and 1, and q = (+-c - a)/b is solved for each such c instead
+    of scanned.  The triples come sorted by q, |a|, |b|, a > 0 first, b > 0
+    first: the order in which the first match is reported.  For the largest
+    weight w, every triple has |a|, |b| <= w and q|b| = |+-c - a| <= 2w.
+
+    >>> _hirzebruch_candidates([])
+    [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1), (2, 1, -1), (2, -1, 1)]
+    """
+    magnitudes = set(weights) | {1}
+    found = set()
+    for mag_a, mag_b in itertools.product(magnitudes, repeat=2):
+        if math.gcd(mag_a, mag_b) != 1:
+            continue
+        for a, b, c in itertools.product((mag_a, -mag_a), (mag_b, -mag_b), magnitudes):
+            for a_plus_qb in (c, -c):
+                q, rest = divmod(a_plus_qb - a, b)
+                if rest == 0 and q >= 0:
+                    found.add((q, a, b))
+    return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
+
+
+def _vertex_profiles(g: WeightGraph) -> list[tuple[str, tuple[int, tuple[int, ...]]]]:
+    """Each round vertex with its (sign, incident weights) profile."""
+    return [(i, (s, g.incident_weights(i))) for i, s in g.rounds]
+
+
+def _connected_sum_match(
+    g: WeightGraph, candidates: Iterable[tuple[tuple[int, int, int], WeightGraph]]
+) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
+    """The first pair of candidates, in order, with a sum isomorphic to ``g``.
+
+    Gluing v1 to v2 keeps every other vertex's profile, so the sum's profile
+    multiset is the two factors' minus the glued pair.  Given the first
+    factor and v1, that fixes the second factor's profile multiset, which
+    is looked up; only pairs that pass are built and tested for isomorphism.
+    """
+    target_weights = Counter(w for _, _, w in g.edges)
+    target = Counter(p for _, p in _vertex_profiles(g))
+    factors = [
+        (params, h, _vertex_profiles(h))
+        for params, h in candidates
+        if not Counter(w for _, _, w in h.edges) - target_weights
+    ]
+    keys = [frozenset(Counter(p for _, p in vertices).items()) for _, _, vertices in factors]
+    by_profiles: dict[frozenset, list[int]] = {}
+    for j, key in enumerate(keys):
+        by_profiles.setdefault(key, []).append(j)
+    for i, (params1, g1, vertices1) in enumerate(factors):
+        own = Counter(p for _, p in vertices1)
+        wanted = {}
+        for v1, (s1, weights) in vertices1:
+            rest = own - Counter([(s1, weights)])
+            if not rest - target:
+                partner = target - rest + Counter([(-s1, weights)])
+                wanted[v1] = frozenset(partner.items())
+        partners = {j for key in wanted.values() for j in by_profiles.get(key, ()) if j >= i}
+        for j in sorted(partners):
+            params2, g2, vertices2 = factors[j]
+            for v1, (s1, weights) in vertices1:
+                if wanted.get(v1) != keys[j]:
+                    continue
+                for v2, profile in vertices2:
+                    if profile == (-s1, weights) and graphs_isomorphic(
+                        g, connected_sum(g1, v1, g2, v2)
+                    ):
+                        return params1, params2
+    return None
 
 
 def classify_fiber(g: WeightGraph) -> Classification:
     """Match a fiber graph against Hirzebruch actions and their sums.
 
-    The search is bounded by the edge weights; an unmatched graph is
-    reported as such, not an error, since the catalogue makes no
-    completeness claim.
+    Two fixed surfaces with Euler numbers q and -q and nothing else are
+    Hir(q;1,0).  Otherwise every Hir(q;a,b) has four fixed points and every
+    two-term connected sum six, both with as many + signs as - signs, so
+    other graphs are rejected at once.  The search then covers exactly the
+    Hir(q;a,b) whose edge weights occur in the graph, and their sums, so
+    its cost depends on the number of distinct weights, not on their size.
+    An unmatched graph is reported, not an error, with the invariant that
+    failed as ``reason``, since the catalogue makes no completeness claim.
     """
     if g.squares:
         eulers = sorted(e for _, e in g.squares)
@@ -883,47 +951,38 @@ def classify_fiber(g: WeightGraph) -> Classification:
         ):
             q = eulers[1]
             return Classification(f"Hir({q};1,0)", _hirzebruch_diffeotype(q))
-        return Classification(None, None)
+        return Classification(None, None, "the fixed surfaces are not a lone +q/-q pair")
 
-    max_weight = max((w for _, _, w in g.edges), default=1)
-    catalogue = _catalogue(max_weight)
-    for params, candidate in catalogue:
-        if graphs_isomorphic(g, candidate):
-            return Classification(
-                _canonical_name(*params), _hirzebruch_diffeotype(params[0])
-            )
+    count = len(g.rounds)
+    if count not in (4, 6):
+        return Classification(
+            None, None, f"a match needs 4 or 6 round vertices, the graph has {count}"
+        )
+    plus = sum(s > 0 for _, s in g.rounds)
+    if 2 * plus != count:
+        return Classification(
+            None, None, f"the signs are unbalanced ({plus} +, {count - plus} -)"
+        )
 
-    target_signs = Counter(s for _, s in g.rounds)
-    target_weights = Counter(w for _, _, w in g.edges)
-    for index, (params1, g1) in enumerate(catalogue):
-        weights1 = Counter(w for _, _, w in g1.edges)
-        signs1 = Counter(s for _, s in g1.rounds)
-        for params2, g2 in catalogue[index:]:
-            if len(g1.rounds) + len(g2.rounds) - 2 != len(g.rounds):
-                continue
-            weights12 = weights1 + Counter(w for _, _, w in g2.edges)
-            signs12 = signs1 + Counter(s for _, s in g2.rounds)
-            for v1, s1 in g1.rounds:
-                for v2, s2 in g2.rounds:
-                    if s1 != -s2:
-                        continue
-                    incident = Counter(g1.incident_weights(v1))
-                    if incident != Counter(g2.incident_weights(v2)):
-                        continue
-                    if weights12 - incident != target_weights:
-                        continue
-                    if signs12 - Counter((s1, s2)) != target_signs:
-                        continue
-                    candidate = connected_sum(g1, v1, g2, v2)
-                    if graphs_isomorphic(g, candidate):
-                        name1 = _canonical_name(*params1)
-                        name2 = _canonical_name(*params2)
-                        type1 = _hirzebruch_diffeotype(params1[0])
-                        type2 = _hirzebruch_diffeotype(params2[0])
-                        return Classification(
-                            f"{name1} # {name2}", f"({type1}) # ({type2})"
-                        )
-    return Classification(None, None)
+    candidates = (
+        (params, hirzebruch_graph(*params))
+        for params in _hirzebruch_candidates({w for _, _, w in g.edges})
+    )
+    if count == 4:
+        for params, candidate in candidates:
+            if graphs_isomorphic(g, candidate):
+                return Classification(
+                    _canonical_name(*params), _hirzebruch_diffeotype(params[0])
+                )
+    else:
+        pair = _connected_sum_match(g, candidates)
+        if pair is not None:
+            names = " # ".join(_canonical_name(*params) for params in pair)
+            types = " # ".join(f"({_hirzebruch_diffeotype(q)})" for q, _, _ in pair)
+            return Classification(names, types)
+    return Classification(
+        None, None, "no Hir(q;a,b) or two-term connected sum is isomorphic"
+    )
 
 
 def check_almost_complex_obstruction(signature_of_form: int, euler_char: int) -> bool:

@@ -13,13 +13,29 @@ Everything here deliberately avoids the library's own code paths:
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination;
 - linear systems are solved by plain Gauss-Jordan elimination over Q(i);
-- balanced ideals come from filtering all 2^n subsets of a poset.
+- balanced ideals come from filtering all 2^n subsets of a poset;
+- fiber classifications come from the exhaustive catalogue search: every
+  Hir(q;a,b) up to the graph's largest edge weight, and every pair of them
+  for connected sums (graphs are built and compared with the library's
+  ``hirzebruch_graph``, ``connected_sum`` and ``graphs_isomorphic``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
+
+from flagfibers.twg import (
+    Classification,
+    WeightGraph,
+    _canonical_name,
+    _hirzebruch_diffeotype,
+    connected_sum,
+    graphs_isomorphic,
+    hirzebruch_graph,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 Window = tuple[int, ...]
@@ -305,3 +321,80 @@ def balanced_ideals_oracle(
         if frozenset(w0_perm[i] for i in members) == universe - members:
             out.append(members)
     return out
+
+
+# ---------------------------------------------------------------------------
+# fiber classification by exhaustive catalogue search
+
+
+def _catalogue(max_weight: int) -> list[tuple[tuple[int, int, int], WeightGraph]]:
+    out = []
+    for q in range(0, 2 * max_weight + 1):
+        for mag_a in range(1, max_weight + 2):
+            for mag_b in range(1, max_weight + 1):
+                for a in (mag_a, -mag_a):
+                    for b in (mag_b, -mag_b):
+                        if math.gcd(mag_a, mag_b) != 1 or a + q * b == 0:
+                            continue
+                        out.append(((q, a, b), hirzebruch_graph(q, a, b)))
+    return out
+
+
+def classify_fiber_oracle(g: WeightGraph) -> Classification:
+    """The first catalogue graph, then the first catalogue pair, matching ``g``.
+
+    The catalogue holds every Hir(q;a,b) with q <= 2w, |a| <= w+1 and
+    |b| <= w for the largest edge weight w, so its size grows as w^3 and the
+    pair search as w^6.
+    """
+    if g.squares:
+        eulers = sorted(e for _, e in g.squares)
+        if (
+            not g.rounds
+            and not g.edges
+            and len(eulers) == 2
+            and eulers[0] == -eulers[1]
+        ):
+            q = eulers[1]
+            return Classification(f"Hir({q};1,0)", _hirzebruch_diffeotype(q))
+        return Classification(None, None)
+
+    max_weight = max((w for _, _, w in g.edges), default=1)
+    catalogue = _catalogue(max_weight)
+    for params, candidate in catalogue:
+        if graphs_isomorphic(g, candidate):
+            return Classification(
+                _canonical_name(*params), _hirzebruch_diffeotype(params[0])
+            )
+
+    target_signs = Counter(s for _, s in g.rounds)
+    target_weights = Counter(w for _, _, w in g.edges)
+    for index, (params1, g1) in enumerate(catalogue):
+        weights1 = Counter(w for _, _, w in g1.edges)
+        signs1 = Counter(s for _, s in g1.rounds)
+        for params2, g2 in catalogue[index:]:
+            if len(g1.rounds) + len(g2.rounds) - 2 != len(g.rounds):
+                continue
+            weights12 = weights1 + Counter(w for _, _, w in g2.edges)
+            signs12 = signs1 + Counter(s for _, s in g2.rounds)
+            for v1, s1 in g1.rounds:
+                for v2, s2 in g2.rounds:
+                    if s1 != -s2:
+                        continue
+                    incident = Counter(g1.incident_weights(v1))
+                    if incident != Counter(g2.incident_weights(v2)):
+                        continue
+                    if weights12 - incident != target_weights:
+                        continue
+                    if signs12 - Counter((s1, s2)) != target_signs:
+                        continue
+                    candidate = connected_sum(g1, v1, g2, v2)
+                    if graphs_isomorphic(g, candidate):
+                        name1 = _canonical_name(*params1)
+                        name2 = _canonical_name(*params2)
+                        type1 = _hirzebruch_diffeotype(params1[0])
+                        type2 = _hirzebruch_diffeotype(params2[0])
+                        return Classification(
+                            f"{name1} # {name2}", f"({type1}) # ({type2})"
+                        )
+    return Classification(None, None)

@@ -407,7 +407,12 @@ def test_classify_unmatched(capsys, tmp_path):
     lonely.write_text(WeightGraph(rounds=(("x", 1),)).to_json())
     code, out, _ = run(capsys, "classify", str(lonely))
     assert code == 0
-    assert json.loads(out) == {"matched": False, "model": None, "diffeotype": None}
+    assert json.loads(out) == {
+        "matched": False,
+        "model": None,
+        "diffeotype": None,
+        "reason": "a match needs 4 or 6 round vertices, the graph has 1",
+    }
 
 
 def test_classify_missing_file(capsys, tmp_path):
@@ -562,18 +567,19 @@ def keyed(*keys):
 def well_formed_graphs(draw):
     """Graph files that usually pass validation, so classification runs.
 
-    At most five round vertices and edge weights 2..6 keep the catalogue
-    search short: larger weights and six round vertices make it run long.
+    Up to six round vertices (the size of a two-term connected sum) and edge
+    weights up to 10**6: classification only searches the Hirzebruch graphs
+    whose weights occur in the graph, so neither makes it run long.
     """
-    ids = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+    ids = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=6))
     rounds = [{"id": i, "sign": draw(st.sampled_from("+-"))} for i in ids]
     eulers = draw(st.lists(st.integers(-3, 3), max_size=2))
     squares = [{"id": f"s{k}", "euler": e} for k, e in enumerate(eulers)]
     edges = []
     if len(ids) >= 2:
-        for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(0, 6))):
             ends = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
-            edges.append({"ends": ends, "weight": draw(st.integers(2, 6))})
+            edges.append({"ends": ends, "weight": draw(st.integers(2, 10**6))})
     return {"round": rounds, "squares": squares, "edges": edges}
 
 

@@ -10,6 +10,7 @@ using the production graph builder.
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +49,8 @@ from flagfibers.twg import (
     tangent_weights_lagrangian,
 )
 from flagfibers import weyl
+
+import oracles
 
 
 SIX_CASES = [
@@ -776,6 +779,90 @@ def test_classify_unmatched():
     ).matched
     record = classify_fiber(WeightGraph(rounds=(("x", 1),)))
     assert record.model is None and record.diffeotype is None
+
+
+def test_classify_unmatched_reasons():
+    cases = {
+        WeightGraph(squares=(("s", 2), ("t", 3))): "the fixed surfaces are not a lone +q/-q pair",
+        WeightGraph(squares=(("s", 2), ("t", -2)), rounds=(("x", 1),)):
+            "the fixed surfaces are not a lone +q/-q pair",
+        WeightGraph(rounds=(("x", 1),)): "a match needs 4 or 6 round vertices, the graph has 1",
+        WeightGraph(rounds=tuple((f"x{k}", 1 - 2 * (k % 2)) for k in range(5))):
+            "a match needs 4 or 6 round vertices, the graph has 5",
+        WeightGraph(rounds=(("a", 1), ("b", 1), ("c", 1), ("d", -1))):
+            "the signs are unbalanced (3 +, 1 -)",
+        WeightGraph(rounds=(("a", 1), ("b", -1), ("c", 1), ("d", -1)), edges=(("a", "c", 5),)):
+            "no Hir(q;a,b) or two-term connected sum is isomorphic",
+    }
+    for graph, reason in cases.items():
+        record = classify_fiber(graph)
+        assert (record.model, record.diffeotype, record.reason) == (None, None, reason)
+    assert classify_fiber(hirzebruch_graph(2, -1, 2)).reason is None
+
+
+def hirzebruch_params_up_to(largest: int) -> list[tuple[int, int, int]]:
+    """Every Hir(q;a,b) with b > 0 whose edge weights are at most ``largest``."""
+    return [
+        (q, a, b)
+        for q in range(2 * largest + 1)
+        for a in range(-largest, largest + 1)
+        for b in range(1, largest + 1)
+        if a and math.gcd(abs(a), b) == 1 and 0 < abs(a + q * b) <= largest
+    ]
+
+
+def sum_sample(rng: random.Random, factors: list, count: int) -> list[WeightGraph]:
+    """Seeded connected sums of Hirzebruch graphs with the given parameters."""
+    out = []
+    while len(out) < count:
+        g1, g2 = (hirzebruch_graph(*rng.choice(factors)) for _ in range(2))
+        gluings = [
+            (v1, v2)
+            for v1, s1 in g1.rounds
+            for v2, s2 in g2.rounds
+            if s1 == -s2 and g1.incident_weights(v1) == g2.incident_weights(v2)
+        ]
+        if gluings:
+            v1, v2 = rng.choice(gluings)
+            out.append(connected_sum(g1, v1, g2, v2))
+    return out
+
+
+def flip_one_sign(rng: random.Random, g: WeightGraph) -> WeightGraph:
+    k = rng.randrange(len(g.rounds))
+    rounds = tuple((i, -s if n == k else s) for n, (i, s) in enumerate(g.rounds))
+    return WeightGraph(rounds, g.squares, g.edges)
+
+
+def bump_one_weight(rng: random.Random, g: WeightGraph) -> WeightGraph:
+    k = rng.randrange(len(g.edges))
+    edges = tuple((a, b, w + (n == k)) for n, (a, b, w) in enumerate(g.edges))
+    return WeightGraph(g.rounds, g.squares, edges)
+
+
+def test_classify_matches_catalogue_oracle():
+    rng = random.Random(20260)
+    hirs = [hirzebruch_graph(*p) for p in hirzebruch_params_up_to(4)]
+    sums = sum_sample(rng, hirzebruch_params_up_to(3), 6)
+    light_sums = sum_sample(rng, hirzebruch_params_up_to(2), 2)
+    graphs = hirs + sums + light_sums
+    graphs += [flip_one_sign(rng, g) for g in rng.sample(hirs, 4) + light_sums]
+    graphs += [bump_one_weight(rng, g) for g in rng.sample(hirs, 4) + light_sums if g.edges]
+    for g in graphs:
+        record, expected = classify_fiber(g), oracles.classify_fiber_oracle(g)
+        assert (record.model, record.diffeotype) == (expected.model, expected.diffeotype), g
+        assert (record.reason is None) == record.matched
+
+
+def test_classify_large_weights():
+    start = time.perf_counter()
+    record = classify_fiber(hirzebruch_graph(1, 99999, 100000))
+    assert (record.model, record.diffeotype) == ("Hir(1;99999,100000)", "CP^2 # -CP^2")
+    pair = WeightGraph(rounds=(("x", 1), ("y", -1)), edges=(("x", "y", 100000),))
+    record = classify_fiber(pair)
+    assert not record.matched
+    assert record.reason == "a match needs 4 or 6 round vertices, the graph has 2"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_classification_record():
