@@ -65,10 +65,6 @@ class UsageError(Exception):
     pass
 
 
-class GoldenMismatch(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(message)
@@ -322,13 +318,17 @@ def _cmd_reproduce(args) -> int:
             (golden_dir / name).write_text(text)
         print(f"wrote {len(files)} artifacts to {golden_dir}")
         return EXIT_OK
+    mismatches = []
     for name, text in sorted(files.items()):
         path = golden_dir / name
         if not path.exists():
-            raise GoldenMismatch(f"{name}: golden file missing from {golden_dir}")
-        want = path.read_text()
-        if text != want:
-            raise GoldenMismatch(f"{name}: {_first_divergence(text, want)}")
+            mismatches.append(f"{name}: golden file missing from {golden_dir}")
+        elif text != (want := path.read_text()):
+            mismatches.append(f"{name}: {_first_divergence(text, want)}")
+    for line in mismatches:
+        print(f"mismatch: {line}", file=sys.stderr)
+    if mismatches:
+        return EXIT_MISMATCH
     print(f"{len(files)} artifacts match {golden_dir}")
     return EXIT_OK
 
@@ -430,9 +430,6 @@ def main(argv=None) -> int:
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except GoldenMismatch as error:
-        print(f"mismatch: {error}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (
         ValueError,
         KeyError,

@@ -167,47 +167,53 @@ def flag_dim(d: FlagVarietyDescriptor) -> int:
     return _isotropic_grassmannian_dim(d.family, d.ambient, top) + inside
 
 
-def _index_choices(limit: int):
-    pool = range(1, limit + 1)
-    for size in range(1, limit + 1):
-        yield from combinations(pool, size)
-
-
-def _so_descriptors(n: int, indices: tuple[int, ...]):
-    if n % 2 == 0 and indices[-1] == n // 2:
-        yield FlagVarietyDescriptor(GroupFamily.SO, n, indices, "+")
-        yield FlagVarietyDescriptor(GroupFamily.SO, n, indices, "-")
+def _descriptors(family: GroupFamily, n: int, indices: tuple[int, ...]):
+    if family is GroupFamily.SO and n % 2 == 0 and indices[-1] == n // 2:
+        yield FlagVarietyDescriptor(family, n, indices, "+")
+        yield FlagVarietyDescriptor(family, n, indices, "-")
     else:
-        yield FlagVarietyDescriptor(GroupFamily.SO, n, indices)
+        yield FlagVarietyDescriptor(family, n, indices)
+
+
+def _three_dim(family: GroupFamily, n: int, limit: int):
+    """The dimension-3 varieties of one group with indices from 1..limit.
+
+    A flag variety maps onto the Grassmannian of each of its indices, so its
+    dimension is at least that one-index variety's.  Only indices whose
+    one-index varieties have dimension <= 3 can occur, and the index sets
+    are the combinations of those, in the order of a scan over all subsets.
+    """
+    pool = [
+        i
+        for i in range(1, limit + 1)
+        if any(flag_dim(d) <= 3 for d in _descriptors(family, n, (i,)))
+    ]
+    for size in range(1, len(pool) + 1):
+        for indices in combinations(pool, size):
+            for d in _descriptors(family, n, indices):
+                if flag_dim(d) == 3:
+                    yield d
 
 
 def enumerate_3dim_flag_varieties(max_rank: int) -> list[FlagVarietyDescriptor]:
     """All classical flag varieties of complex dimension three, by scan.
 
-    Ranks from two up to ``max_rank`` are searched exhaustively in each
-    family; beyond rank four nothing new can appear because the smallest
-    flag variety of each family already exceeds dimension three.
+    Ranks from two up to ``max_rank`` are searched in each family, over the
+    index sets that can reach dimension three (see :func:`_three_dim`), so
+    the work grows with ``max_rank`` rather than with 2^rank; beyond rank
+    four nothing new can appear because the smallest flag variety of each
+    family already exceeds dimension three.
     """
     if max_rank < 2:
         raise ValueError(f"max_rank must be >= 2, got {max_rank}")
     found: list[FlagVarietyDescriptor] = []
     for rank in range(2, max_rank + 1):
-        n = rank + 1
-        for indices in _index_choices(n - 1):
-            d = FlagVarietyDescriptor(GroupFamily.SL, n, indices)
-            if flag_dim(d) == 3:
-                found.append(d)
+        found.extend(_three_dim(GroupFamily.SL, rank + 1, rank))
     for rank in range(2, max_rank + 1):
-        for indices in _index_choices(rank):
-            d = FlagVarietyDescriptor(GroupFamily.Sp, rank, indices)
-            if flag_dim(d) == 3:
-                found.append(d)
+        found.extend(_three_dim(GroupFamily.Sp, rank, rank))
     for rank in range(2, max_rank + 1):
         for n in (2 * rank, 2 * rank + 1):
-            for indices in _index_choices(rank):
-                for d in _so_descriptors(n, indices):
-                    if flag_dim(d) == 3:
-                        found.append(d)
+            found.extend(_three_dim(GroupFamily.SO, n, rank))
     return found
 
 

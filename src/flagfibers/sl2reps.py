@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .flags import ExactMatrix, GaussianRational, SymplecticForm
+from .flags import ExactMatrix, SymplecticForm
 
 
 @dataclass(frozen=True)
@@ -186,77 +185,29 @@ def so2_weight_basis(p: Partition) -> WeightedBasis:
 # the invariant symplectic form, exactly
 
 
-def _monomial_pairing(d: int) -> ExactMatrix:
-    """The classical invariant pairing on binary forms of degree d-1.
-
-    In the monomial basis X^{d-1}, X^{d-2}Y, ..., Y^{d-1} the only nonzero
-    pairings are <X^{d-1-j} Y^j, X^j Y^{d-1-j}> = (-1)^j / C(d-1, j).
-    Antisymmetric for even d, symmetric for odd d.
-    """
-    entries = [[GaussianRational() for _ in range(d)] for _ in range(d)]
-    for j in range(d):
-        value = Fraction((-1) ** j, math.comb(d - 1, j))
-        entries[j][d - 1 - j] = GaussianRational(value)
-    return ExactMatrix(entries)
-
-
-def _i_power(m: int) -> GaussianRational:
-    return (
-        GaussianRational(1),
-        GaussianRational(0, 1),
-        GaussianRational(-1),
-        GaussianRational(0, -1),
-    )[m % 4]
-
-
-def _circle_basis_columns(d: int) -> ExactMatrix:
-    """Monomial coordinates of f_w = (X - iY)^{d-1-k} (X + iY)^k, w = d-1-2k.
-
-    Expanding with the binomial theorem, the X^{d-1-m} Y^m coefficient is
-    sum over s + t = m of C(d-1-k, s) C(k, t) (-1)^s i^{s+t}.
-    """
-    columns = []
-    for k in range(d):
-        a, b = d - 1 - k, k
-        coeffs = [GaussianRational() for _ in range(d)]
-        for s in range(a + 1):
-            for t in range(b + 1):
-                integer = (-1) ** s * math.comb(a, s) * math.comb(b, t)
-                term = GaussianRational(integer) * _i_power(s + t)
-                coeffs[s + t] = coeffs[s + t] + term
-        columns.append(coeffs)
-    return ExactMatrix.from_columns(columns)
-
-
-def _primitive_antidiagonal(d: int) -> list[Fraction]:
+def _primitive_antidiagonal(d: int) -> list[int]:
     """Values c_k = <f_{d-1-2k}, f_{2k+1-d}> scaled to primitive integers.
 
-    The overall scale is fixed so the outermost pairing (k = 0) is negative.
+    In closed form c_k = (-1)^(k+1) L / C(d-1, k), with L the lcm of the
+    binomials C(d-1, j).  Write f_{d-1-2k} = u^a v^b with u = X - iY,
+    v = X + iY, a = d-1-k and b = k.  The invariant pairing of two products
+    of d-1 linear forms is 1/(d-1)! times the sum over bijections of the
+    products of the brackets [l, m].  As [u, u] = [v, v] = 0, pairing u^a v^b
+    with its partner u^b v^a leaves only the a! b! bijections sending u to v
+    and v to u, each worth [u, v]^a [v, u]^b = (-1)^b [u, v]^(d-1).  So
+    c_k is proportional to (-1)^k / C(d-1, k): the polarization identity for
+    transvectants (Olver, *Classical Invariant Theory*, 1999).  For each
+    prime p some C(d-1, j) carries the full power of p in L, so p does not
+    divide L / C(d-1, j): the values are coprime, and c_0 = -L is negative.
+
+    >>> _primitive_antidiagonal(4)
+    [-3, 1, -1, 3]
+    >>> _primitive_antidiagonal(5)
+    [-12, 3, -2, 3, -12]
     """
-    basis = _circle_basis_columns(d)
-    pairing = basis.transpose() @ _monomial_pairing(d) @ basis
-    raw = []
-    for k in range(d):
-        raw.append(pairing.entry(k, d - 1 - k))
-        for j in range(d):
-            if j != d - 1 - k and pairing.entry(k, j):
-                raise ArithmeticError("circle-basis pairing should be antidiagonal")
-    # The pairing takes real values on the real span, so on the circle basis
-    # it is either all real or all purely imaginary; rescale to real.
-    if all(not v.imag for v in raw):
-        values = [v.real for v in raw]
-    elif all(not v.real for v in raw):
-        values = [v.imag for v in raw]
-    else:
-        raise ArithmeticError("circle-basis pairing has mixed phases")
-    scale = Fraction(
-        math.lcm(*(v.denominator for v in values)),
-        math.gcd(*(v.numerator for v in values)),
-    )
-    scaled = [v * scale for v in values]
-    if scaled[0] > 0:
-        scaled = [-v for v in scaled]
-    return scaled
+    binomials = [math.comb(d - 1, k) for k in range(d)]
+    lcm = math.lcm(*binomials)
+    return [(-1) ** (k + 1) * (lcm // c) for k, c in enumerate(binomials)]
 
 
 def invariant_symplectic_form(p: Partition) -> SymplecticForm:
@@ -264,8 +215,10 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
 
     Even parts carry their own antidiagonal block; equal odd parts pair up
     consecutively, with the symmetric pairing of one copy against the other
-    antisymmetrized across the two blocks.  Each block is scaled to primitive
-    integers with the outermost entry negative.
+    antisymmetrized across the two blocks.  Each block is the primitive
+    integer antidiagonal c_k = (-1)^(k+1) L / C(d-1, k) of the part size d,
+    L = lcm_j C(d-1, j) (see :func:`_primitive_antidiagonal`), so the Gram
+    matrix is built from plain integers with the outermost entry negative.
 
     >>> gram = invariant_symplectic_form(Partition((4,))).gram
     >>> [str(gram.entry(k, 3 - k)) for k in range(4)]
@@ -280,12 +233,12 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
         offsets.append(position)
         position += d
 
-    gram = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
 
     def fill_block(rows: int, cols: int, d: int) -> None:
         for k, value in enumerate(_primitive_antidiagonal(d)):
-            gram[rows + k][cols + d - 1 - k] = GaussianRational(value)
-            gram[cols + d - 1 - k][rows + k] = GaussianRational(-value)
+            gram[rows + k][cols + d - 1 - k] = value
+            gram[cols + d - 1 - k][rows + k] = -value
 
     waiting_odd: dict[int, int] = {}
     for index, d in enumerate(p.parts):

@@ -28,13 +28,11 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .flags import (
-    ExactFlag,
     ExactMatrix,
     GaussianRational,
     Signature,
     SymplecticForm,
     full_signature,
-    is_isotropic,
     json_fields,
 )
 from .sl2reps import (
@@ -262,16 +260,10 @@ def fixed_flags(
             used = {label for level in level_groups for label in level}
             completion = tuple(l for l in basis.labels if l not in used)
             flag = IsolatedFixedFlag(tuple(level_groups), completion)
-            if iso is not None:
-                columns = ExactMatrix.from_columns(
-                    [
-                        _standard_column(len(basis), basis.index_of(label))
-                        for label in flag.flag_order[: sig.top]
-                    ]
-                )
-                exact = ExactFlag.from_columns(sig, columns)
-                if not is_isotropic(exact, iso):
-                    continue
+            if iso is not None and not _spans_isotropic(
+                basis, iso, flag.flag_order[: sig.top]
+            ):
+                continue
             isolated.append(flag)
         else:
             anchored = []
@@ -282,8 +274,13 @@ def fixed_flags(
                     if prof[j] and (j == 0 or not prof[j - 1]):
                         anchored.extend(eigen[w])
             pencil = tuple(eigen[pencil_weight])
-            if iso is not None and not _pencil_is_isotropic(
-                basis, iso, anchored, pencil, pencil_completed
+            # Each line of the pencil plane is self-isotropic, so every member
+            # flag is isotropic when the anchored vectors span an isotropic
+            # space with either pencil vector; the plane's own pairing matters
+            # only if some level swallows the plane whole.
+            parts = [pencil] if pencil_completed else [(label,) for label in pencil]
+            if iso is not None and not all(
+                _spans_isotropic(basis, iso, [*anchored, *part]) for part in parts
             ):
                 continue
             surfaces.append(FixedSurface(tuple(anchored), pencil))
@@ -295,39 +292,18 @@ def fixed_flags(
     return FixedLocus(tuple(isolated), tuple(surfaces))
 
 
-def _standard_column(size: int, position: int) -> list[GaussianRational]:
-    column = [GaussianRational() for _ in range(size)]
-    column[position] = GaussianRational(1)
-    return column
-
-
-def _pencil_is_isotropic(
-    basis: WeightedBasis,
-    iso: SymplecticForm,
-    anchored: Sequence[str],
-    pencil: Sequence[str],
-    pencil_completed: bool,
+def _spans_isotropic(
+    basis: WeightedBasis, iso: SymplecticForm, labels: Sequence[str]
 ) -> bool:
-    """Whether every member flag of the family is isotropic.
+    """Whether the form vanishes on the span of these basis vectors.
 
-    The line inside the pencil plane is automatically self-isotropic, so the
-    conditions are the anchored pairings and the anchored-against-plane
-    pairings; the plane's internal pairing matters only if some level
-    swallows the plane whole.
+    The span of coordinate vectors is isotropic exactly when every Gram entry
+    among their indices is zero.
     """
-
-    def pairing(a: str, b: str) -> GaussianRational:
-        return iso.gram.entry(basis.index_of(a), basis.index_of(b))
-
-    for a, b in itertools.combinations(anchored, 2):
-        if pairing(a, b):
-            return False
-    for a in anchored:
-        if any(pairing(a, p) for p in pencil):
-            return False
-    if pencil_completed and pairing(pencil[0], pencil[1]):
-        return False
-    return True
+    positions = [basis.index_of(label) for label in labels]
+    return not any(
+        iso.gram.entry(i, j) for i, j in itertools.combinations(positions, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ Everything here deliberately avoids the library's own code paths:
 - fiber classifications come from the exhaustive catalogue search: every
   Hir(q;a,b) up to the graph's largest edge weight, and every pair of them
   for connected sums (graphs are built and compared with the library's
-  ``hirzebruch_graph``, ``connected_sum`` and ``graphs_isomorphic``).
+  ``hirzebruch_graph``, ``connected_sum`` and ``graphs_isomorphic``);
+- the invariant pairing on the circle basis comes from expanding each
+  f_w = (X - iY)^a (X + iY)^b in monomials and multiplying out
+  ``basis^T @ pairing @ basis`` with the library's exact matrices;
+- the census of three-dimensional flag varieties comes from scanning every
+  index subset at every rank.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
+from flagfibers.flags import ExactMatrix, GaussianRational
 from flagfibers.twg import (
     Classification,
     WeightGraph,
@@ -398,3 +405,121 @@ def classify_fiber_oracle(g: WeightGraph) -> Classification:
                             f"{name1} # {name2}", f"({type1}) # ({type2})"
                         )
     return Classification(None, None)
+
+
+# ---------------------------------------------------------------------------
+# the invariant pairing on the circle basis, by monomial expansion
+
+
+def monomial_pairing(d: int) -> ExactMatrix:
+    """The classical invariant pairing on binary forms of degree d-1.
+
+    In the monomial basis X^{d-1}, X^{d-2}Y, ..., Y^{d-1} the only nonzero
+    pairings are <X^{d-1-j} Y^j, X^j Y^{d-1-j}> = (-1)^j / C(d-1, j).
+    Antisymmetric for even d, symmetric for odd d.
+    """
+    entries = [[GaussianRational() for _ in range(d)] for _ in range(d)]
+    for j in range(d):
+        value = Fraction((-1) ** j, math.comb(d - 1, j))
+        entries[j][d - 1 - j] = GaussianRational(value)
+    return ExactMatrix(entries)
+
+
+def i_power(m: int) -> GaussianRational:
+    return (
+        GaussianRational(1),
+        GaussianRational(0, 1),
+        GaussianRational(-1),
+        GaussianRational(0, -1),
+    )[m % 4]
+
+
+def circle_basis_columns(d: int) -> ExactMatrix:
+    """Monomial coordinates of f_w = (X - iY)^{d-1-k} (X + iY)^k, w = d-1-2k.
+
+    Expanding with the binomial theorem, the X^{d-1-m} Y^m coefficient is
+    sum over s + t = m of C(d-1-k, s) C(k, t) (-1)^s i^{s+t}.
+    """
+    columns = []
+    for k in range(d):
+        a, b = d - 1 - k, k
+        coeffs = [GaussianRational() for _ in range(d)]
+        for s in range(a + 1):
+            for t in range(b + 1):
+                integer = (-1) ** s * math.comb(a, s) * math.comb(b, t)
+                term = GaussianRational(integer) * i_power(s + t)
+                coeffs[s + t] = coeffs[s + t] + term
+        columns.append(coeffs)
+    return ExactMatrix.from_columns(columns)
+
+
+def primitive_antidiagonal_oracle(d: int) -> list[Fraction]:
+    """Values c_k = <f_{d-1-2k}, f_{2k+1-d}> scaled to primitive integers.
+
+    The overall scale is fixed so the outermost pairing (k = 0) is negative.
+    """
+    basis = circle_basis_columns(d)
+    pairing = basis.transpose() @ monomial_pairing(d) @ basis
+    raw = []
+    for k in range(d):
+        raw.append(pairing.entry(k, d - 1 - k))
+        for j in range(d):
+            if j != d - 1 - k and pairing.entry(k, j):
+                raise ArithmeticError("circle-basis pairing should be antidiagonal")
+    # The pairing takes real values on the real span, so on the circle basis
+    # it is either all real or all purely imaginary; rescale to real.
+    if all(not v.imag for v in raw):
+        values = [v.real for v in raw]
+    elif all(not v.real for v in raw):
+        values = [v.imag for v in raw]
+    else:
+        raise ArithmeticError("circle-basis pairing has mixed phases")
+    scale = Fraction(
+        math.lcm(*(v.denominator for v in values)),
+        math.gcd(*(v.numerator for v in values)),
+    )
+    scaled = [v * scale for v in values]
+    if scaled[0] > 0:
+        scaled = [-v for v in scaled]
+    return scaled
+
+
+# ---------------------------------------------------------------------------
+# the census of three-dimensional flag varieties, by exhaustive scan
+
+
+def _index_choices(limit: int):
+    pool = range(1, limit + 1)
+    for size in range(1, limit + 1):
+        yield from itertools.combinations(pool, size)
+
+
+def _so_descriptors(n: int, indices: tuple[int, ...]):
+    if n % 2 == 0 and indices[-1] == n // 2:
+        yield FlagVarietyDescriptor(GroupFamily.SO, n, indices, "+")
+        yield FlagVarietyDescriptor(GroupFamily.SO, n, indices, "-")
+    else:
+        yield FlagVarietyDescriptor(GroupFamily.SO, n, indices)
+
+
+def census_oracle(max_rank: int) -> list[FlagVarietyDescriptor]:
+    """Every index subset at every rank of each family, kept at dimension 3."""
+    found: list[FlagVarietyDescriptor] = []
+    for rank in range(2, max_rank + 1):
+        n = rank + 1
+        for indices in _index_choices(n - 1):
+            d = FlagVarietyDescriptor(GroupFamily.SL, n, indices)
+            if flag_dim(d) == 3:
+                found.append(d)
+    for rank in range(2, max_rank + 1):
+        for indices in _index_choices(rank):
+            d = FlagVarietyDescriptor(GroupFamily.Sp, rank, indices)
+            if flag_dim(d) == 3:
+                found.append(d)
+    for rank in range(2, max_rank + 1):
+        for n in (2 * rank, 2 * rank + 1):
+            for indices in _index_choices(rank):
+                for d in _so_descriptors(n, indices):
+                    if flag_dim(d) == 3:
+                        found.append(d)
+    return found

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and the golden artifacts."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -328,6 +329,18 @@ def test_reps_irreducible_form(capsys):
     )
 
 
+def test_reps_large_part_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reps", "--partition", "80")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 2.0, f"reps --partition 80 took {elapsed:.2f} s"
+    gram = json.loads(out)["invariant_form"]
+    lcm = math.lcm(*(math.comb(79, k) for k in range(80)))
+    assert gram[0][79] == [str(-lcm), "0"]
+    assert gram[79][0] == [str(lcm), "0"]
+
+
 def test_reps_rejects_bad_partition(capsys):
     assert run(capsys, "reps", "--partition", "0,1")[0] == 2
     assert run(capsys, "reps", "--partition", "x")[0] == 1
@@ -487,6 +500,16 @@ def test_census_cases(capsys):
     ]
 
 
+def test_census_large_rank_matches_default(capsys):
+    _, default, _ = run(capsys, "census")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "census", "--max-rank", "60")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out == default
+    assert elapsed < 2.0, f"census --max-rank 60 took {elapsed:.2f} s"
+
+
 # ---------------------------------------------------------------------------
 # the golden artifacts
 
@@ -510,6 +533,19 @@ def test_reproduce_detects_tampering(capsys, tmp_path):
     assert code == 3
     assert "twg_proj_4.json" in err
     assert "line" in err
+    # Every divergent or missing artifact gets its own line, in name order.
+    other = workdir / "hasse_a2_full.dot"
+    other.write_text(other.read_text() + "// tampered\n")
+    (workdir / "fullcases.json").unlink()
+    code, _, err = run(capsys, "reproduce", "--golden-dir", str(workdir))
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("mismatch: fullcases.json: golden file missing")
+    assert lines[1] == (
+        "mismatch: hasse_a2_full.dot: line 19: expected '// tampered', got None"
+    )
+    assert lines[2].startswith("mismatch: twg_proj_4.json: line ")
 
 
 def test_reproduce_detects_missing_artifact(capsys, tmp_path):

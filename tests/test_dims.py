@@ -28,6 +28,8 @@ from flagfibers.weyl import (
     parabolic_elements,
 )
 
+import oracles
+
 
 def sl(n, *indices, tag=""):
     return FlagVarietyDescriptor(GroupFamily.SL, n, tuple(indices), tag)
@@ -207,6 +209,11 @@ def test_census_dimension_and_exclusions():
     )
     # The census is stable once every small rank has been scanned.
     assert census == enumerate_3dim_flag_varieties(4)
+
+
+@pytest.mark.parametrize("max_rank", range(2, 11))
+def test_census_matches_exhaustive_scan(max_rank):
+    assert enumerate_3dim_flag_varieties(max_rank) == oracles.census_oracle(max_rank)
 
 
 def test_census_rejects_tiny_rank():

@@ -15,6 +15,7 @@ from flagfibers.flags import ExactMatrix, GaussianRational
 from flagfibers.sl2reps import (
     Partition,
     WeightedBasis,
+    _primitive_antidiagonal,
     admits_symplectic_form,
     anosov_type,
     cartan_projection,
@@ -292,6 +293,11 @@ def test_so2_weight_basis_matches_partition_weights(n):
 def antidiagonal_of(gram: ExactMatrix) -> list[str]:
     n = gram.rows
     return [str(gram.entry(k, n - 1 - k)) for k in range(n)]
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_primitive_antidiagonal_matches_expansion_oracle(d):
+    assert _primitive_antidiagonal(d) == oracles.primitive_antidiagonal_oracle(d)
 
 
 def test_invariant_form_single_even_part():

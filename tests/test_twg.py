@@ -15,10 +15,17 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from flagfibers.flags import ExactMatrix, GaussianRational, Signature
+from flagfibers.flags import (
+    ExactFlag,
+    ExactMatrix,
+    GaussianRational,
+    Signature,
+    is_isotropic,
+)
 from flagfibers.sl2reps import (
     Partition,
     WeightedBasis,
+    admits_symplectic_form,
     invariant_symplectic_form,
     partitions_of,
     so2_weight_basis,
@@ -190,6 +197,54 @@ def test_fixed_flags_lagrangian_isolated():
     assert {f.id for f in locus.isolated} == {
         "f3,f1", "f3,f-1", "f1,f-3", "f-1,f-3",
     }
+
+
+def coordinate_flag_is_isotropic(basis, sig, flag, omega) -> bool:
+    """The matrix route: build the coordinate flag and test its top level."""
+    identity = ExactMatrix.identity(len(basis))
+    top = flag.flag_order[: sig.top]
+    columns = ExactMatrix.from_columns(
+        [identity.column(basis.index_of(label)) for label in top]
+    )
+    return is_isotropic(ExactFlag.from_columns(sig, columns), omega)
+
+
+def test_isotropy_rule_matches_matrix_route():
+    cases = [(4,), (2, 1, 1)] + [
+        p.parts for p in partitions_of(6) if admits_symplectic_form(p)
+    ]
+    checked, dropped = [], 0
+    for parts in cases:
+        p = Partition(parts)
+        basis = so2_weight_basis(p)
+        omega = invariant_symplectic_form(p)
+        half = p.total // 2
+        for group in CircleGroup:
+            if group is CircleGroup.PSO2 and len({w % 2 for w in basis.weights}) > 1:
+                continue
+            for size in range(1, half + 1):
+                for dims in itertools.combinations(range(1, half + 1), size):
+                    sig = Signature(dims, p.total)
+                    try:
+                        plain = fixed_flags(basis, sig, group)
+                    except NotImplementedError:
+                        continue
+                    kept = fixed_flags(basis, sig, group, iso=omega).isolated
+                    expected = tuple(
+                        flag
+                        for flag in plain.isolated
+                        if coordinate_flag_is_isotropic(basis, sig, flag, omega)
+                    )
+                    assert kept == expected, (parts, group, dims)
+                    checked.append((parts, group, dims))
+                    dropped += len(plain.isolated) - len(kept)
+    for group in CircleGroup:
+        for dims in [(1,), (2,), (1, 2)]:
+            assert ((4,), group, dims) in checked
+    for dims in [(1,), (2,)]:
+        assert ((2, 1, 1), CircleGroup.SO2, dims) in checked
+    assert any(parts in cases[2:] for parts, _, _ in checked)
+    assert dropped > 0
 
 
 def test_fixed_flags_parity_error():
