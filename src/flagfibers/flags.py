@@ -2,10 +2,11 @@
 
 A flag in C^n is stored as an invertible matrix whose leading columns span
 the flag subspaces, together with a signature recording which prefix
-dimensions carry meaning.  Entries are Gaussian rationals (a + b*i, a and b
-rational).  Ranks, kernels and intersection dimensions all come from one
-fraction-free elimination kernel over the Gaussian integers Z[i] (Bareiss,
-Math. Comp. 22, 1968), so they are exact even where positions degenerate.
+dimensions carry meaning.  Matrices store Gaussian-integer columns over one
+common denominator; ranks, kernels and intersection dimensions come from one
+fraction-free elimination kernel over Z[i] (Bareiss, Math. Comp. 22, 1968) fed
+those columns, so they are exact even where positions degenerate.  Single
+entries go in and out as :class:`GaussianRational`, the boundary scalar.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`: a
 permutation window for pairs of full flags, a signed window for pairs of
@@ -27,19 +28,20 @@ from typing import Iterable, Sequence, Union
 from .weyl import DoubleCoset, Family, RootSystem, WeylElement, double_coset_of
 
 Scalar = Union[int, str, Fraction, "GaussianRational"]
-_Row = list[tuple[int, int]]  # a vector over Z[i], entries as (re, im) pairs
+Rational = Union[int, Fraction]
+_Row = Sequence[tuple[int, int]]  # a vector over Z[i], entries as (re, im) pairs
 
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """An exact complex number ``real + imag*i`` with rational parts.
+    """An exact complex number ``real + imag*i`` with rational parts: the boundary
+    scalar that :class:`ExactMatrix` takes entries in and hands them out as.  Its
+    field operations serve callers that compute on entries (``perfbench``'s form
+    check); the package itself computes on matrices.
 
-    >>> a = GaussianRational(1, 2)
-    >>> b = GaussianRational(3, -1)
-    >>> print(a * b)
-    5+5i
-    >>> print(a * b / b)
-    1+2i
+    >>> a, b = GaussianRational(1, 2), GaussianRational(3, -1)
+    >>> print(a * b, a * b / b, -a - b)
+    5+5i 1+2i -4-i
     """
 
     real: Fraction = Fraction(0)
@@ -49,58 +51,23 @@ class GaussianRational:
         object.__setattr__(self, "real", Fraction(self.real))
         object.__setattr__(self, "imag", Fraction(self.imag))
 
-    @staticmethod
-    def of(value: Scalar) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(Fraction(value))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.real, -self.imag)
 
-    def __add__(self, other: Scalar) -> "GaussianRational":
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.of(other)
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+        return GaussianRational(self.real - other.real, self.imag - other.imag)
 
-    __radd__ = __add__
+    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        (a, b), (c, d) = (self.real, self.imag), (other.real, other.imag)
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
-    def __sub__(self, other: Scalar) -> "GaussianRational":
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        return self + (-GaussianRational.of(other))
-
-    def __rsub__(self, other: Scalar) -> "GaussianRational":
-        return (-self) + other
-
-    def __mul__(self, other: Scalar) -> "GaussianRational":
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "GaussianRational":
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.of(other)
-        norm = other.real * other.real + other.imag * other.imag
-        numerator = self * other.conjugate()
-        return GaussianRational(numerator.real / norm, numerator.imag / norm)
-
-    def __rtruediv__(self, other: Scalar) -> "GaussianRational":
-        return GaussianRational.of(other) / self
+    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+        (a, b), (c, d) = (self.real, self.imag), (other.real, other.imag)
+        norm = c * c + d * d
+        return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __str__(self) -> str:
         if not self.imag:
@@ -116,8 +83,41 @@ class GaussianRational:
         return f"{self.real}{unit}" if unit.startswith("-") else f"{self.real}+{unit}"
 
 
+def _parts(x: Scalar) -> tuple[Rational, Rational]:
+    if isinstance(x, GaussianRational):
+        return x.real, x.imag
+    return (x if isinstance(x, int) else Fraction(x)), 0
+
+
+def _over_common_denominator(
+    rows: list[list[tuple[Rational, Rational]]], cols: int | None
+) -> tuple[int, list[list[tuple[int, int]]], int]:
+    """Rows of rational ``(re, im)`` parts as (height, int-pair columns, denominator)."""
+    width = len(rows[0]) if rows else cols or 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("rows must all have the same length")
+    den = math.lcm(*(q.denominator for row in rows for pair in row for q in pair))
+    columns = [
+        [(x.numerator * den // x.denominator, y.numerator * den // y.denominator) for x, y in col]
+        for col in zip(*rows)
+    ]
+    return len(rows), columns or [()] * width, den
+
+
+def _dot(u: _Row, v: _Row) -> tuple[int, int]:
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        if c or d:
+            re += a * c - b * d
+            im += a * d + b * c
+    return re, im
+
+
 class ExactMatrix:
-    """An immutable matrix of Gaussian rationals with exact row reduction.
+    """An immutable matrix over Q(i), stored by column as ``(re, im)`` int pairs over
+    one positive common denominator in lowest terms, so equal matrices compare and
+    hash equal however they were built.  ``entry``, ``row`` and ``column`` build
+    :class:`GaussianRational` values on demand.
 
     >>> m = ExactMatrix([[1, 1, 0], [0, 1, 1]])
     >>> m.rank()
@@ -126,16 +126,20 @@ class ExactMatrix:
     1
     """
 
-    __slots__ = ("_entries", "_cols")
+    __slots__ = ("_rows", "_columns", "_den")
 
-    def __init__(self, entries: Iterable[Iterable[Scalar]], *, cols: int | None = None):
-        rows = tuple(tuple(GaussianRational.of(x) for x in row) for row in entries)
-        if rows:
-            cols = len(rows[0])
-            if any(len(row) != cols for row in rows):
-                raise ValueError("rows must all have the same length")
-        object.__setattr__(self, "_entries", rows)
-        object.__setattr__(self, "_cols", cols or 0)
+    def __new__(cls, entries: Iterable[Iterable[Scalar]] = (), *, cols: int | None = None):
+        return cls._make(*_over_common_denominator([list(map(_parts, row)) for row in entries], cols))
+
+    @classmethod
+    def _make(cls, rows: int, columns: Sequence[_Row], den: int) -> "ExactMatrix":
+        """The one constructor: int-pair columns over ``den`` > 0, put in lowest terms."""
+        common = math.gcd(den, *(t for col in columns for pair in col for t in pair))
+        if common > 1:
+            columns = [[(a // common, b // common) for a, b in col] for col in columns]
+        matrix = object.__new__(cls)
+        matrix._rows, matrix._columns, matrix._den = rows, tuple(map(tuple, columns)), den // common
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -149,102 +153,98 @@ class ExactMatrix:
     def from_columns(
         cls, columns: Sequence[Sequence[Scalar]], *, rows: int | None = None
     ) -> "ExactMatrix":
-        if not columns:
-            return cls.zeros(rows or 0, 0)
-        height = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(height)])
+        """The matrix with these columns, whose heights must agree (and equal ``rows``)."""
+        heights = {len(col) for col in columns} | ({rows} if rows is not None else set())
+        if len(heights) > 1:
+            raise ValueError(f"column heights differ: {sorted(heights)}")
+        height = heights.pop() if heights else 0
+        return cls([[col[i] for col in columns] for i in range(height)], cols=len(columns))
 
     @property
     def rows(self) -> int:
-        return len(self._entries)
+        return self._rows
 
     @property
     def cols(self) -> int:
-        return self._cols
+        return len(self._columns)
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self._entries[i][j]
+        re, im = self._columns[j][i]
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self._entries[i]
+        return tuple(self.entry(i, j) for j in range(self.cols))
 
     def column(self, j: int) -> tuple[GaussianRational, ...]:
-        return tuple(row[j] for row in self._entries)
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def prefix_columns(self, k: int) -> "ExactMatrix":
         """The submatrix of the first ``k`` columns."""
         if not 0 <= k <= self.cols:
             raise ValueError(f"no prefix of {k} columns in a matrix with {self.cols}")
-        return ExactMatrix((row[:k] for row in self._entries), cols=k)
+        return ExactMatrix._make(self.rows, self._columns[:k], self._den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            (tuple(row[j] for row in self._entries) for j in range(self.cols)),
-            cols=self.rows,
-        )
+        columns = [tuple(col[i] for col in self._columns) for i in range(self.rows)]
+        return ExactMatrix._make(self.cols, columns, self._den)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        return ExactMatrix(
-            (a + b for a, b in zip(self._entries, other._entries)),
-            cols=self.cols + other.cols,
-        )
+        den = math.lcm(self._den, other._den)
+        columns = [
+            [(a * (den // m._den), b * (den // m._den)) for a, b in col]
+            for m in (self, other)
+            for col in m._columns
+        ]
+        return ExactMatrix._make(self.rows, columns, den)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(((-x for x in row) for row in self._entries), cols=self.cols)
+        columns = [[(-a, -b) for a, b in col] for col in self._columns]
+        return ExactMatrix._make(self.rows, columns, self._den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        product = []
-        for row in self._entries:
-            out_row = []
-            for j in range(other.cols):
-                total = GaussianRational()
-                for t, coeff in enumerate(row):
-                    if coeff:
-                        total = total + coeff * other._entries[t][j]
-                out_row.append(total)
-            product.append(out_row)
-        return ExactMatrix(product, cols=other.cols)
+        rows = self.transpose()._columns
+        columns = [[_dot(row, col) for row in rows] for col in other._columns]
+        return ExactMatrix._make(self.rows, columns, self._den * other._den)
 
     def rank(self) -> int:
         echelon: dict[int, _Row] = {}
-        columns = (self.column(j) for j in range(self.cols))
-        return sum(_reduce_into(echelon, _integral(c)) is not None for c in columns)
+        return sum(_reduce_into(echelon, c) is not None for c in self._columns)
 
     def nullspace(self) -> "ExactMatrix":
         """A matrix whose columns form an exact basis of the kernel.
 
-        Column j is reduced stacked over a tag e_j, the two scaled to Z[i] as
-        one vector; when the column part vanishes, the tag is a kernel vector.
+        Column j is reduced stacked over a tag e_j, both times the common
+        denominator; when the column part vanishes, the tag is a kernel vector.
 
         >>> print(ExactMatrix([[Fraction(1, 2), Fraction(1, 3), 1]]).nullspace())
         ExactMatrix(3x2: -2 0; 3 3; 0 -1)
         """
-        tags = ExactMatrix.identity(self.cols)
         echelon: dict[int, _Row] = {}
         kernel = []
-        for j in range(self.cols):
-            reduced = _reduce_into(echelon, _integral(self.column(j) + tags.column(j)))
+        for j, column in enumerate(self._columns):
+            tag = [(self._den if k == j else 0, 0) for k in range(self.cols)]
+            reduced = _reduce_into(echelon, [*column, *tag])
             if not any(a or b for a, b in reduced[: self.rows]):
-                kernel.append([GaussianRational(a, b) for a, b in reduced[self.rows :]])
-        return ExactMatrix.from_columns(kernel, rows=self.cols)
+                kernel.append(reduced[self.rows :])
+        return ExactMatrix._make(self.cols, kernel, 1)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self._entries)
+        return not any(a or b for col in self._columns for a, b in col)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._cols == other._cols and self._entries == other._entries
+        return (self._rows, self._den, self._columns) == (other._rows, other._den, other._columns)
 
     def __hash__(self) -> int:
-        return hash((self._entries, self._cols))
+        return hash((self._rows, self._den, self._columns))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._entries)
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
@@ -316,12 +316,11 @@ class ExactFlag:
         if columns.rows != n or columns.cols != signature.top:
             raise ValueError("need exactly the top-dimension many leading columns")
         echelon: dict[int, _Row] = {}
-        leading = [columns.column(j) for j in range(columns.cols)]
-        if any(_reduce_into(echelon, _integral(c)) is None for c in leading):
+        if any(_reduce_into(echelon, c) is None for c in columns._columns):
             raise ValueError("leading columns are linearly dependent")
-        units = map(ExactMatrix.identity(n).column, range(n))
-        completion = [e for e in units if _reduce_into(echelon, _integral(e)) is not None]
-        return cls(signature, ExactMatrix.from_columns(leading + completion))
+        units = ExactMatrix.identity(n)._columns
+        completion = [e for e in units if _reduce_into(echelon, e) is not None]
+        return cls(signature, columns.hstack(ExactMatrix._make(n, completion, 1)))
 
     def subspace(self, k: int) -> ExactMatrix:
         """Columns spanning the ``k``-dimensional flag subspace."""
@@ -430,20 +429,13 @@ def _adapted_basis(levels: Sequence[ExactMatrix]) -> list[_Row]:
     echelon: dict[int, _Row] = {}
     basis: list[_Row] = []
     for index, matrix in enumerate(levels):
-        for c in range(matrix.cols):
-            inserted = _reduce_into(echelon, _integral(matrix.column(c)))
+        for column in matrix._columns:
+            inserted = _reduce_into(echelon, column)
             if inserted is not None:
                 basis.append(inserted)
         if len(basis) != index + 1:
             raise ArithmeticError("levels are not a complete nested filtration")
     return basis
-
-
-def _integral(entries: Sequence[GaussianRational]) -> _Row:
-    """The vector times the lcm of its denominators: the same span, over Z[i]."""
-    parts = [(x.real, x.imag) for x in entries]
-    scale = math.lcm(*(q.denominator for pair in parts for q in pair))
-    return [tuple(q.numerator * scale // q.denominator for q in pair) for pair in parts]
 
 
 def _reduce_into(echelon: dict[int, _Row], vector: _Row) -> _Row | None:
@@ -563,10 +555,11 @@ def matrix_to_json(matrix: ExactMatrix) -> list[list[list[str]]]:
 
 
 def matrix_from_json(rows) -> ExactMatrix:
-    """Read rows of ``[real, imag]`` pairs, the parts strings or numbers.
+    """Read rows of ``[real, imag]`` pairs, the parts numbers or ``"p"``/``"p/q"`` strings.
 
     Anything else (a bare number for an entry, a pair of the wrong length, a
-    part that is not a rational) raises ``ValueError``.
+    part that is not a rational, a string in exponent notation, whose value
+    can take far more memory than its text) raises ``ValueError``.
 
     >>> print(matrix_from_json([[["1/2", "-1"], [0, 3]]]).entry(0, 0))
     1/2-i
@@ -577,14 +570,17 @@ def matrix_from_json(rows) -> ExactMatrix:
     """
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("a matrix must be a list of rows")
-    return ExactMatrix([[_entry_from_json(entry) for entry in row] for row in rows])
+    parts = [[_entry_from_json(entry) for entry in row] for row in rows]
+    return ExactMatrix._make(*_over_common_denominator(parts, None))
 
 
-def _entry_from_json(entry) -> GaussianRational:
+def _entry_from_json(entry) -> tuple[Fraction, Fraction]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"matrix entries must be [real, imag] pairs, got {entry!r}")
+    if any(isinstance(part, str) and "e" in part.lower() for part in entry):
+        raise ValueError(f'matrix entry parts must read "p" or "p/q", not use an exponent: {entry!r}')
     try:
-        return GaussianRational(Fraction(entry[0]), Fraction(entry[1]))
+        return Fraction(entry[0]), Fraction(entry[1])
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"matrix entry is not a pair of rationals: {entry!r}") from None
 

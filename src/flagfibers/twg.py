@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .flags import (
     ExactMatrix,
-    GaussianRational,
     Signature,
     SymplecticForm,
     full_signature,
@@ -386,17 +385,14 @@ def _lagrangian_chart_classes(
     for c in coords:
         classes.setdefault(weight_of[c], []).append(c)
 
-    rows: list[dict[tuple[int, int], GaussianRational]] = []
+    # For j < k the keys (i, k) and (i, j) never collide, so each coefficient
+    # is a single Gram entry or its negation.
+    negated = -gram
+    rows = []
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            row: dict[tuple[int, int], GaussianRational] = {}
-            for i in range(1, n + 1):
-                lhs = gram.entry(j - 1, n + i - 1)
-                if lhs:
-                    row[(i, k)] = row.get((i, k), GaussianRational()) + lhs
-                rhs = gram.entry(k - 1, n + i - 1)
-                if rhs:
-                    row[(i, j)] = row.get((i, j), GaussianRational()) - rhs
+            row = {(i, k): gram.entry(j - 1, n + i - 1) for i in range(1, n + 1)}
+            row |= {(i, j): negated.entry(k - 1, n + i - 1) for i in range(1, n + 1)}
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
@@ -415,9 +411,7 @@ def _lagrangian_chart_classes(
                     )
                 relevant.append(row)
         if relevant:
-            matrix = ExactMatrix(
-                [[row.get(c, GaussianRational()) for c in members] for row in relevant]
-            )
+            matrix = ExactMatrix([[row.get(c, 0) for c in members] for row in relevant])
             kernel = matrix.nullspace()
         else:
             kernel = ExactMatrix.identity(len(members))

@@ -425,13 +425,8 @@ def monomial_pairing(d: int) -> ExactMatrix:
     return ExactMatrix(entries)
 
 
-def i_power(m: int) -> GaussianRational:
-    return (
-        GaussianRational(1),
-        GaussianRational(0, 1),
-        GaussianRational(-1),
-        GaussianRational(0, -1),
-    )[m % 4]
+def i_power(m: int) -> GQ:
+    return (gq(1), gq(0, 1), gq(-1), gq(0, -1))[m % 4]
 
 
 def circle_basis_columns(d: int) -> ExactMatrix:
@@ -443,13 +438,13 @@ def circle_basis_columns(d: int) -> ExactMatrix:
     columns = []
     for k in range(d):
         a, b = d - 1 - k, k
-        coeffs = [GaussianRational() for _ in range(d)]
+        coeffs = [gq() for _ in range(d)]
         for s in range(a + 1):
             for t in range(b + 1):
                 integer = (-1) ** s * math.comb(a, s) * math.comb(b, t)
-                term = GaussianRational(integer) * i_power(s + t)
-                coeffs[s + t] = coeffs[s + t] + term
-        columns.append(coeffs)
+                term = gq_mul(gq(integer), i_power(s + t))
+                coeffs[s + t] = gq_add(coeffs[s + t], term)
+        columns.append([GaussianRational(*c) for c in coeffs])
     return ExactMatrix.from_columns(columns)
 
 

@@ -257,6 +257,13 @@ def test_position_computation_errors(capsys, tmp_path):
     for text, message in malformed_flags.items():
         junk.write_text(text)
         assert run(capsys, "position", f, str(junk)) == (2, "", f"error: {message}\n")
+    # Exponent notation could ask Fraction for a ~415 MB integer; it is refused unread.
+    for entry in (["1e999999999", "0"], ["0", "2E-5"]):
+        exponent = flag_to_json(ExactFlag.standard(full_signature(3)))
+        exponent["matrix"][0][0] = entry
+        junk.write_text(json.dumps(exponent))
+        message = f'matrix entry parts must read "p" or "p/q", not use an exponent: {entry!r}'
+        assert run(capsys, "position", f, str(junk)) == (2, "", f"error: {message}\n")
     i = write_flag_file(tmp_path / "i.json", ExactFlag.standard(isotropic_signature(1)))
     malformed_forms = {
         "[]": "form JSON must be an object, not list",

@@ -27,21 +27,21 @@ from flagfibers.sl2reps import (
 )
 
 import oracles
-
-GR = GaussianRational.of
+from oracles import gq, gq_add, gq_mul
 
 
 # ---------------------------------------------------------------------------
 # exact polynomial oracle for the SL(2) action on binary forms
 
-Poly = dict  # (x_exponent, y_exponent) -> GaussianRational
+Poly = dict  # (x_exponent, y_exponent) -> GQ coefficient
+ZERO = gq()
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for key, coeff in q.items():
-        out[key] = out.get(key, GaussianRational()) + coeff
-    return {k: v for k, v in out.items() if v}
+        out[key] = gq_add(out.get(key, ZERO), coeff)
+    return {k: v for k, v in out.items() if v != ZERO}
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -49,34 +49,34 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     for (a, b), c in p.items():
         for (a2, b2), c2 in q.items():
             key = (a + a2, b + b2)
-            out[key] = out.get(key, GaussianRational()) + c * c2
-    return {k: v for k, v in out.items() if v}
+            out[key] = gq_add(out.get(key, ZERO), gq_mul(c, c2))
+    return {k: v for k, v in out.items() if v != ZERO}
 
 
 def poly_pow(p: Poly, n: int) -> Poly:
-    out: Poly = {(0, 0): GR(1)}
+    out: Poly = {(0, 0): gq(1)}
     for _ in range(n):
         out = poly_mul(out, p)
     return out
 
 
 def poly_scale(p: Poly, c) -> Poly:
-    return {k: v * c for k, v in p.items() if v * c}
+    scaled = {k: gq_mul(v, c) for k, v in p.items()}
+    return {k: v for k, v in scaled.items() if v != ZERO}
 
 
 def circle_poly(d: int, k: int) -> Poly:
     """f_{d-1-2k} = (X - iY)^{d-1-k} (X + iY)^k as a polynomial."""
-    minus = {(1, 0): GR(1), (0, 1): GaussianRational(0, -1)}
-    plus = {(1, 0): GR(1), (0, 1): GaussianRational(0, 1)}
+    minus = {(1, 0): gq(1), (0, 1): gq(0, -1)}
+    plus = {(1, 0): gq(1), (0, 1): gq(0, 1)}
     return poly_mul(poly_pow(minus, d - 1 - k), poly_pow(plus, k))
 
 
 def substituted(p: Poly, g) -> Poly:
     """The action of g = [[a, b], [c, d]]: f(X, Y) -> f(dX - bY, -cX + aY)."""
-    a, b = GR(g[0][0]), GR(g[0][1])
-    c, d = GR(g[1][0]), GR(g[1][1])
-    new_x = {(1, 0): d, (0, 1): -b}
-    new_y = {(1, 0): -c, (0, 1): a}
+    (a, b), (c, d) = g
+    new_x = {(1, 0): gq(d), (0, 1): gq(-b)}
+    new_y = {(1, 0): gq(-c), (0, 1): gq(a)}
     out: Poly = {}
     for (px, py), coeff in p.items():
         term = poly_scale(poly_mul(poly_pow(new_x, px), poly_pow(new_y, py)), coeff)
@@ -85,7 +85,7 @@ def substituted(p: Poly, g) -> Poly:
 
 
 def monomial_vector(p: Poly, degree: int) -> list:
-    return [p.get((degree - m, m), GaussianRational()) for m in range(degree + 1)]
+    return [GaussianRational(*p.get((degree - m, m), ZERO)) for m in range(degree + 1)]
 
 
 def solve_columns(square: ExactMatrix, targets: ExactMatrix) -> ExactMatrix:
@@ -367,7 +367,7 @@ def test_substitution_oracle_rejects_wrong_form():
     p = Partition((4,))
     wrong = [[GaussianRational() for _ in range(4)] for _ in range(4)]
     for k, v in enumerate([-4, 1, -1, 4]):
-        wrong[k][3 - k] = GR(v)
+        wrong[k][3 - k] = GaussianRational(v)
     wrong_gram = ExactMatrix(wrong)
     g = SL2_SAMPLES[0]
     m = representation_matrix(p, g)
