@@ -392,27 +392,26 @@ def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:
     n = F.signature.ambient
     if H.signature.ambient != n:
         raise ValueError("ambient dimension mismatch")
-    f_levels = [F.subspace(k) for k in range(1, n + 1)]
-    h_levels = [H.subspace(j) for j in range(1, n + 1)]
-    window = _jump_permutation(f_levels, h_levels)
+    # A flag's basis is checked invertible, so its columns are adapted to its levels.
+    window = _jump_permutation(F.basis._columns, H.basis._columns)
     return WeylElement(RootSystem(Family.A, n - 1), window)
 
 
 def _jump_permutation(
-    f_levels: Sequence[ExactMatrix], h_levels: Sequence[ExactMatrix]
+    f_basis: Sequence[_Row], h_basis: Sequence[_Row]
 ) -> tuple[int, ...]:
     """One-line permutation of the intersection-dimension jump pattern.
 
-    The jump set K_j = {k : D_j(k) > D_j(k-1)} with D_j(k) = dim(F^k meet H^j)
-    is read off one elimination per j: an echelon basis of H^j, fed the
-    F-basis vectors one at a time; the k-th vector reduces to zero exactly
-    when dim(F^k meet H^j) jumped at k.
+    ``f_basis`` and ``h_basis`` are adapted bases: their first k vectors span
+    F^k and H^k.  The jump set K_j = {k : D_j(k) > D_j(k-1)} with
+    D_j(k) = dim(F^k meet H^j) is read off one elimination per j: an echelon
+    basis of H^j, fed the F-basis vectors one at a time; the k-th vector
+    reduces to zero exactly when dim(F^k meet H^j) jumped at k.
     """
-    f_basis = _adapted_basis(f_levels)
     window = []
     previous: frozenset[int] = frozenset()
     h_echelon: dict[int, _Row] = {}
-    for h in _adapted_basis(h_levels):
+    for h in h_basis:
         _reduce_into(h_echelon, h)
         echelon = dict(h_echelon)
         jumps = frozenset(
@@ -424,16 +423,19 @@ def _jump_permutation(
     return tuple(window)
 
 
-def _adapted_basis(levels: Sequence[ExactMatrix]) -> list[_Row]:
-    """Vectors v_1, v_2, ... over Z[i] whose prefixes span the given nested levels."""
+def _adapted_basis(start: Sequence[_Row], levels: Sequence[ExactMatrix]) -> list[_Row]:
+    """The independent vectors ``start``, extended over Z[i] so that each
+    further prefix spans the next of the given nested levels."""
     echelon: dict[int, _Row] = {}
-    basis: list[_Row] = []
-    for index, matrix in enumerate(levels):
+    for vector in start:
+        _reduce_into(echelon, vector)
+    basis = list(start)
+    for index, matrix in enumerate(levels, start=len(start) + 1):
         for column in matrix._columns:
             inserted = _reduce_into(echelon, column)
             if inserted is not None:
                 basis.append(inserted)
-        if len(basis) != index + 1:
+        if len(basis) != index:
             raise ArithmeticError("levels are not a complete nested filtration")
     return basis
 
@@ -480,9 +482,7 @@ def relative_position_symplectic(
             raise ValueError("expected a complete isotropic flag (signature 1..n)")
         if not is_isotropic(flag, omega):
             raise ValueError("flag is not isotropic for the given form")
-    f_levels = _extended_levels(F, omega)
-    h_levels = _extended_levels(H, omega)
-    levels = _jump_permutation(f_levels, h_levels)
+    levels = _jump_permutation(_extended_basis(F, omega), _extended_basis(H, omega))
 
     def label(p: int) -> int:
         return p if p <= n else p - size - 1
@@ -494,11 +494,11 @@ def relative_position_symplectic(
     return WeylElement(RootSystem(Family.C, n), window)
 
 
-def _extended_levels(flag: ExactFlag, omega: SymplecticForm) -> list[ExactMatrix]:
+def _extended_basis(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
+    """A basis adapted to F^1, ..., F^n, then F^{n+k} = perp of F^{n-k}."""
     n = omega.ambient // 2
-    lower = [flag.subspace(k) for k in range(1, n + 1)]
     upper = [omega_perp(flag.subspace(n - k), omega) for k in range(1, n + 1)]
-    return lower + upper
+    return _adapted_basis(flag.basis._columns[:n], upper)
 
 
 def relative_position_partial(

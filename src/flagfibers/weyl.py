@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 __all__ = [
     "Family",
@@ -374,16 +374,17 @@ class PositionPoset:
     """The poset W_{theta,eta} of double cosets with induced Bruhat order.
 
     ``cosets`` is sorted by (length, window) of minimal representatives.
-    ``w0_action`` maps coset index i to the index of [w0 * w_i]; it is only
-    defined when theta is stable under the opposition involution, and is
-    ``None`` otherwise.
+    ``up`` holds for each coset i the bitset of the cosets at or above it
+    (bit j for coset j).  ``w0_action`` maps coset index i to the index of
+    [w0 * w_i]; it is only defined when theta is stable under the opposition
+    involution, and is ``None`` otherwise.
     """
 
     system: RootSystem
     left_type: frozenset[int]
     right_type: frozenset[int]
     cosets: tuple[DoubleCoset, ...]
-    _leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     w0_action: tuple[int, ...] | None
     _index_of_window: dict[tuple[int, ...], int]
 
@@ -391,11 +392,31 @@ class PositionPoset:
         return len(self.cosets)
 
     def leq(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
+        return bool(self.up[i] >> j & 1)
 
     def coset_index(self, w: WeylElement) -> int:
         """Index of the double coset containing ``w``."""
         return self._index_of_window[w.window]
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Bitset of the cosets at or below each coset (bit i for coset i)."""
+        return tuple(
+            sum(1 << i for i, above in enumerate(self.up) if above >> j & 1)
+            for j in range(len(self.cosets))
+        )
+
+    @cached_property
+    def left_action(self) -> tuple[tuple[int, ...], ...]:
+        """Row i-1 maps each coset index c to the index of [s_i * w_c].
+
+        This is an action of W only when the left type is full, so that the
+        cosets are left cosets w W_eta.
+        """
+        return tuple(
+            tuple(self.coset_index(s * dc.min_rep) for dc in self.cosets)
+            for s in simple_reflections(self.system)
+        )
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relations (i, j) with coset i covered by coset j, sorted.
@@ -404,10 +425,10 @@ class PositionPoset:
         its strict down-set with no other member of that set above them.
         """
         n = len(self.cosets)
-        up = [sum(1 << k for k in range(n) if k != i and self._leq[i][k]) for i in range(n)]
-        below = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+        above = [u & ~(1 << i) for i, u in enumerate(self.up)]
+        below = [d & ~(1 << j) for j, d in enumerate(self.down)]
         return tuple(
-            (i, j) for i in range(n) for j in range(n) if up[i] >> j & 1 and not up[i] & below[j]
+            (i, j) for i in range(n) for j in range(n) if above[i] >> j & 1 and not above[i] & below[j]
         )
 
 
@@ -458,8 +479,12 @@ def double_cosets(
             cosets.append(DoubleCoset(system, theta, eta, w))
         else:
             index_of_window[w.window] = index_of_window[rep.window]
+    # A coset lies strictly below only longer cosets, which come later in the order.
     counts = [_bruhat_counts(dc.min_rep) for dc in cosets]
-    leq = tuple(tuple(_counts_leq(a, b) for b in counts) for a in counts)
+    up = tuple(
+        sum(1 << j for j in range(i, len(counts)) if _counts_leq(counts[i], counts[j]))
+        for i in range(len(counts))
+    )
     w0_action: tuple[int, ...] | None = None
     if opposition_involution(system, theta) == theta:
         w0 = longest_element(system)
@@ -467,7 +492,7 @@ def double_cosets(
             index_of_window[(w0 * dc.min_rep).window] for dc in cosets
         )
     return PositionPoset(
-        system, theta, eta, tuple(cosets), leq, w0_action, index_of_window
+        system, theta, eta, tuple(cosets), up, w0_action, index_of_window
     )
 
 

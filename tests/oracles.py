@@ -13,7 +13,12 @@ Everything here deliberately avoids the library's own code paths:
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination;
 - linear systems are solved by plain Gauss-Jordan elimination over Q(i);
-- balanced ideals come from filtering all 2^n subsets of a poset;
+- balanced ideals come from filtering all 2^n subsets of a poset, and, for
+  larger posets, from the antichain route: every ideal of at most half the
+  poset (``ideals.all_ideals``), kept when w0 maps it onto its complement;
+- downward closure is the scan over every pair of a poset's order relation;
+- minimal Anosov types come from one Weyl-group product per member and
+  simple reflection;
 - fiber classifications come from the exhaustive catalogue search: every
   Hir(q;a,b) up to the graph's largest edge weight, and every pair of them
   for connected sums (graphs are built and compared with the library's
@@ -34,6 +39,7 @@ from fractions import Fraction
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
 from flagfibers.flags import ExactMatrix, GaussianRational
+from flagfibers.ideals import Ideal, all_ideals
 from flagfibers.twg import (
     Classification,
     WeightGraph,
@@ -43,6 +49,7 @@ from flagfibers.twg import (
     graphs_isomorphic,
     hirzebruch_graph,
 )
+from flagfibers.weyl import PositionPoset, simple_reflection
 
 Matrix = tuple[tuple[int, ...], ...]
 Window = tuple[int, ...]
@@ -305,6 +312,16 @@ def position_search_oracle(
 # balanced ideals by exhaustion
 
 
+def is_ideal_oracle(leq: list[list[bool]], members: frozenset[int]) -> bool:
+    """Whether ``members`` is downward closed, by scanning every pair."""
+    n = len(leq)
+    return not any(
+        leq[i][j] and j in members and i not in members
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def balanced_ideals_oracle(
     leq: list[list[bool]], w0_perm: list[int]
 ) -> list[frozenset[int]]:
@@ -319,15 +336,46 @@ def balanced_ideals_oracle(
     universe = frozenset(range(n))
     for bits in range(1 << n):
         members = frozenset(i for i in range(n) if bits >> i & 1)
-        if any(
-            leq[i][j] and j in members and i not in members
-            for i in range(n)
-            for j in range(n)
-        ):
+        if not is_ideal_oracle(leq, members):
             continue
         if frozenset(w0_perm[i] for i in members) == universe - members:
             out.append(members)
     return out
+
+
+def balanced_ideals_antichain_oracle(poset: PositionPoset) -> list[frozenset[int]]:
+    """Balanced ideals among all ideals of at most half the poset.
+
+    ``all_ideals`` grows antichains and takes their downward closures; an
+    ideal of exactly half the cosets is kept when w0 maps it onto its
+    complement.  Sorted by sorted members, the library's answer order.
+    """
+    n = len(poset)
+    half = n // 2
+    universe = frozenset(range(n))
+    out = [
+        members
+        for members in all_ideals(poset, max_size=half)
+        if len(members) == half
+        and frozenset(poset.w0_action[i] for i in members) == universe - members
+    ]
+    out.sort(key=sorted)
+    return out
+
+
+def minimal_anosov_type_oracle(ideal: Ideal) -> frozenset[int]:
+    """Simple-root indices i with s_i * I != I, one Weyl product per member."""
+    poset = ideal.poset
+    system = poset.system
+    moved = set()
+    for i in system.simple_indices:
+        s = simple_reflection(system, i)
+        image = frozenset(
+            poset.coset_index(s * poset.cosets[c].min_rep) for c in ideal.members
+        )
+        if image != ideal.members:
+            moved.add(i)
+    return frozenset(moved)
 
 
 # ---------------------------------------------------------------------------

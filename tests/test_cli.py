@@ -118,6 +118,21 @@ def test_group_order_limit_exits_2_at_once(capsys):
             assert err.count("\n") == 1 and "above the limit" in err
 
 
+def test_ideal_search_limit_exits_2_and_full_a4_answers(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ideals", "--family", "C", "--rank", "4")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "IDEAL_SEARCH_LIMIT" in err
+    assert "Traceback" not in err
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ideals", "--family", "A", "--rank", "4")
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["balanced_ideals"]) == 4608
+
+
 def test_cli_import_leaves_numpy_out():
     done = run_child("-c", "import sys, flagfibers.cli; print('numpy' in sys.modules)")
     assert done.stdout == "False\n", done.stderr

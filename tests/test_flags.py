@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagfibers import flags
 from flagfibers.flags import (
     ExactFlag,
     ExactMatrix,
@@ -417,6 +418,23 @@ def test_position_matches_search_oracle():
                 gq_columns(F.basis), gq_columns(H.basis)
             )
             assert got.window == expected
+
+
+def test_full_position_reduces_each_level_once(monkeypatch):
+    rng = random.Random(73)
+    F = random_full_flag(rng, 5)
+    H = random_full_flag(rng, 5)
+    expected = relative_position_full(F, H)
+    calls = []
+    reduce_into = flags._reduce_into
+
+    def counting(echelon, vector):
+        calls.append(vector)
+        return reduce_into(echelon, vector)
+
+    monkeypatch.setattr(flags, "_reduce_into", counting)
+    assert relative_position_full(F, H) == expected
+    assert len(calls) <= 40
 
 
 def test_position_inverse_swaps_arguments():

@@ -1,4 +1,8 @@
+import itertools
+import warnings
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagfibers.ideals import (
     Ideal,
@@ -12,6 +16,7 @@ from flagfibers.weyl import (
     RootSystem,
     WeylElement,
     double_cosets,
+    parabolic_elements,
     sign_vector,
 )
 
@@ -32,9 +37,34 @@ def poset_of(system, eta):
     return double_cosets(system, FULL[system], frozenset(eta))
 
 
+def leq_table(poset):
+    return [[poset.leq(i, j) for j in range(len(poset))] for i in range(len(poset))]
+
+
 def oracle_balanced(poset):
-    leq = [[poset.leq(i, j) for j in range(len(poset))] for i in range(len(poset))]
-    return set(oracles.balanced_ideals_oracle(leq, list(poset.w0_action)))
+    return set(oracles.balanced_ideals_oracle(leq_table(poset), list(poset.w0_action)))
+
+
+def full_left_type_cases(max_cosets):
+    """(system, eta) for A2-A4 and C2-C3, every eta, at most ``max_cosets`` cosets."""
+    cases = []
+    for family, rank in ((Family.A, 2), (Family.A, 3), (Family.A, 4), (Family.C, 2), (Family.C, 3)):
+        system = RootSystem(family, rank)
+        for size in range(rank + 1):
+            for eta in itertools.combinations(system.simple_indices, size):
+                eta = frozenset(eta)
+                if system.order() // len(parabolic_elements(system, eta)) <= max_cosets:
+                    cases.append((system, eta))
+    return cases
+
+
+def case_id(case):
+    system, eta = case
+    return f"{system.family.value}{system.rank}:{','.join(map(str, sorted(eta)))}"
+
+
+SMALL_CASES = full_left_type_cases(48)
+TINY_CASES = full_left_type_cases(24)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +87,26 @@ def test_fat_slim_extremes():
     assert everything.is_fat() and not everything.is_slim()
     assert nothing.is_slim() and not nothing.is_fat()
     assert not everything.is_balanced() and not nothing.is_balanced()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_check_matches_leq_scan(data):
+    system, eta = data.draw(st.sampled_from(TINY_CASES), label="poset")
+    poset = double_cosets(system, frozenset(system.simple_indices), eta)
+    n = len(poset)
+    leq = leq_table(poset)
+    subset = data.draw(st.frozensets(st.integers(0, n - 1)), label="subset")
+    if data.draw(st.booleans(), label="close it, then drop at most one"):
+        subset = frozenset(i for i in range(n) if any(leq[i][j] for j in subset))
+        subset -= data.draw(st.frozensets(st.integers(0, n - 1), max_size=1))
+    try:
+        Ideal(poset, subset)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == oracles.is_ideal_oracle(leq, subset)
 
 
 def test_all_ideals_of_a_chain():
@@ -107,6 +157,30 @@ def test_balanced_ideals_of_full_c2_poset_match_oracle():
     assert {b.members for b in balanced} == oracle_balanced(poset)
     for b in balanced:
         assert len(b.members) == len(poset) // 2
+
+
+@pytest.mark.parametrize("case", SMALL_CASES, ids=case_id)
+def test_search_and_left_action_match_antichain_and_product_oracles(case):
+    system, eta = case
+    poset = double_cosets(system, frozenset(system.simple_indices), eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # odd posets warn that they have none
+        balanced = enumerate_balanced_ideals(poset)
+    assert [b.members for b in balanced] == oracles.balanced_ideals_antichain_oracle(poset)
+    for b in balanced:
+        assert minimal_anosov_type(b) == oracles.minimal_anosov_type_oracle(b)
+
+
+def test_full_type_a4_balanced_ideals():
+    # 4608 is this package's own count, pinned to catch regressions; it is
+    # not a value quoted from the literature.
+    A4 = RootSystem(Family.A, 4)
+    full = frozenset(A4.simple_indices)
+    poset = double_cosets(A4, full, full)
+    balanced = enumerate_balanced_ideals(poset)
+    assert len({b.members for b in balanced}) == len(balanced) == 4608
+    for b in balanced:
+        assert Ideal(poset, b.members).is_balanced()
 
 
 def test_odd_poset_warns_and_returns_empty():
