@@ -21,17 +21,35 @@ sign rule, ``-j`` to ``k``).
 Descents and the Bruhat order read both families as permutations of
 0..N-1: type A as it is, type C acting on the slots e_1..e_n, e_{-n}..e_{-1}
 of C^2n, where s_i swaps slots i-1 and i (and, for i < n, their mirror
-images).  Minimal double-coset representatives come from stripping
-descents, and the Bruhat order from the counting criterion of S_N
+images).  The Bruhat order comes from the counting criterion of S_N
 (Bjoerner-Brenti, *Combinatorics of Coxeter Groups*, Ch. 2 and 8.1).
-Groups are closed breadth-first from the simple reflections, and only up to
-``GROUP_ORDER_LIMIT`` elements.
+
+Groups are closed breadth-first on window tuples from the simple
+reflections, and only up to ``GROUP_ORDER_LIMIT`` elements.  A step w -> w s
+changes the length by one, so breadth-first layer k holds exactly the
+elements of length k, and each layer sorted by window gives the
+(length, window) order without computing a length.  Position posets walk
+the group in that order and place each element in one step: a left descent
+s_i (i not in theta) or a right descent s_i (i not in eta) of w leads to a
+shorter element of the same double coset, which the walk has already
+placed, and an element with neither descent is the minimal representative
+of a new coset (Bjoerner-Brenti, Sec. 2.4-2.5).  Strictly Bruhat-smaller
+minimal representatives are strictly shorter, so coset index order is a
+linear extension of the poset.  Each coset's Bruhat counts are packed into
+one integer with a guard bit per field, so comparing two cosets is one
+integer subtraction (Lamport, *CACM* 18(8), 1975).
+
+``group_elements`` and ``parabolic_elements`` are the only memoised group
+data; everything else is built per call.  A module-level table of windows
+or counts would survive ``cache_clear()`` on those two, and a caller that
+clears them to measure a cold build would measure a warm one.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -149,16 +167,10 @@ class WeylElement:
         """
         if self.system != other.system:
             raise ValueError("cannot multiply elements of different systems")
-        return WeylElement(self.system, tuple(self.act(j) for j in other.window))
+        return WeylElement(self.system, _compose(self.window, other.window))
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * self.system.degree
-        for j, image in enumerate(self.window, start=1):
-            if image > 0:
-                inv[image - 1] = j
-            else:
-                inv[-image - 1] = -j
-        return WeylElement(self.system, tuple(inv))
+        return WeylElement(self.system, _inverse(self.window))
 
     def is_identity(self) -> bool:
         return all(self.window[j] == j + 1 for j in range(len(self.window)))
@@ -272,13 +284,61 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     >>> reduced_word(WeylElement(s, (3, 2, 1)))
     (1, 2, 1)
     """
+    window, one = w.window, identity(w.system).window
     letters: list[int] = []
-    while not w.is_identity():
-        slots = _slots(w)
-        i = next(i for i in w.system.simple_indices if slots[i - 1] > slots[i])
+    while window != one:
+        i = next(i for i in w.system.simple_indices if _descends(window, i))
         letters.append(i)
-        w = w * simple_reflection(w.system, i)
+        window = _times_s(window, i)
     return tuple(reversed(letters))
+
+
+def _compose(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """Window of the product ``left * right`` (apply ``right`` first)."""
+    return tuple(left[j - 1] if j > 0 else -left[-j - 1] for j in right)
+
+
+def _inverse(window: tuple[int, ...]) -> tuple[int, ...]:
+    """Window of the inverse element."""
+    inv = [0] * len(window)
+    for j, image in enumerate(window, start=1):
+        if image > 0:
+            inv[image - 1] = j
+        else:
+            inv[-image - 1] = -j
+    return tuple(inv)
+
+
+def _times_s(window: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Window of w * s_i: swap positions i-1 and i, or negate the last entry.
+
+    Only type C has a generator s_n (i = n = len(window)), the sign change.
+    """
+    if i == len(window):
+        return window[:-1] + (-window[-1],)
+    return window[: i - 1] + (window[i], window[i - 1]) + window[i + 1 :]
+
+
+def _s_times(window: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Window of s_i * w: swap the values +-i and +-(i+1), or negate +-n."""
+    if i == len(window):
+        swap = {i: -i, -i: i}
+    else:
+        swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
+    return tuple(swap.get(j, j) for j in window)
+
+
+def _descends(window: tuple[int, ...], i: int) -> bool:
+    """Whether s_i is a right descent of the element with this window.
+
+    On slots (see :func:`_slots`) positive letters come in increasing order
+    before negative ones, and s_n of type C descends iff the last entry is
+    negative.  Left descents are right descents of the inverse window.
+    """
+    if i == len(window):
+        return window[-1] < 0
+    a, b = window[i - 1], window[i]
+    return a > b if (a < 0) == (b < 0) else a < 0
 
 
 def _slots(w: WeylElement) -> list[int]:
@@ -306,9 +366,28 @@ def _bruhat_counts(w: WeylElement) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _counts_leq(low: tuple[int, ...], high: tuple[int, ...]) -> bool:
-    """The counting criterion on two outputs of :func:`_bruhat_counts`."""
-    return all(map(int.__le__, low, high))
+def _pack(counts: Sequence[int], size: int) -> tuple[int, int]:
+    """``counts``, each in 0..size-1, packed into one int, and the guard mask.
+
+    Count k fills field k, of ``size.bit_length() + 1`` bits; the top bit of
+    each field is its guard, clear in the packed int and set in the mask.
+    """
+    width = size.bit_length() + 1
+    packed = guards = 0
+    for k, count in enumerate(counts):
+        packed |= count << (k * width)
+        guards |= 1 << (k * width + width - 1)
+    return packed, guards
+
+
+def _packed_leq(low: int, high: int, guards: int) -> bool:
+    """Whether every field of ``low`` is at most that of ``high`` (same packing).
+
+    With the guard bits of ``high`` set, each field subtracts without a
+    borrow into the next one, and keeps its guard bit exactly when the
+    field of ``low`` is not larger (SWAR comparison, Lamport, CACM 1975).
+    """
+    return ((high | guards) - low) & guards == guards
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -328,7 +407,10 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """
     if u.system != w.system:
         raise ValueError("cannot compare elements of different systems")
-    return _counts_leq(_bruhat_counts(u), _bruhat_counts(w))
+    size = u.system.ambient_dim
+    low, guards = _pack(_bruhat_counts(u), size)
+    high, _ = _pack(_bruhat_counts(w), size)
+    return _packed_leq(low, high, guards)
 
 
 @cache
@@ -338,9 +420,9 @@ def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[Wey
     The complement convention matches flag types: typeset marks the levels a
     flag of that type keeps, so the full type (all indices) yields the
     trivial subgroup, and W_emptyset is the whole group.  Generated
-    breadth-first from the identity, sorted by (length, window); refused
-    with a ``ValueError`` when the whole group has more than
-    ``GROUP_ORDER_LIMIT`` elements.
+    breadth-first on windows from the identity, one length per layer, and
+    sorted by (length, window); refused with a ``ValueError`` when the whole
+    group has more than ``GROUP_ORDER_LIMIT`` elements.
     """
     typeset = _simple_subset(system, typeset)
     if system.order() > GROUP_ORDER_LIMIT:
@@ -348,12 +430,15 @@ def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[Wey
             f"Weyl group {system.family.value}{system.rank} has order "
             f"{system.order()}, above the limit of {GROUP_ORDER_LIMIT}"
         )
-    gens = [simple_reflection(system, i) for i in system.simple_indices if i not in typeset]
-    seen = frontier = {identity(system)}
-    while frontier:
-        frontier = {w * s for w in frontier for s in gens} - seen
-        seen |= frontier
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
+    gens = _generators(system, typeset)
+    layer = [identity(system).window]
+    seen = set(layer)
+    ordered: list[tuple[int, ...]] = []
+    while layer:
+        ordered.extend(layer)
+        layer = sorted({_times_s(w, i) for w in layer for i in gens} - seen)
+        seen.update(layer)
+    return tuple(WeylElement(system, w) for w in ordered)
 
 
 @dataclass(frozen=True)
@@ -400,11 +485,15 @@ class PositionPoset:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """Bitset of the cosets at or below each coset (bit i for coset i)."""
-        return tuple(
-            sum(1 << i for i, above in enumerate(self.up) if above >> j & 1)
-            for j in range(len(self.cosets))
-        )
+        """Bitset of the cosets at or below each coset (bit i for coset i).
+
+        Every relation is a chain of covers, and :meth:`covers` is sorted by
+        its lower end, so ``down[i]`` is complete before it is passed on.
+        """
+        down = [1 << i for i in range(len(self.cosets))]
+        for i, j in self.covers():
+            down[j] |= down[i]
+        return tuple(down)
 
     @cached_property
     def left_action(self) -> tuple[tuple[int, ...], ...]:
@@ -414,44 +503,61 @@ class PositionPoset:
         cosets are left cosets w W_eta.
         """
         return tuple(
-            tuple(self.coset_index(s * dc.min_rep) for dc in self.cosets)
-            for s in simple_reflections(self.system)
+            tuple(self._index_of_window[_s_times(dc.min_rep.window, i)] for dc in self.cosets)
+            for i in self.system.simple_indices
         )
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relations (i, j) with coset i covered by coset j, sorted.
 
-        Transitive reduction on bitsets: the covers of j are the members of
-        its strict down-set with no other member of that set above them.
+        The covers of i are the minimal members of its strict up-set.  Index
+        order extends the poset order, so the lowest member left is minimal;
+        taking it and dropping its up-set leaves the members not above it.
         """
-        n = len(self.cosets)
-        above = [u & ~(1 << i) for i, u in enumerate(self.up)]
-        below = [d & ~(1 << j) for j, d in enumerate(self.down)]
-        return tuple(
-            (i, j) for i in range(n) for j in range(n) if above[i] >> j & 1 and not above[i] & below[j]
-        )
+        out = []
+        for i, rest in enumerate(self.up):
+            rest &= ~(1 << i)
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                out.append((i, j))
+                rest &= ~self.up[j]
+        return tuple(out)
+
+
+def _generators(system: RootSystem, typeset: frozenset[int]) -> list[int]:
+    """Indices of the simple reflections generating W_typeset."""
+    return [i for i in system.simple_indices if i not in typeset]
+
+
+def _coset_step(
+    window: tuple[int, ...], left: list[int], right: list[int]
+) -> tuple[int, ...] | None:
+    """A shorter element of the double coset W_theta w W_eta, or ``None``.
+
+    ``left`` and ``right`` generate W_theta and W_eta.  A left descent s_i
+    among them gives s_i w, else a right descent gives w s_i; an element
+    with neither is the unique shortest one of its double coset.
+    """
+    if left:
+        inverse = _inverse(window)
+        for i in left:
+            if _descends(inverse, i):
+                return _s_times(window, i)
+    for i in right:
+        if _descends(window, i):
+            return _times_s(window, i)
+    return None
 
 
 def _min_rep(
     system: RootSystem, theta: frozenset[int], eta: frozenset[int], w: WeylElement
 ) -> WeylElement:
-    """The minimal element of W_theta w W_eta.
-
-    Strips left descents s_i (i not in theta) and right descents s_i (i not
-    in eta) until none is left; the element without such descents is the
-    unique shortest one of its double coset.
-    """
-    while True:
-        left, right = _slots(w.inverse()), _slots(w)
-        for i in system.simple_indices:
-            if i not in theta and left[i - 1] > left[i]:
-                w = simple_reflection(system, i) * w
-                break
-            if i not in eta and right[i - 1] > right[i]:
-                w = w * simple_reflection(system, i)
-                break
-        else:
-            return w
+    """The minimal element of W_theta w W_eta, by stripping descents."""
+    left, right = _generators(system, theta), _generators(system, eta)
+    window = w.window
+    while (shorter := _coset_step(window, left, right)) is not None:
+        window = shorter
+    return WeylElement(system, window)
 
 
 def double_cosets(
@@ -459,9 +565,12 @@ def double_cosets(
 ) -> PositionPoset:
     """Partition W into W_theta \\ W / W_eta double cosets.
 
-    One walk over the group in (length, window) order: an element opens a
-    new coset when it is its own minimal representative, and otherwise
-    joins the coset of its representative, which came earlier.
+    One walk over the group in (length, window) order: an element with a
+    descent in W_theta or W_eta joins the coset of the shorter element that
+    descent leads to, which came earlier; any other element is the minimal
+    representative of a new coset.  ``up`` compares each coset only with
+    itself and the later ones, since a coset lies strictly below only
+    longer cosets.
 
     >>> s = RootSystem(Family.A, 3)
     >>> poset = double_cosets(s, frozenset({1, 2, 3}), frozenset({1}))
@@ -470,27 +579,29 @@ def double_cosets(
     """
     theta = _simple_subset(system, theta)
     eta = _simple_subset(system, eta)
+    left, right = _generators(system, theta), _generators(system, eta)
     index_of_window: dict[tuple[int, ...], int] = {}
     cosets: list[DoubleCoset] = []
     for w in group_elements(system):
-        rep = _min_rep(system, theta, eta, w)
-        if rep == w:
+        shorter = _coset_step(w.window, left, right)
+        if shorter is None:
             index_of_window[w.window] = len(cosets)
             cosets.append(DoubleCoset(system, theta, eta, w))
         else:
-            index_of_window[w.window] = index_of_window[rep.window]
-    # A coset lies strictly below only longer cosets, which come later in the order.
-    counts = [_bruhat_counts(dc.min_rep) for dc in cosets]
+            index_of_window[w.window] = index_of_window[shorter]
+    size = system.ambient_dim
+    packed = [_pack(_bruhat_counts(dc.min_rep), size) for dc in cosets]
+    # _packed_leq, with the guard bits of each upper side set once.
+    guards = packed[0][1]
+    highs = [high | guards for high, _ in packed]
     up = tuple(
-        sum(1 << j for j in range(i, len(counts)) if _counts_leq(counts[i], counts[j]))
-        for i in range(len(counts))
+        sum(1 << j for j in range(i, len(highs)) if (highs[j] - low) & guards == guards)
+        for i, (low, _) in enumerate(packed)
     )
     w0_action: tuple[int, ...] | None = None
     if opposition_involution(system, theta) == theta:
-        w0 = longest_element(system)
-        w0_action = tuple(
-            index_of_window[(w0 * dc.min_rep).window] for dc in cosets
-        )
+        w0 = longest_element(system).window
+        w0_action = tuple(index_of_window[_compose(w0, dc.min_rep.window)] for dc in cosets)
     return PositionPoset(
         system, theta, eta, tuple(cosets), up, w0_action, index_of_window
     )

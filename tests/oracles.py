@@ -10,6 +10,11 @@ Everything here deliberately avoids the library's own code paths:
   edges;
 - minimal double-coset representatives come from the whole orbit u*w*v
   and its shortest member by BFS length;
+- whole position posets come from the library's earlier route: the group
+  closed with ``WeylElement`` products and sorted by computed length, each
+  element's representative by descent stripping with products, the Bruhat
+  table from the fieldwise counting criterion on every later pair, and
+  covers and down-sets from scans over every pair of cosets;
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination;
 - linear systems are solved by plain Gauss-Jordan elimination over Q(i);
@@ -35,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
@@ -49,7 +55,19 @@ from flagfibers.twg import (
     graphs_isomorphic,
     hirzebruch_graph,
 )
-from flagfibers.weyl import PositionPoset, simple_reflection
+from flagfibers.weyl import (
+    DoubleCoset,
+    PositionPoset,
+    RootSystem,
+    WeylElement,
+    _bruhat_counts,
+    _slots,
+    identity,
+    longest_element,
+    opposition_involution,
+    simple_reflection,
+    simple_reflections,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 Window = tuple[int, ...]
@@ -191,6 +209,90 @@ def double_coset_min_oracle(
         lowest = min(orbit, key=lambda x: (lengths[x], x))
         out.update(dict.fromkeys(orbit, lowest))
     return out
+
+
+# ---------------------------------------------------------------------------
+# position posets by Weyl-group products and pair scans
+
+
+def counts_leq(low: tuple[int, ...], high: tuple[int, ...]) -> bool:
+    """The counting criterion, field by field, on two ``_bruhat_counts``."""
+    return all(map(int.__le__, low, high))
+
+
+def min_rep_oracle(
+    system: RootSystem, theta: frozenset[int], eta: frozenset[int], w: WeylElement
+) -> WeylElement:
+    """Strip descents outside theta (left) and eta (right) with products."""
+    while True:
+        left, right = _slots(w.inverse()), _slots(w)
+        for i in system.simple_indices:
+            if i not in theta and left[i - 1] > left[i]:
+                w = simple_reflection(system, i) * w
+                break
+            if i not in eta and right[i - 1] > right[i]:
+                w = w * simple_reflection(system, i)
+                break
+        else:
+            return w
+
+
+@dataclass(frozen=True)
+class OraclePoset:
+    cosets: tuple[DoubleCoset, ...]
+    coset_index: dict[Window, int]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
+    w0_action: tuple[int, ...] | None
+    left_action: tuple[tuple[int, ...], ...]
+
+
+def double_cosets_oracle(
+    system: RootSystem, theta: frozenset[int], eta: frozenset[int]
+) -> OraclePoset:
+    """Every field of a position poset, one product or comparison at a time.
+
+    ``left_action`` is [s_i * w_c] for each coset c; it is an action only
+    when theta is full.
+    """
+    gens = simple_reflections(system)
+    seen = frontier = {identity(system)}
+    while frontier:
+        frontier = {w * s for w in frontier for s in gens} - seen
+        seen |= frontier
+    elements = sorted(seen, key=lambda w: (w.length(), w.window))
+    coset_index: dict[Window, int] = {}
+    cosets: list[DoubleCoset] = []
+    for w in elements:
+        rep = min_rep_oracle(system, theta, eta, w)
+        if rep == w:
+            coset_index[w.window] = len(cosets)
+            cosets.append(DoubleCoset(system, theta, eta, w))
+        else:
+            coset_index[w.window] = coset_index[rep.window]
+    n = len(cosets)
+    counts = [_bruhat_counts(dc.min_rep) for dc in cosets]
+    up = tuple(
+        sum(1 << j for j in range(i, n) if counts_leq(counts[i], counts[j])) for i in range(n)
+    )
+    down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+    above = [u & ~(1 << i) for i, u in enumerate(up)]
+    below = [d & ~(1 << j) for j, d in enumerate(down)]
+    covers = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if above[i] >> j & 1 and not above[i] & below[j]
+    )
+    w0_action = None
+    if opposition_involution(system, theta) == theta:
+        w0 = longest_element(system)
+        w0_action = tuple(coset_index[(w0 * dc.min_rep).window] for dc in cosets)
+    left_action = tuple(
+        tuple(coset_index[(s * dc.min_rep).window] for dc in cosets) for s in gens
+    )
+    return OraclePoset(tuple(cosets), coset_index, up, down, covers, w0_action, left_action)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,26 @@ def test_ideal_search_limit_exits_2_and_full_a4_answers(capsys):
     assert len(json.loads(out)["balanced_ideals"]) == 4608
 
 
+def test_largest_full_type_hasse_and_ideals_answer_in_seconds():
+    start = time.perf_counter()
+    done = run_child("-m", "flagfibers.cli", "hasse", "--family", "A", "--rank", "6")
+    assert time.perf_counter() - start < 20.0
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    edges = sum("->" in line for line in lines)
+    nodes = sum(line.startswith('  "') for line in lines) - edges
+    assert nodes == 5040
+    # A regression pin (the Bruhat graph of S7 as built today), not a
+    # literature value.
+    assert edges == 33984
+
+    start = time.perf_counter()
+    done = run_child("-m", "flagfibers.cli", "ideals", "--family", "A", "--rank", "6")
+    assert time.perf_counter() - start < 15.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1 and "IDEAL_SEARCH_LIMIT" in done.stderr
+
+
 def test_cli_import_leaves_numpy_out():
     done = run_child("-c", "import sys, flagfibers.cli; print('numpy' in sys.modules)")
     assert done.stdout == "False\n", done.stderr
