@@ -14,6 +14,8 @@ arranged in a cycle p1-p2-p4-p3 with edge weights |a|, |b|, |a+qb|, |b| and
 signs s1 = sign(ab), s2 = -s1, s4 = sign(b(a+qb)), s3 = -s4; weight-1 edges
 are principal and disappear.  The (a, b) = (1, 0) regime instead rotates the
 fibers of a line bundle of Euler number q and fixes two surfaces.
+Graph isomorphism is canonical-key equality: every component is a path or
+a cycle, named by its least sign/weight sequence (``canonical_key``).
 """
 
 from __future__ import annotations
@@ -479,6 +481,12 @@ def _validate_sign(sign: int) -> int:
     return sign
 
 
+def _json_text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} are strings, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WeightGraph:
     """Signed fixed points, Euler-labeled fixed surfaces, weighted spheres."""
@@ -529,6 +537,45 @@ class WeightGraph:
             sorted(w for a, b, w in self.edges if vertex in (a, b))
         )
 
+    def canonical_key(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """A key that two graphs share exactly when they are isomorphic.
+
+        At most two edges meet a round vertex, so each component is a path
+        (odd-length sign/weight sequence, least of both directions) or a
+        cycle, a double edge included (even length, ending on the weight
+        back to the start; least over rotations and both directions).
+
+        >>> hirzebruch_graph(2, -1, 2).canonical_key()
+        (((-1, 2, -1, 3, 1, 2, 1),), ())
+        """
+        sign = dict(self.rounds)
+        ends: dict[str, list[tuple[int, str, int]]] = {i: [] for i in sign}
+        for n, (a, b, w) in enumerate(self.edges):
+            ends[a].append((n, b, w))
+            ends[b].append((n, a, w))
+        seen: set[str] = set()
+        components = []
+        # Path ends come first, so a walk from a vertex of degree 2 is a cycle.
+        for start in sorted(sign, key=lambda i: len(ends[i]) == 2):
+            if start in seen:
+                continue
+            seen.add(start)
+            walk, v, came_by = [sign[start]], start, None
+            while steps := [e for e in ends[v] if e[0] != came_by]:
+                came_by, v, w = steps[0]
+                walk.append(w)
+                if v == start:
+                    break
+                walk.append(sign[v])
+                seen.add(v)
+            size = len(walk)
+            if size % 2:
+                components.append(min(tuple(walk), tuple(walk[::-1])))
+                continue
+            both = (tuple(walk * 2), tuple((walk[:1] + walk[:0:-1]) * 2))
+            components.append(min(d[k : k + size] for d in both for k in range(0, size, 2)))
+        return tuple(sorted(components)), tuple(sorted(e for _, e in self.squares))
+
     def to_json_dict(self) -> dict:
         return {
             "round": [
@@ -554,13 +601,13 @@ class WeightGraph:
             i, sign = json_fields(v, "round vertex", ("id", "sign"))
             if sign not in ("+", "-"):
                 raise ValueError(f'round vertex signs are "+" or "-", got {sign!r}')
-            rounds.append((i, 1 if sign == "+" else -1))
+            rounds.append((_json_text(i, "round vertex ids"), 1 if sign == "+" else -1))
         squares = []
         for v in lists[1]:
             i, euler = json_fields(v, "square vertex", ("id", "euler"))
             if type(euler) is not int:
                 raise ValueError(f"square vertex Euler numbers are integers, got {euler!r}")
-            squares.append((i, euler))
+            squares.append((_json_text(i, "square vertex ids"), euler))
         edges = []
         for e in lists[2]:
             ends, weight = json_fields(e, "edge", ("ends", "weight"))
@@ -568,7 +615,7 @@ class WeightGraph:
                 raise ValueError(f"an edge has exactly two ends, got {ends!r}")
             if type(weight) is not int:
                 raise ValueError(f"edge weights are integers, got {weight!r}")
-            edges.append((ends[0], ends[1], weight))
+            edges.append((*(_json_text(end, "edge ends") for end in ends), weight))
         return WeightGraph(rounds=tuple(rounds), squares=tuple(squares), edges=tuple(edges))
 
     def to_dot(self) -> str:
@@ -740,62 +787,8 @@ def connected_sum(
 
 
 def graphs_isomorphic(g1: WeightGraph, g2: WeightGraph) -> bool:
-    """Label-preserving isomorphism of weight graphs, by exhaustive matching."""
-    if (
-        len(g1.rounds) != len(g2.rounds)
-        or len(g1.squares) != len(g2.squares)
-        or len(g1.edges) != len(g2.edges)
-    ):
-        return False
-    if Counter(e for _, e in g1.squares) != Counter(e for _, e in g2.squares):
-        return False
-
-    def profiles(g: WeightGraph) -> dict[str, tuple]:
-        return {
-            i: (s, g.incident_weights(i)) for i, s in g.rounds
-        }
-
-    prof1, prof2 = profiles(g1), profiles(g2)
-    if Counter(prof1.values()) != Counter(prof2.values()):
-        return False
-
-    def adjacency(g: WeightGraph) -> dict[str, Counter]:
-        adj: dict[str, Counter] = {i: Counter() for i, _ in g.rounds}
-        for a, b, w in g.edges:
-            adj[a][(b, w)] += 1
-            adj[b][(a, w)] += 1
-        return adj
-
-    adj1, adj2 = adjacency(g1), adjacency(g2)
-    ids1 = [i for i, _ in g1.rounds]
-    ids2 = [i for i, _ in g2.rounds]
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(ids1):
-            return True
-        v = ids1[k]
-        for w in ids2:
-            if w in used or prof1[v] != prof2[w]:
-                continue
-            ok = True
-            for (u, weight), count in adj1[v].items():
-                if u in mapping and adj2[w][(mapping[u], weight)] != count:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(k + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return extend(0)
+    """Label-preserving isomorphism of weight graphs: equal canonical keys."""
+    return g1.canonical_key() == g2.canonical_key()
 
 
 # ---------------------------------------------------------------------------
@@ -827,27 +820,31 @@ def _canonical_name(q: int, a: int, b: int) -> str:
 
 
 def _hirzebruch_candidates(weights: Iterable[int]) -> list[tuple[int, int, int]]:
-    """Every Hir(q;a,b), a, b != 0, whose edge weights all lie in ``weights``.
+    """Every Hir(q;a,b), a, b != 0, whose edge weights fit inside ``weights``.
 
     An edge of weight 1 disappears, so |a|, |b| and |a+qb| are drawn from
     the weights and 1, and q = (+-c - a)/b is solved for each such c instead
-    of scanned.  The triples come sorted by q, |a|, |b|, a > 0 first, b > 0
+    of scanned.  {|a|, |b|, |b|, |a+qb|} without its 1s must lie in the
+    edge-weight multiset ``weights``, as in any sum with Hir(q;a,b) as a
+    factor.  The triples come sorted by q, |a|, |b|, a > 0 first, b > 0
     first: the order in which the first match is reported.  For the largest
     weight w, every triple has |a|, |b| <= w and q|b| = |+-c - a| <= 2w.
 
     >>> _hirzebruch_candidates([])
     [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1), (2, 1, -1), (2, -1, 1)]
     """
-    magnitudes = set(weights) | {1}
+    available = Counter(weights)
+    magnitudes = set(available) | {1}
     found = set()
-    for mag_a, mag_b in itertools.product(magnitudes, repeat=2):
+    for mag_a, mag_b, c in itertools.product(magnitudes, repeat=3):
         if math.gcd(mag_a, mag_b) != 1:
             continue
-        for a, b, c in itertools.product((mag_a, -mag_a), (mag_b, -mag_b), magnitudes):
-            for a_plus_qb in (c, -c):
-                q, rest = divmod(a_plus_qb - a, b)
-                if rest == 0 and q >= 0:
-                    found.add((q, a, b))
+        if Counter(m for m in (mag_a, mag_b, mag_b, c) if m > 1) - available:
+            continue
+        for a, b, a_plus_qb in itertools.product((mag_a, -mag_a), (mag_b, -mag_b), (c, -c)):
+            q, rest = divmod(a_plus_qb - a, b)
+            if rest == 0 and q >= 0:
+                found.add((q, a, b))
     return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
 
 
@@ -857,22 +854,18 @@ def _vertex_profiles(g: WeightGraph) -> list[tuple[str, tuple[int, tuple[int, ..
 
 
 def _connected_sum_match(
-    g: WeightGraph, candidates: Iterable[tuple[tuple[int, int, int], WeightGraph]]
+    g: WeightGraph, g_key: tuple, candidates: Iterable[tuple[tuple[int, int, int], WeightGraph]]
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
     """The first pair of candidates, in order, with a sum isomorphic to ``g``.
 
     Gluing v1 to v2 keeps every other vertex's profile, so the sum's profile
     multiset is the two factors' minus the glued pair.  Given the first
     factor and v1, that fixes the second factor's profile multiset, which
-    is looked up; only pairs that pass are built and tested for isomorphism.
+    is looked up; only pairs that pass are built, and their keys compared
+    with ``g_key``, the canonical key of ``g``.
     """
-    target_weights = Counter(w for _, _, w in g.edges)
     target = Counter(p for _, p in _vertex_profiles(g))
-    factors = [
-        (params, h, _vertex_profiles(h))
-        for params, h in candidates
-        if not Counter(w for _, _, w in h.edges) - target_weights
-    ]
+    factors = [(params, h, _vertex_profiles(h)) for params, h in candidates]
     keys = [frozenset(Counter(p for _, p in vertices).items()) for _, _, vertices in factors]
     by_profiles: dict[frozenset, list[int]] = {}
     for j, key in enumerate(keys):
@@ -892,8 +885,9 @@ def _connected_sum_match(
                 if wanted.get(v1) != keys[j]:
                     continue
                 for v2, profile in vertices2:
-                    if profile == (-s1, weights) and graphs_isomorphic(
-                        g, connected_sum(g1, v1, g2, v2)
+                    if (
+                        profile == (-s1, weights)
+                        and connected_sum(g1, v1, g2, v2).canonical_key() == g_key
                     ):
                         return params1, params2
     return None
@@ -905,11 +899,12 @@ def classify_fiber(g: WeightGraph) -> Classification:
     Two fixed surfaces with Euler numbers q and -q and nothing else are
     Hir(q;1,0).  Otherwise every Hir(q;a,b) has four fixed points and every
     two-term connected sum six, both with as many + signs as - signs, so
-    other graphs are rejected at once.  The search then covers exactly the
-    Hir(q;a,b) whose edge weights occur in the graph, and their sums, so
-    its cost depends on the number of distinct weights, not on their size.
-    An unmatched graph is reported, not an error, with the invariant that
-    failed as ``reason``, since the catalogue makes no completeness claim.
+    other graphs are rejected at once.  The search then compares canonical
+    keys with exactly the Hir(q;a,b) whose edge weights fit among the
+    graph's, and their sums, so its cost depends on the number of distinct
+    weights, not on their size.  An unmatched graph is reported, not an
+    error, with the invariant that failed as ``reason``, since the
+    catalogue makes no completeness claim.
     """
     if g.squares:
         eulers = sorted(e for _, e in g.squares)
@@ -934,18 +929,19 @@ def classify_fiber(g: WeightGraph) -> Classification:
             None, None, f"the signs are unbalanced ({plus} +, {count - plus} -)"
         )
 
+    key = g.canonical_key()
     candidates = (
         (params, hirzebruch_graph(*params))
-        for params in _hirzebruch_candidates({w for _, _, w in g.edges})
+        for params in _hirzebruch_candidates(w for _, _, w in g.edges)
     )
     if count == 4:
         for params, candidate in candidates:
-            if graphs_isomorphic(g, candidate):
+            if candidate.canonical_key() == key:
                 return Classification(
                     _canonical_name(*params), _hirzebruch_diffeotype(params[0])
                 )
     else:
-        pair = _connected_sum_match(g, candidates)
+        pair = _connected_sum_match(g, key, candidates)
         if pair is not None:
             names = " # ".join(_canonical_name(*params) for params in pair)
             types = " # ".join(f"({_hirzebruch_diffeotype(q)})" for q, _, _ in pair)

@@ -24,10 +24,14 @@ Everything here deliberately avoids the library's own code paths:
 - downward closure is the scan over every pair of a poset's order relation;
 - minimal Anosov types come from one Weyl-group product per member and
   simple reflection;
+- weight-graph isomorphism comes from backtracking over vertex matchings
+  that respect sign, incident weights and adjacency, the library's earlier
+  route before canonical keys;
 - fiber classifications come from the exhaustive catalogue search: every
   Hir(q;a,b) up to the graph's largest edge weight, and every pair of them
-  for connected sums (graphs are built and compared with the library's
-  ``hirzebruch_graph``, ``connected_sum`` and ``graphs_isomorphic``);
+  for connected sums (graphs are built with the library's
+  ``hirzebruch_graph`` and ``connected_sum`` and compared by the
+  backtracking isomorphism oracle);
 - the invariant pairing on the circle basis comes from expanding each
   f_w = (X - iY)^a (X + iY)^b in monomials and multiplying out
   ``basis^T @ pairing @ basis`` with the library's exact matrices;
@@ -52,7 +56,6 @@ from flagfibers.twg import (
     _canonical_name,
     _hirzebruch_diffeotype,
     connected_sum,
-    graphs_isomorphic,
     hirzebruch_graph,
 )
 from flagfibers.weyl import (
@@ -484,6 +487,65 @@ def minimal_anosov_type_oracle(ideal: Ideal) -> frozenset[int]:
 # fiber classification by exhaustive catalogue search
 
 
+def graphs_isomorphic_oracle(g1: WeightGraph, g2: WeightGraph) -> bool:
+    """Label-preserving isomorphism of weight graphs, by exhaustive matching."""
+    if (
+        len(g1.rounds) != len(g2.rounds)
+        or len(g1.squares) != len(g2.squares)
+        or len(g1.edges) != len(g2.edges)
+    ):
+        return False
+    if Counter(e for _, e in g1.squares) != Counter(e for _, e in g2.squares):
+        return False
+
+    def profiles(g: WeightGraph) -> dict[str, tuple]:
+        return {
+            i: (s, g.incident_weights(i)) for i, s in g.rounds
+        }
+
+    prof1, prof2 = profiles(g1), profiles(g2)
+    if Counter(prof1.values()) != Counter(prof2.values()):
+        return False
+
+    def adjacency(g: WeightGraph) -> dict[str, Counter]:
+        adj: dict[str, Counter] = {i: Counter() for i, _ in g.rounds}
+        for a, b, w in g.edges:
+            adj[a][(b, w)] += 1
+            adj[b][(a, w)] += 1
+        return adj
+
+    adj1, adj2 = adjacency(g1), adjacency(g2)
+    ids1 = [i for i, _ in g1.rounds]
+    ids2 = [i for i, _ in g2.rounds]
+
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def extend(k: int) -> bool:
+        if k == len(ids1):
+            return True
+        v = ids1[k]
+        for w in ids2:
+            if w in used or prof1[v] != prof2[w]:
+                continue
+            ok = True
+            for (u, weight), count in adj1[v].items():
+                if u in mapping and adj2[w][(mapping[u], weight)] != count:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[v] = w
+            used.add(w)
+            if extend(k + 1):
+                return True
+            del mapping[v]
+            used.remove(w)
+        return False
+
+    return extend(0)
+
+
 def _catalogue(max_weight: int) -> list[tuple[tuple[int, int, int], WeightGraph]]:
     out = []
     for q in range(0, 2 * max_weight + 1):
@@ -519,7 +581,7 @@ def classify_fiber_oracle(g: WeightGraph) -> Classification:
     max_weight = max((w for _, _, w in g.edges), default=1)
     catalogue = _catalogue(max_weight)
     for params, candidate in catalogue:
-        if graphs_isomorphic(g, candidate):
+        if graphs_isomorphic_oracle(g, candidate):
             return Classification(
                 _canonical_name(*params), _hirzebruch_diffeotype(params[0])
             )
@@ -546,7 +608,7 @@ def classify_fiber_oracle(g: WeightGraph) -> Classification:
                     if signs12 - Counter((s1, s2)) != target_signs:
                         continue
                     candidate = connected_sum(g1, v1, g2, v2)
-                    if graphs_isomorphic(g, candidate):
+                    if graphs_isomorphic_oracle(g, candidate):
                         name1 = _canonical_name(*params1)
                         name2 = _canonical_name(*params2)
                         type1 = _hirzebruch_diffeotype(params1[0])

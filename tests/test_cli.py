@@ -496,6 +496,14 @@ def test_classify_missing_file(capsys, tmp_path):
             'round vertex signs are "+" or "-", got -1',
         json.dumps({"round": [], "squares": [{"id": "s", "euler": [1]}], "edges": []}):
             "square vertex Euler numbers are integers, got [1]",
+        json.dumps({"round": [{"id": ["a"], "sign": "+"}], "squares": [], "edges": []}):
+            "round vertex ids are strings, got ['a']",
+        json.dumps({"round": [{"id": 1, "sign": "+"}], "squares": [], "edges": []}):
+            "round vertex ids are strings, got 1",
+        json.dumps({"round": [], "squares": [{"id": 1, "euler": 2}], "edges": []}):
+            "square vertex ids are strings, got 1",
+        json.dumps({"round": pair, "squares": [], "edges": [{"ends": ["a", None], "weight": 2}]}):
+            "edge ends are strings, got None",
     }
     for text, message in malformed.items():
         no_squares.write_text(text)

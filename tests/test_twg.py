@@ -13,7 +13,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flagfibers.flags import (
     ExactFlag,
@@ -663,6 +663,86 @@ def test_graphs_isomorphic_relabeling_property(q, a, b, rng):
         return
     g = hirzebruch_graph(q, a, b)
     assert graphs_isomorphic(g, relabeled(g, rng))
+
+
+@st.composite
+def degree_two_graphs(draw) -> WeightGraph:
+    """Up to 7 round vertices, weights 2-3, at most two edges at a vertex.
+
+    Edges are drawn between random ends and kept while both ends have room,
+    so paths, cycles, double edges (2-cycles) and isolated vertices occur,
+    next to up to two squares.
+    """
+    signs = draw(st.lists(st.sampled_from((1, -1)), max_size=7))
+    ids = [f"r{k}" for k in range(len(signs))]
+    edges, degree = [], dict.fromkeys(ids, 0)
+    if len(ids) >= 2:
+        ends = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+        for (a, b), w in draw(st.lists(st.tuples(ends, st.sampled_from((2, 3))), max_size=9)):
+            if degree[a] < 2 and degree[b] < 2:
+                degree[a] += 1
+                degree[b] += 1
+                edges.append((a, b, w))
+    eulers = draw(st.lists(st.integers(-2, 2), max_size=2))
+    squares = tuple((f"s{k}", e) for k, e in enumerate(eulers))
+    return WeightGraph(tuple(zip(ids, signs)), squares, tuple(edges))
+
+
+def perturbed(rng: random.Random, g: WeightGraph) -> WeightGraph:
+    """One sign flipped, one weight or Euler number changed, or two swapped.
+
+    Swapping two signs or two weights keeps every count, so only the shape
+    tells the graphs apart, and the swap may give an isomorphic graph.
+    """
+    rounds, squares, edges = list(g.rounds), list(g.squares), list(g.edges)
+    moves = [m for m, items in (("sign", rounds), ("euler", squares), ("weight", edges)) if items]
+    moves += [m for m, items in (("signs", rounds), ("weights", edges)) if len(items) >= 2]
+    move = rng.choice(moves)
+    if move == "sign":
+        k = rng.randrange(len(rounds))
+        rounds[k] = (rounds[k][0], -rounds[k][1])
+    elif move == "euler":
+        k = rng.randrange(len(squares))
+        squares[k] = (squares[k][0], squares[k][1] + 1)
+    elif move == "weight":
+        k = rng.randrange(len(edges))
+        edges[k] = (*edges[k][:2], 5 - edges[k][2])
+    elif move == "signs":
+        j, k = rng.sample(range(len(rounds)), 2)
+        rounds[j], rounds[k] = (rounds[j][0], rounds[k][1]), (rounds[k][0], rounds[j][1])
+    else:
+        j, k = rng.sample(range(len(edges)), 2)
+        edges[j], edges[k] = (*edges[j][:2], edges[k][2]), (*edges[k][:2], edges[j][2])
+    return WeightGraph(tuple(rounds), tuple(squares), tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_two_graphs(), degree_two_graphs(), st.randoms())
+def test_canonical_key_matches_isomorphism_oracle(g, other, rng):
+    copy = relabeled(g, rng)
+    pairs = [copy, other]
+    if g.rounds or g.squares:
+        pairs.append(relabeled(perturbed(rng, g), rng))
+    for h in pairs:
+        assert (g.canonical_key() == h.canonical_key()) == oracles.graphs_isomorphic_oracle(g, h)
+    assert graphs_isomorphic(g, copy)
+
+
+def test_graphs_isomorphic_scales_to_long_cycles():
+    def cycles(*sizes: int) -> WeightGraph:
+        rounds, edges = [], []
+        for c, size in enumerate(sizes):
+            ids = [f"c{c}v{k}" for k in range(size)]
+            rounds += [(i, 1) for i in ids]
+            edges += [(ids[k - 1], ids[k], 2) for k in range(size)]
+        return WeightGraph(tuple(rounds), (), tuple(edges))
+
+    # Equal sign, weight and degree at every vertex: only the cycle lengths differ.
+    start = time.perf_counter()
+    assert not graphs_isomorphic(cycles(300), cycles(*[3] * 100))
+    assert time.perf_counter() - start < 1.0
+    big = cycles(3000)
+    assert graphs_isomorphic(big, relabeled(big, random.Random(7)))
 
 
 # ---------------------------------------------------------------------------
