@@ -8,9 +8,11 @@ fraction-free elimination kernel over Z[i] (Bareiss, Math. Comp. 22, 1968) fed
 those columns, so they are exact even where positions degenerate.  Single
 entries go in and out as :class:`GaussianRational`, the boundary scalar.
 
-Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`: a
-permutation window for pairs of full flags, a signed window for pairs of
-isotropic flags in a symplectic space, and a double coset for partial flags.
+Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
+full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
+Tableaux*, 1997, ch. 10), read off one column elimination; isotropic flags,
+extended by F^{n+k} = (F^{n-k})^perp, give a signed window, partial flags a
+double coset.
 
 >>> F = ExactFlag.standard(full_signature(3))
 >>> H = ExactFlag(full_signature(3), ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
@@ -21,6 +23,7 @@ isotropic flags in a symplectic space, and a double coset for partial flags.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence, Union
 from .weyl import DoubleCoset, Family, RootSystem, WeylElement, double_coset_of
 
 Scalar = Union[int, str, Fraction, "GaussianRational"]
-Rational = Union[int, Fraction]
+_Ratio = tuple[int, int]  # a rational as (numerator, denominator > 0), maybe unreduced
 _Row = Sequence[tuple[int, int]]  # a vector over Z[i], entries as (re, im) pairs
 
 
@@ -83,24 +86,22 @@ class GaussianRational:
         return f"{self.real}{unit}" if unit.startswith("-") else f"{self.real}+{unit}"
 
 
-def _parts(x: Scalar) -> tuple[Rational, Rational]:
+def _parts(x: Scalar) -> tuple[_Ratio, _Ratio]:
     if isinstance(x, GaussianRational):
-        return x.real, x.imag
-    return (x if isinstance(x, int) else Fraction(x)), 0
+        return (x.real.numerator, x.real.denominator), (x.imag.numerator, x.imag.denominator)
+    value = x if isinstance(x, int) else Fraction(x)
+    return (value.numerator, value.denominator), (0, 1)
 
 
 def _over_common_denominator(
-    rows: list[list[tuple[Rational, Rational]]], cols: int | None
+    rows: list[list[tuple[_Ratio, _Ratio]]], cols: int | None
 ) -> tuple[int, list[list[tuple[int, int]]], int]:
-    """Rows of rational ``(re, im)`` parts as (height, int-pair columns, denominator)."""
+    """Rows of ``(re, im)`` ratio pairs as (height, int-pair columns, denominator)."""
     width = len(rows[0]) if rows else cols or 0
     if any(len(row) != width for row in rows):
         raise ValueError("rows must all have the same length")
-    den = math.lcm(*(q.denominator for row in rows for pair in row for q in pair))
-    columns = [
-        [(x.numerator * den // x.denominator, y.numerator * den // y.denominator) for x, y in col]
-        for col in zip(*rows)
-    ]
+    den = math.lcm(*(q for row in rows for pair in row for _, q in pair))
+    columns = [[(a * (den // b), c * (den // d)) for (a, b), (c, d) in col] for col in zip(*rows)]
     return len(rows), columns or [()] * width, den
 
 
@@ -374,70 +375,43 @@ def intersection_dim(U: ExactMatrix, V: ExactMatrix) -> int:
     return U.rank() + V.rank() - U.hstack(V).rank()
 
 
-def _require_full(flag: ExactFlag) -> None:
-    if not flag.signature.is_full():
-        raise ValueError("expected a full flag (signature 1..n-1)")
-
-
 def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:
-    """The permutation window describing how two full flags meet.
+    """The permutation w of the Bruhat cell B w B that holds F^-1 H.
 
-    With D_j(k) = dim(F^k meet H^j), the jump set K_j of levels k where
-    D_j(k) exceeds D_j(k-1) grows by a single new level as j increases;
-    that new level is the window entry sigma(j).  The identity means F = H
-    levelwise, the longest element means the flags are transverse.
+    Column j of F^-1 H holds h_j in F's basis.  Reduced against the earlier
+    columns, with each column's lowest nonzero entry as its pivot, it keeps
+    its pivot in row w(j), and dim(F^k meet H^j) = #{c <= j : w(c) <= k}.
+    The identity means F = H levelwise, the longest element means the flags
+    are transverse.
     """
-    _require_full(F)
-    _require_full(H)
+    if not (F.signature.is_full() and H.signature.is_full()):
+        raise ValueError("expected a full flag (signature 1..n-1)")
     n = F.signature.ambient
     if H.signature.ambient != n:
         raise ValueError("ambient dimension mismatch")
     # A flag's basis is checked invertible, so its columns are adapted to its levels.
-    window = _jump_permutation(F.basis._columns, H.basis._columns)
+    window = _bruhat_window(F.basis._columns, H.basis._columns)
     return WeylElement(RootSystem(Family.A, n - 1), window)
 
 
-def _jump_permutation(
-    f_basis: Sequence[_Row], h_basis: Sequence[_Row]
-) -> tuple[int, ...]:
-    """One-line permutation of the intersection-dimension jump pattern.
+def _bruhat_window(f_basis: Sequence[_Row], h_basis: Sequence[_Row]) -> tuple[int, ...]:
+    """One-line permutation of the Bruhat cell of F^-1 H, for bases adapted to
+    two full flags in C^n, by one elimination.
 
-    ``f_basis`` and ``h_basis`` are adapted bases: their first k vectors span
-    F^k and H^k.  The jump set K_j = {k : D_j(k) > D_j(k-1)} with
-    D_j(k) = dim(F^k meet H^j) is read off one elimination per j: an echelon
-    basis of H^j, fed the F-basis vectors one at a time; the k-th vector
-    reduces to zero exactly when dim(F^k meet H^j) jumped at k.
+    Each f_j goes in over the tag e_{n+1-j}.  Each h_j over zeros first
+    reduces to 0 over F^-1 h_j (up to a scalar, bottom up), then on against
+    the earlier such columns; its remainder lands under pivot p = 2n - w(j).
     """
-    window = []
-    previous: frozenset[int] = frozenset()
-    h_echelon: dict[int, _Row] = {}
-    for h in h_basis:
-        _reduce_into(h_echelon, h)
-        echelon = dict(h_echelon)
-        jumps = frozenset(
-            k + 1 for k, f in enumerate(f_basis) if _reduce_into(echelon, f) is None
-        )
-        (new_level,) = jumps - previous
-        window.append(new_level)
-        previous = jumps
-    return tuple(window)
-
-
-def _adapted_basis(start: Sequence[_Row], levels: Sequence[ExactMatrix]) -> list[_Row]:
-    """The independent vectors ``start``, extended over Z[i] so that each
-    further prefix spans the next of the given nested levels."""
+    n = len(f_basis)
     echelon: dict[int, _Row] = {}
-    for vector in start:
-        _reduce_into(echelon, vector)
-    basis = list(start)
-    for index, matrix in enumerate(levels, start=len(start) + 1):
-        for column in matrix._columns:
-            inserted = _reduce_into(echelon, column)
-            if inserted is not None:
-                basis.append(inserted)
-        if len(basis) != index:
-            raise ArithmeticError("levels are not a complete nested filtration")
-    return basis
+    for j, f in enumerate(f_basis):
+        _reduce_into(echelon, [*f, *((int(k == n - 1 - j), 0) for k in range(n))])
+    zeros = ((0, 0),) * n
+    window = []
+    for h in h_basis:
+        remainder = _reduce_into(echelon, [*h, *zeros])
+        window.append(2 * n - next(k for k, (a, b) in enumerate(remainder) if a or b))
+    return tuple(window)
 
 
 def _reduce_into(echelon: dict[int, _Row], vector: _Row) -> _Row | None:
@@ -471,34 +445,42 @@ def relative_position_symplectic(
     """The signed permutation describing how two isotropic flags meet.
 
     Both flags must be complete isotropic flags (signature 1..n in C^{2n}).
-    Each is extended to a full flag by F^{n+k} = perp of F^{n-k}, the plain
-    jump pattern of the extended pair is computed, and levels above n are
-    relabelled to the negative letters: level 2n+1-j plays the role of -j.
+    Each is extended to a full flag by F^{n+k} = perp of F^{n-k}, the Bruhat
+    cell of the extended pair is found as in :func:`relative_position_full`,
+    and levels above n are relabelled to the negative letters: level 2n+1-j
+    plays the role of -j.
     """
     size = omega.ambient
     n = size // 2
-    for flag in (F, H):
-        if flag.signature != isotropic_signature(n):
-            raise ValueError("expected a complete isotropic flag (signature 1..n)")
-        if not is_isotropic(flag, omega):
-            raise ValueError("flag is not isotropic for the given form")
-    levels = _jump_permutation(_extended_basis(F, omega), _extended_basis(H, omega))
-
-    def label(p: int) -> int:
-        return p if p <= n else p - size - 1
-
-    window = tuple(label(levels[j]) for j in range(n))
-    for j in range(1, n + 1):
-        if label(levels[size - j]) != -window[j - 1]:
-            raise ArithmeticError("jump pattern lost the symplectic symmetry")
+    levels = _bruhat_window(_perp_extension(F, omega), _perp_extension(H, omega))
+    labels = [p if p <= n else p - size - 1 for p in levels]
+    window = tuple(labels[:n])
+    if labels[n:] != [-j for j in reversed(window)]:
+        raise ArithmeticError("Bruhat cell lost the symplectic symmetry")
     return WeylElement(RootSystem(Family.C, n), window)
 
 
-def _extended_basis(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
-    """A basis adapted to F^1, ..., F^n, then F^{n+k} = perp of F^{n-k}."""
+def _perp_extension(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
+    """f_1, ..., f_n, g_n, ..., g_1: a basis adapted to F^1, ..., F^n, then
+    F^{n+k} = perp of F^{n-k}, from one Gram product with the given form.
+
+    Its first n columns vanish exactly when F^n is isotropic; the rest pair
+    F^n with the completion.  Eliminated over tags, they leave under pivot j
+    a combination g_j of the completion with omega(f_i, g_j) = 0 for i < j.
+    """
     n = omega.ambient // 2
-    upper = [omega_perp(flag.subspace(n - k), omega) for k in range(1, n + 1)]
-    return _adapted_basis(flag.basis._columns[:n], upper)
+    if flag.signature != isotropic_signature(n):
+        raise ValueError("expected a complete isotropic flag (signature 1..n)")
+    basis = flag.basis
+    pairing = basis.prefix_columns(n).transpose() @ omega.gram @ basis
+    if not pairing.prefix_columns(n).is_zero():
+        raise ValueError("flag is not isotropic for the given form")
+    echelon: dict[int, _Row] = {}
+    for c, column in enumerate(pairing._columns[n:]):
+        _reduce_into(echelon, [*column, *((int(k == c), 0) for k in range(n))])
+    # F^n is Lagrangian, so the pairing is invertible and every pivot j < n is taken.
+    lifts = [[(0, 0)] * n + echelon[j][n:] for j in reversed(range(n))]
+    return [*basis._columns[:n], *(basis @ ExactMatrix._make(2 * n, lifts, 1))._columns]
 
 
 def relative_position_partial(
@@ -507,8 +489,8 @@ def relative_position_partial(
     """The double coset position of two partial flags of types theta and eta.
 
     A flag has type theta when its signature dimensions are exactly the
-    members of theta.  Both stored bases serve as full-flag lifts; the
-    resulting coset does not depend on that choice.
+    members of theta.  Both stored bases, already checked invertible, serve
+    as full-flag lifts; the resulting coset does not depend on that choice.
     """
     n = F.signature.ambient
     if H.signature.ambient != n:
@@ -519,8 +501,8 @@ def relative_position_partial(
         raise ValueError("left flag signature does not match theta")
     if tuple(sorted(eta)) != H.signature.dims:
         raise ValueError("right flag signature does not match eta")
-    full = full_signature(n)
-    w = relative_position_full(ExactFlag(full, F.basis), ExactFlag(full, H.basis))
+    window = _bruhat_window(F.basis._columns, H.basis._columns)
+    w = WeylElement(RootSystem(Family.A, n - 1), window)
     return double_coset_of(w.system, theta, eta, w)
 
 
@@ -574,15 +556,28 @@ def matrix_from_json(rows) -> ExactMatrix:
     return ExactMatrix._make(*_over_common_denominator(parts, None))
 
 
-def _entry_from_json(entry) -> tuple[Fraction, Fraction]:
+def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"matrix entries must be [real, imag] pairs, got {entry!r}")
     if any(isinstance(part, str) and "e" in part.lower() for part in entry):
         raise ValueError(f'matrix entry parts must read "p" or "p/q", not use an exponent: {entry!r}')
     try:
-        return Fraction(entry[0]), Fraction(entry[1])
+        return _ratio_from_json(entry[0]), _ratio_from_json(entry[1])
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"matrix entry is not a pair of rationals: {entry!r}") from None
+
+
+_PLAIN_RATIO = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _ratio_from_json(part) -> _Ratio:
+    """A ``"p"`` or ``"p/q"`` string (q > 0) by ``int``, left unreduced; any
+    other part (a decimal, spaces, underscores, a JSON number) by ``Fraction``."""
+    match = _PLAIN_RATIO.fullmatch(part) if isinstance(part, str) else None
+    if match:
+        return int(match[1]), int(match[2] or 1)
+    value = Fraction(part)
+    return value.numerator, value.denominator
 
 
 def flag_to_json(flag: ExactFlag) -> dict:

@@ -16,7 +16,10 @@ Everything here deliberately avoids the library's own code paths:
   table from the fieldwise counting criterion on every later pair, and
   covers and down-sets from scans over every pair of cosets;
 - flag positions come from exhaustive permutation search against the table of
-  intersection dimensions, computed by fraction-exact Gaussian elimination;
+  intersection dimensions, computed by fraction-exact Gaussian elimination,
+  and from the library's earlier route: the jump pattern of those dimensions,
+  one elimination of the F basis per level of H, with isotropic flags extended
+  to full ones through ``omega_perp`` and an adapted basis of the perps;
 - linear systems are solved by plain Gauss-Jordan elimination over Q(i);
 - balanced ideals come from filtering all 2^n subsets of a poset, and, for
   larger posets, from the antichain route: every ideal of at most half the
@@ -48,7 +51,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
-from flagfibers.flags import ExactMatrix, GaussianRational
+from flagfibers.flags import (
+    ExactFlag,
+    ExactMatrix,
+    GaussianRational,
+    SymplecticForm,
+    _reduce_into,
+    omega_perp,
+)
 from flagfibers.ideals import Ideal, all_ideals
 from flagfibers.twg import (
     Classification,
@@ -411,6 +421,72 @@ def position_search_oracle(
             matches.append(sigma)
     assert len(matches) == 1, f"expected unique position, got {matches}"
     return matches[0]
+
+
+def relative_position_full_oracle(F: ExactFlag, H: ExactFlag) -> Window:
+    """The window of two full flags from their intersection-dimension jumps."""
+    return _jump_permutation(F.basis._columns, H.basis._columns)
+
+
+def relative_position_symplectic_oracle(
+    F: ExactFlag, H: ExactFlag, omega: SymplecticForm
+) -> Window:
+    """The signed window of two complete isotropic flags: both extended to
+    full flags by F^{n+k} = perp of F^{n-k}, the jump pattern of the extended
+    pair read with levels above n as the negative letters."""
+    size = omega.ambient
+    n = size // 2
+    levels = _jump_permutation(_extended_basis(F, omega), _extended_basis(H, omega))
+
+    def label(p: int) -> int:
+        return p if p <= n else p - size - 1
+
+    window = tuple(label(levels[j]) for j in range(n))
+    assert all(label(levels[size - j]) == -window[j - 1] for j in range(1, n + 1))
+    return window
+
+
+def _jump_permutation(f_basis, h_basis) -> Window:
+    """One-line permutation of the intersection-dimension jump pattern.
+
+    ``f_basis`` and ``h_basis`` are adapted bases: their first k vectors span
+    F^k and H^k.  The jump set K_j = {k : D_j(k) > D_j(k-1)} with
+    D_j(k) = dim(F^k meet H^j) is read off one elimination per j: an echelon
+    basis of H^j, fed the F-basis vectors one at a time; the k-th vector
+    reduces to zero exactly when dim(F^k meet H^j) jumped at k.  K_j grows by
+    a single new level as j increases, and that level is sigma(j).
+    """
+    window = []
+    previous: frozenset[int] = frozenset()
+    h_echelon: dict = {}
+    for h in h_basis:
+        _reduce_into(h_echelon, h)
+        echelon = dict(h_echelon)
+        jumps = frozenset(
+            k + 1 for k, f in enumerate(f_basis) if _reduce_into(echelon, f) is None
+        )
+        (new_level,) = jumps - previous
+        window.append(new_level)
+        previous = jumps
+    return tuple(window)
+
+
+def _extended_basis(flag: ExactFlag, omega: SymplecticForm) -> list:
+    """A basis adapted to F^1, ..., F^n, then F^{n+k} = ``omega_perp`` of F^{n-k}:
+    the first n basis vectors, extended by each perp's columns that are
+    independent of everything before them."""
+    n = omega.ambient // 2
+    echelon: dict = {}
+    basis = list(flag.basis._columns[:n])
+    for vector in basis:
+        _reduce_into(echelon, vector)
+    for size in range(n + 1, 2 * n + 1):
+        for column in omega_perp(flag.subspace(2 * n - size), omega)._columns:
+            inserted = _reduce_into(echelon, column)
+            if inserted is not None:
+                basis.append(inserted)
+        assert len(basis) == size, "perps are not a complete nested filtration"
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -21,11 +22,15 @@ from flagfibers.flags import (
     ExactMatrix,
     Signature,
     SymplecticForm,
+    flag_from_json,
     flag_to_json,
     full_signature,
     isotropic_signature,
     matrix_to_json,
 )
+
+import oracles
+from test_flags import a_pair, c_pair, weyl_windows
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "paper"
@@ -309,6 +314,42 @@ def test_position_computation_errors(capsys, tmp_path):
         junk.write_text(text)
         code_out_err = run(capsys, "position", i, i, "--symplectic", str(junk))
         assert code_out_err == (2, "", f"error: {message}\n")
+
+
+def test_position_stdout_matches_jump_pattern_oracle(capsys, tmp_path):
+    """100 seeded pairs in every shape; the expected text is built from the
+    oracle's window the way ``position`` has always printed it."""
+    rng = random.Random(733)
+    omegas = {
+        n: write_form_file(tmp_path / f"w{n}.json", SymplecticForm.standard(n)) for n in (1, 2, 3)
+    }
+    for index in range(100):
+        symplectic = index % 5 >= 3
+        n = rng.choice((1, 2, 3)) if symplectic else rng.choice((2, 3, 4, 5))
+        family = "C" if symplectic else "A"
+        w = rng.choice(weyl_windows(family, n))
+        height = rng.choice(("low", "high"))
+        pair = c_pair if symplectic else a_pair
+        paths = []
+        for name, flag in zip("fh", pair(rng, w, height)):
+            data = flag_to_json(flag)
+            if index % 2:  # leading columns only, completed on reading
+                data["matrix"] = [row[: flag.signature.top] for row in data["matrix"]]
+            (tmp_path / name).write_text(json.dumps(data))
+            paths.append(str(tmp_path / name))
+        F, H = (flag_from_json(json.loads(Path(path).read_text())) for path in paths)
+        if symplectic:
+            omega = SymplecticForm.standard(n)
+            window = oracles.relative_position_symplectic_oracle(F, H, omega)
+            argv = ["position", *paths, "--symplectic", omegas[n]]
+        else:
+            window = oracles.relative_position_full_oracle(F, H)
+            argv = ["position", *paths]
+        if window == tuple(range(1, n + 1)):
+            expected = "identity\n"
+        else:
+            expected = (" " if symplectic else "").join(map(str, window)) + "\n"
+        assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_bare_integer_flag_entries_exit_2_without_traceback(tmp_path):

@@ -1,8 +1,10 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagfibers import flags
 from flagfibers.flags import (
@@ -26,6 +28,8 @@ from flagfibers.flags import (
 from flagfibers.weyl import (
     Family,
     RootSystem,
+    WeylElement,
+    double_coset_of,
     double_cosets,
     group_elements,
     identity,
@@ -133,6 +137,125 @@ def random_isotropic_flag(rng: random.Random, omega: SymplecticForm) -> ExactFla
             current = widened
         if ok:
             return ExactFlag.from_columns(isotropic_signature(n), current)
+
+
+# Flag pairs in a known position w, as F = g and H = g b w b' with b, b' in the
+# Borel subgroup that fixes the standard flag.  "high" pairs take large entries
+# and rescale every column of both bases by a rational, which keeps each level.
+PAIR_HEIGHTS = {"low": (2, 1), "high": (10**6, 10**3)}
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def gaussian(rng: random.Random, span: int) -> GaussianRational:
+    return GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
+
+
+def unitriangular(rng: random.Random, n: int, span: int, upper: bool) -> ExactMatrix:
+    return ExactMatrix(
+        [
+            [gaussian(rng, span) if (i < j if upper else i > j) else int(i == j) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def diagonal(entries) -> ExactMatrix:
+    n = len(entries)
+    return ExactMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def rescaled(rng: random.Random, m: ExactMatrix, scale: int) -> ExactMatrix:
+    if scale == 1:
+        return m
+    ratios = [
+        Fraction(rng.choice((1, -1)) * rng.randint(1, scale), rng.randint(1, scale))
+        for _ in range(m.cols)
+    ]
+    return m @ diagonal(ratios)
+
+
+def signed_permutation_matrix(window, size: int) -> ExactMatrix:
+    """Column of letter j is e_{w(j)}; letter -j sits at index size - j, so a
+    window of length n in size 2n keeps the standard form (e_{-j} goes to -e_k
+    when e_j goes to e_{-k}), and a plain permutation takes size n."""
+    columns = [[0] * size for _ in range(size)]
+
+    def index(letter):
+        return letter - 1 if letter > 0 else size + letter
+
+    for j, image in enumerate(window, start=1):
+        columns[index(j)][index(image)] = 1
+        if size > len(window):
+            columns[index(-j)][index(-image)] = 1 if image > 0 else -1
+    return ExactMatrix.from_columns(columns)
+
+
+def a_pair(rng: random.Random, window, height: str) -> tuple[ExactFlag, ExactFlag]:
+    """Two full flags in C^n in type-A position ``window``."""
+    span, scale = PAIR_HEIGHTS[height]
+    n = len(window)
+
+    def borel():
+        units = [GaussianRational(*rng.choice(UNITS)) for _ in range(n)]
+        return unitriangular(rng, n, span, upper=True) @ diagonal(units)
+
+    g = unitriangular(rng, n, span, upper=False) @ unitriangular(rng, n, span, upper=True)
+    h = g @ borel() @ signed_permutation_matrix(window, n) @ borel()
+    sig = full_signature(n)
+    return ExactFlag(sig, rescaled(rng, g, scale)), ExactFlag(sig, rescaled(rng, h, scale))
+
+
+def symplectic_matrix(rng: random.Random, n: int, span: int, upper: bool) -> ExactMatrix:
+    """A product of transvections x -> x + c omega(v, x) v, which keep the
+    standard form; with ``upper``, v lies in the standard Lagrangian and a
+    unit torus element follows, so the product fixes the standard flag."""
+    size = 2 * n
+    gram = SymplecticForm.standard(n).gram
+    m = ExactMatrix.identity(size)
+    for _ in range(size):
+        if upper:
+            picks = rng.sample(range(n), rng.randint(1, min(2, n)))
+        else:
+            picks = rng.sample(range(size), 2)
+        v = [rng.choice((1, -1)) if i in picks else 0 for i in range(size)]
+        row = (ExactMatrix([v]) @ gram).row(0)
+        c = rng.randint(-span, span)
+        m = m @ ExactMatrix(
+            [[int(i == j) + c * v[i] * row[j].real for j in range(size)] for i in range(size)]
+        )
+    if upper:
+        units = [rng.choice(UNITS) for _ in range(n)]
+        torus = [GaussianRational(*u) for u in units]
+        torus += [GaussianRational(re, -im) for re, im in reversed(units)]
+        m = m @ diagonal(torus)
+    return m
+
+
+def c_pair(rng: random.Random, window, height: str) -> tuple[ExactFlag, ExactFlag]:
+    """Two complete isotropic flags in C^{2n}, for the standard form, in
+    type-C position ``window``."""
+    span, scale = PAIR_HEIGHTS[height]
+    n = len(window)
+    g = symplectic_matrix(rng, n, span, upper=False)
+    h = (
+        g
+        @ symplectic_matrix(rng, n, span, upper=True)
+        @ signed_permutation_matrix(window, 2 * n)
+        @ symplectic_matrix(rng, n, span, upper=True)
+    )
+    sig = isotropic_signature(n)
+    return ExactFlag(sig, rescaled(rng, g, scale)), ExactFlag(sig, rescaled(rng, h, scale))
+
+
+def weyl_windows(family: str, n: int) -> list[tuple[int, ...]]:
+    perms = list(itertools.permutations(range(1, n + 1)))
+    if family == "A":
+        return perms
+    return [
+        tuple(p * s for p, s in zip(perm, signs))
+        for perm in perms
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
 
 
 def spans_equal(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -434,7 +557,8 @@ def test_full_position_reduces_each_level_once(monkeypatch):
 
     monkeypatch.setattr(flags, "_reduce_into", counting)
     assert relative_position_full(F, H) == expected
-    assert len(calls) <= 40
+    # One insertion per F column, one reduction per H column.
+    assert len(calls) == 10
 
 
 def test_position_inverse_swaps_arguments():
@@ -564,6 +688,130 @@ def test_symplectic_sign_matches_lagrangian_containment():
 
 
 # ---------------------------------------------------------------------------
+# positions against the jump-pattern oracle
+
+
+def seeded_windows(family: str, n: int, sample: int | None) -> list[tuple[int, ...]]:
+    windows = weyl_windows(family, n)
+    if sample is None or sample >= len(windows):
+        return windows
+    return random.Random(f"{family}{n}").sample(windows, sample)
+
+
+@pytest.mark.parametrize(
+    "rank, sample",
+    [(2, None), (3, None), (4, None), (5, 40), (6, 16)],
+    ids=["A2", "A3", "A4", "A5", "A6"],
+)
+def test_full_position_matches_jump_pattern_oracle(rank, sample):
+    """Every Weyl element of A2-A4 (seeded samples of A5, A6), both heights."""
+    rng = random.Random(401 + rank)
+    for w in seeded_windows("A", rank + 1, sample):
+        for height in PAIR_HEIGHTS:
+            F, H = a_pair(rng, w, height)
+            assert relative_position_full(F, H).window == w
+            assert oracles.relative_position_full_oracle(F, H) == w
+
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, None), (4, 24)], ids=["C2", "C3", "C4"])
+def test_symplectic_position_matches_jump_pattern_oracle(n, sample):
+    """Every Weyl element of C2-C3 (a seeded sample of C4), both heights."""
+    rng = random.Random(409 + n)
+    omega = SymplecticForm.standard(n)
+    for w in seeded_windows("C", n, sample):
+        for height in PAIR_HEIGHTS:
+            F, H = c_pair(rng, w, height)
+            assert relative_position_symplectic(F, H, omega).window == w
+            assert oracles.relative_position_symplectic_oracle(F, H, omega) == w
+
+
+def test_positions_of_degenerate_pairs_match_oracle():
+    """F = H, and pairs that share the level F^k (and in type C all below it)."""
+    rng = random.Random(419)
+    for n in (2, 3, 4, 5):
+        F, _ = a_pair(rng, tuple(range(1, n + 1)), "high")
+        assert relative_position_full(F, F).is_identity()
+        assert oracles.relative_position_full_oracle(F, F) == tuple(range(1, n + 1))
+        for k in range(1, n):
+            sig = Signature((k,), n)
+            H = ExactFlag(full_signature(n), F.basis @ random_block_upper(rng, sig))
+            w = relative_position_full(F, H).window
+            assert w == oracles.relative_position_full_oracle(F, H)
+            assert sorted(w[:k]) == list(range(1, k + 1))
+            coset = relative_position_partial(
+                ExactFlag(sig, F.basis), ExactFlag(sig, H.basis), frozenset({k}), frozenset({k})
+            )
+            assert coset.min_rep.is_identity()
+    for n in (1, 2, 3):
+        omega = SymplecticForm.standard(n)
+        for k in range(n + 1):
+            w = tuple(range(1, k + 1)) + tuple(range(-n, -k))
+            F, H = c_pair(rng, w, "high")
+            assert intersection_dim(F.subspace(k), H.subspace(k)) == k
+            assert relative_position_symplectic(F, F, omega).is_identity()
+            assert relative_position_symplectic(F, H, omega).window == w
+            assert oracles.relative_position_symplectic_oracle(F, H, omega) == w
+
+
+def test_symplectic_position_uses_the_given_form():
+    """Moving both flags by g^-1 and the form to g^T omega g keeps the position."""
+    rng = random.Random(421)
+    n = 3
+    omega = SymplecticForm.standard(n)
+    g = unitriangular(rng, 2 * n, 2, upper=False) @ unitriangular(rng, 2 * n, 2, upper=True)
+    identity_rows = [[oracles.gq(int(i == j)) for j in range(2 * n)] for i in range(2 * n)]
+    inverse_rows = oracles.gq_solve(gq_columns(g.transpose()), identity_rows)
+    g_inverse = ExactMatrix([[GaussianRational(*x) for x in row] for row in inverse_rows])
+    assert g @ g_inverse == ExactMatrix.identity(2 * n)
+    moved_form = SymplecticForm(g.transpose() @ omega.gram @ g)
+    for w in seeded_windows("C", n, 12):
+        F, H = c_pair(rng, w, "low")
+        moved_F = ExactFlag(F.signature, g_inverse @ F.basis)
+        moved_H = ExactFlag(H.signature, g_inverse @ H.basis)
+        assert relative_position_symplectic(moved_F, moved_H, moved_form).window == w
+        assert oracles.relative_position_symplectic_oracle(moved_F, moved_H, moved_form) == w
+        with pytest.raises(ValueError, match="^flag is not isotropic for the given form$"):
+            relative_position_symplectic(moved_F, moved_H, omega)
+
+
+def test_position_errors_keep_their_messages():
+    full3 = ExactFlag.standard(full_signature(3))
+    full4 = ExactFlag.standard(full_signature(4))
+    partial = ExactFlag.standard(Signature((2,), 4))
+    cases = [
+        (lambda: relative_position_full(partial, full4), "expected a full flag (signature 1..n-1)"),
+        (lambda: relative_position_full(full4, partial), "expected a full flag (signature 1..n-1)"),
+        (lambda: relative_position_full(full3, full4), "ambient dimension mismatch"),
+        (
+            lambda: relative_position_partial(
+                full3, partial, frozenset({1, 2}), frozenset({2})
+            ),
+            "ambient dimension mismatch",
+        ),
+        (
+            lambda: relative_position_symplectic(full4, full4, OMEGA),
+            "expected a complete isotropic flag (signature 1..n)",
+        ),
+    ]
+    bad = ExactFlag.from_columns(
+        isotropic_signature(2),
+        ExactMatrix.from_columns([label_column(1, 2), label_column(-1, 2)]),
+    )
+    lagrangian = ExactFlag.standard(isotropic_signature(2))
+    for left, right in ((bad, lagrangian), (lagrangian, bad)):
+        cases.append(
+            (
+                functools.partial(relative_position_symplectic, left, right, OMEGA),
+                "flag is not isotropic for the given form",
+            )
+        )
+    for call, message in cases:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
 # partial (coset-valued) positions
 
 
@@ -611,6 +859,25 @@ def test_partial_position_is_lift_independent():
         assert relative_position_partial(F, H_line, theta, eta) == (
             relative_position_partial(other, H_line, theta, eta)
         )
+
+
+def test_partial_position_matches_oracle_on_leading_columns():
+    """Flags given by their leading columns only, completed by ``from_columns``."""
+    rng = random.Random(431)
+    for n in (3, 4, 5):
+        system = RootSystem(Family.A, n - 1)
+        for w in seeded_windows("A", n, 12):
+            F, H = a_pair(rng, w, "high")
+            theta, eta = (frozenset(rng.sample(range(1, n), rng.randint(1, n - 1))) for _ in "ab")
+            left, right = (
+                ExactFlag.from_columns(
+                    Signature(tuple(sorted(t)), n), X.basis.prefix_columns(max(t))
+                )
+                for X, t in ((F, theta), (H, eta))
+            )
+            window = oracles.relative_position_full_oracle(F, H)
+            expected = double_coset_of(system, theta, eta, WeylElement(system, window))
+            assert relative_position_partial(left, right, theta, eta) == expected
 
 
 def test_partial_position_type_mismatch():
@@ -697,3 +964,54 @@ def test_flag_json_accepts_leading_columns():
     assert flag.basis.rank() == 4
     with pytest.raises(ValueError):
         flag_from_json({"ambient": 4, "signature": [2], "matrix": [[["1", "0"]]] * 4})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sign=st.sampled_from(["", "+", "-"]),
+    zeros=st.integers(0, 3),
+    numerator=st.integers(0, 10**30),
+    denominator=st.none() | st.integers(0, 10**12),
+    pad=st.sampled_from(["", " ", "\t", " \n"]),
+    underscore=st.booleans(),
+)
+def test_json_parts_read_as_fraction_reads_them(
+    sign, zeros, numerator, denominator, pad, underscore
+):
+    """Plain "p" and "p/q" parts (signed, zero-padded, unreduced) take the ``int``
+    path and stay unreduced; padded or underscored ones go to ``Fraction``."""
+    digits = "0" * zeros + str(numerator)
+    if underscore:
+        digits = f"{digits[0]}_{digits[1:]}" if len(digits) > 1 else f"{digits}_0"
+    text = pad + sign + digits + ("" if denominator is None else f"/{denominator}") + pad
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="^matrix entry is not a pair of rationals"):
+            matrix_from_json([[[text, "0"]]])
+        return
+    p, q = flags._ratio_from_json(text)
+    assert Fraction(p, q) == expected
+    if not pad and not underscore:
+        assert q == (1 if denominator is None else denominator)
+    got = matrix_from_json([[[text, "0"], ["1/3", text]], [["-2/4", "0"], ["0", "5"]]])
+    assert got == ExactMatrix(
+        [
+            [GaussianRational(expected), GaussianRational(Fraction(1, 3), expected)],
+            [Fraction(-1, 2), GaussianRational(0, 5)],
+        ]
+    )
+
+
+def test_json_parts_keep_their_refusals():
+    for entry, message in (
+        (["1/0", "0"], "matrix entry is not a pair of rationals: ['1/0', '0']"),
+        (["0", "-3/00"], "matrix entry is not a pair of rationals: ['0', '-3/00']"),
+        (["1/-2", "0"], "matrix entry is not a pair of rationals: ['1/-2', '0']"),
+        (["1e3", "0"], 'matrix entry parts must read "p" or "p/q", not use an exponent: '
+         "['1e3', '0']"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            matrix_from_json([[entry]])
+        assert str(caught.value) == message
+    assert matrix_from_json([[["0.25", 1]]]) == ExactMatrix([[GaussianRational("1/4", 1)]])
