@@ -44,7 +44,7 @@ from .sl2reps import (
     so2_weight_basis,
 )
 from .twg import CircleGroup, WeightGraph, analyze_action, classify_fiber
-from .weyl import Family, RootSystem, double_cosets, identity, sign_vector
+from .weyl import Family, RootSystem, double_cosets, group_elements, identity, sign_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,6 +136,7 @@ def _sign_label(signs: tuple[int, ...]) -> str:
 
 def _poset_and_labels(family: Family, rank: int, eta, signs: bool):
     system = RootSystem(family, rank)
+    group_elements(system)  # cached; refuses a group over the order limit first
     full = frozenset(system.simple_indices)
     eta_set = frozenset(eta) if eta is not None else full
     if not eta_set <= set(system.simple_indices):

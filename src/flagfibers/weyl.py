@@ -35,9 +35,10 @@ shorter element of the same double coset, which the walk has already
 placed, and an element with neither descent is the minimal representative
 of a new coset (Bjoerner-Brenti, Sec. 2.4-2.5).  Strictly Bruhat-smaller
 minimal representatives are strictly shorter, so coset index order is a
-linear extension of the poset.  Each coset's Bruhat counts are packed into
-one integer with a guard bit per field, so comparing two cosets is one
-integer subtraction (Lamport, *CACM* 18(8), 1975).
+linear extension of the poset.  By the counting criterion (Bjoerner-Brenti,
+Thm. 2.1.5) u <= w iff every Bruhat count of u is at most the same count of
+w, so the up-set of a coset is the AND, over the count fields, of the
+bitset of cosets whose count in that field is at least its own.
 
 ``group_elements`` and ``parabolic_elements`` are the only memoised group
 data; everything else is built per call.  A module-level table of windows
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -366,30 +366,6 @@ def _bruhat_counts(w: WeylElement) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _pack(counts: Sequence[int], size: int) -> tuple[int, int]:
-    """``counts``, each in 0..size-1, packed into one int, and the guard mask.
-
-    Count k fills field k, of ``size.bit_length() + 1`` bits; the top bit of
-    each field is its guard, clear in the packed int and set in the mask.
-    """
-    width = size.bit_length() + 1
-    packed = guards = 0
-    for k, count in enumerate(counts):
-        packed |= count << (k * width)
-        guards |= 1 << (k * width + width - 1)
-    return packed, guards
-
-
-def _packed_leq(low: int, high: int, guards: int) -> bool:
-    """Whether every field of ``low`` is at most that of ``high`` (same packing).
-
-    With the guard bits of ``high`` set, each field subtracts without a
-    borrow into the next one, and keeps its guard bit exactly when the
-    field of ``low`` is not larger (SWAR comparison, Lamport, CACM 1975).
-    """
-    return ((high | guards) - low) & guards == guards
-
-
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order comparison by the counting (tableau) criterion.
 
@@ -407,10 +383,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """
     if u.system != w.system:
         raise ValueError("cannot compare elements of different systems")
-    size = u.system.ambient_dim
-    low, guards = _pack(_bruhat_counts(u), size)
-    high, _ = _pack(_bruhat_counts(w), size)
-    return _packed_leq(low, high, guards)
+    return all(map(int.__le__, _bruhat_counts(u), _bruhat_counts(w)))
 
 
 @cache
@@ -422,14 +395,22 @@ def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[Wey
     trivial subgroup, and W_emptyset is the whole group.  Generated
     breadth-first on windows from the identity, one length per layer, and
     sorted by (length, window); refused with a ``ValueError`` when the whole
-    group has more than ``GROUP_ORDER_LIMIT`` elements.
+    group has more than ``GROUP_ORDER_LIMIT`` elements, by rank alone when
+    2^rank is already larger.
     """
-    typeset = _simple_subset(system, typeset)
+    name = f"{system.family.value}{system.rank}"
+    # Both orders are at least 2^rank, so a large rank is refused before
+    # its factorial is taken.
+    if system.rank >= GROUP_ORDER_LIMIT.bit_length():
+        raise ValueError(
+            f"Weyl group {name} has order at least 2^{system.rank}, "
+            f"above the limit of {GROUP_ORDER_LIMIT}"
+        )
     if system.order() > GROUP_ORDER_LIMIT:
         raise ValueError(
-            f"Weyl group {system.family.value}{system.rank} has order "
-            f"{system.order()}, above the limit of {GROUP_ORDER_LIMIT}"
+            f"Weyl group {name} has order {system.order()}, above the limit of {GROUP_ORDER_LIMIT}"
         )
+    typeset = _simple_subset(system, typeset)
     gens = _generators(system, typeset)
     layer = [identity(system).window]
     seen = set(layer)
@@ -568,9 +549,11 @@ def double_cosets(
     One walk over the group in (length, window) order: an element with a
     descent in W_theta or W_eta joins the coset of the shorter element that
     descent leads to, which came earlier; any other element is the minimal
-    representative of a new coset.  ``up`` compares each coset only with
-    itself and the later ones, since a coset lies strictly below only
-    longer cosets.
+    representative of a new coset.  For each Bruhat count field,
+    ``at_least[v]`` is the bitset of cosets whose count there is at least v,
+    and ``up[i]`` is the AND of ``at_least[count(i)]`` over the fields.
+    Distinct cosets have distinct counts, and a coset lies strictly below
+    only longer ones, so that AND holds coset i and later cosets only.
 
     >>> s = RootSystem(Family.A, 3)
     >>> poset = double_cosets(s, frozenset({1, 2, 3}), frozenset({1}))
@@ -589,21 +572,20 @@ def double_cosets(
             cosets.append(DoubleCoset(system, theta, eta, w))
         else:
             index_of_window[w.window] = index_of_window[shorter]
-    size = system.ambient_dim
-    packed = [_pack(_bruhat_counts(dc.min_rep), size) for dc in cosets]
-    # _packed_leq, with the guard bits of each upper side set once.
-    guards = packed[0][1]
-    highs = [high | guards for high, _ in packed]
-    up = tuple(
-        sum(1 << j for j in range(i, len(highs)) if (highs[j] - low) & guards == guards)
-        for i, (low, _) in enumerate(packed)
-    )
+    up = [(1 << len(cosets)) - 1] * len(cosets)
+    for field in zip(*(_bruhat_counts(dc.min_rep) for dc in cosets)):
+        at_least = [0] * (system.ambient_dim + 1)
+        for j, count in enumerate(field):
+            at_least[count] |= 1 << j
+        for count in range(system.ambient_dim - 1, -1, -1):
+            at_least[count] |= at_least[count + 1]
+        up = [u & at_least[count] for u, count in zip(up, field)]
     w0_action: tuple[int, ...] | None = None
     if opposition_involution(system, theta) == theta:
         w0 = longest_element(system).window
         w0_action = tuple(index_of_window[_compose(w0, dc.min_rep.window)] for dc in cosets)
     return PositionPoset(
-        system, theta, eta, tuple(cosets), up, w0_action, index_of_window
+        system, theta, eta, tuple(cosets), tuple(up), w0_action, index_of_window
     )
 
 

@@ -123,6 +123,23 @@ def test_group_order_limit_exits_2_at_once(capsys):
             assert err.count("\n") == 1 and "above the limit" in err
 
 
+def test_huge_rank_is_refused_before_any_factorial():
+    # 256 MB of address space: a factorial of ten million would not fit in
+    # the time bound, and a group table not in the memory.
+    script = (
+        "import resource, sys; from flagfibers.cli import main; "
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    for command in ("hasse", "ideals"):
+        start = time.perf_counter()
+        done = run_child("-c", script, command, "--family", "A", "--rank", str(10**7))
+        assert time.perf_counter() - start < 2.0
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.count("\n") == 1 and "above the limit" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_ideal_search_limit_exits_2_and_full_a4_answers(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "ideals", "--family", "C", "--rank", "4")
@@ -139,17 +156,17 @@ def test_ideal_search_limit_exits_2_and_full_a4_answers(capsys):
 
 
 def test_largest_full_type_hasse_and_ideals_answer_in_seconds():
-    start = time.perf_counter()
-    done = run_child("-m", "flagfibers.cli", "hasse", "--family", "A", "--rank", "6")
-    assert time.perf_counter() - start < 20.0
-    assert (done.returncode, done.stderr) == (0, "")
-    lines = done.stdout.splitlines()
-    edges = sum("->" in line for line in lines)
-    nodes = sum(line.startswith('  "') for line in lines) - edges
-    assert nodes == 5040
-    # A regression pin (the Bruhat graph of S7 as built today), not a
-    # literature value.
-    assert edges == 33984
+    # Regression pins (the Bruhat graphs of S7 and of the hyperoctahedral
+    # group of rank 5 as built today), not literature values.
+    for family, rank, nodes_edges in (("A", "6", (5040, 33984)), ("C", "5", (3840, 24612))):
+        start = time.perf_counter()
+        done = run_child("-m", "flagfibers.cli", "hasse", "--family", family, "--rank", rank)
+        assert time.perf_counter() - start < 20.0
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        edges = sum("->" in line for line in lines)
+        nodes = sum(line.startswith('  "') for line in lines) - edges
+        assert (nodes, edges) == nodes_edges
 
     start = time.perf_counter()
     done = run_child("-m", "flagfibers.cli", "ideals", "--family", "A", "--rank", "6")

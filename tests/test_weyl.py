@@ -10,8 +10,6 @@ from flagfibers.weyl import (
     Family,
     RootSystem,
     WeylElement,
-    _pack,
-    _packed_leq,
     bruhat_leq,
     coset_inverse,
     double_coset_of,
@@ -178,33 +176,6 @@ def test_bruhat_is_a_partial_order(data):
         assert bruhat_leq(a, c)
 
 
-@settings(max_examples=100)
-@given(st.data())
-def test_packed_comparison_matches_fieldwise(data):
-    size = data.draw(st.integers(3, 12), label="size")
-    fields = data.draw(st.integers(1, (size - 1) ** 2), label="fields")
-    counts = st.lists(
-        st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1)),
-        min_size=fields,
-        max_size=fields,
-    )
-    low = data.draw(counts, label="low")
-    # Random pairs are almost never comparable: most draws raise low
-    # fieldwise, and some of those then put one field just below it.
-    how = data.draw(st.sampled_from(["random", "raised", "one field lower"]))
-    if how == "random":
-        high = data.draw(counts, label="high")
-    else:
-        high = [min(size - 1, c + d) for c, d in zip(low, data.draw(counts, label="raise"))]
-        k = data.draw(st.integers(0, fields - 1), label="field")
-        if how == "one field lower" and low[k] > 0:
-            high[k] = low[k] - 1
-    packed_low, guards = _pack(low, size)
-    packed_high, same_guards = _pack(high, size)
-    assert same_guards == guards
-    assert _packed_leq(packed_low, packed_high, guards) == oracles.counts_leq(low, high)
-
-
 # ---------------------------------------------------------------------------
 # parabolic subgroups and double cosets
 
@@ -333,6 +304,20 @@ def test_double_cosets_match_product_and_scan_oracle(system):
         assert poset.w0_action == want.w0_action
         if theta == full:
             assert poset.left_action == want.left_action
+
+
+@pytest.mark.parametrize(
+    "system", [RootSystem(Family.A, 5), RootSystem(Family.C, 4)], ids=["A5", "C4"]
+)
+def test_full_type_poset_matches_oracle(system):
+    # The largest posets the pairwise oracle checks: one coset per element.
+    full = frozenset(system.simple_indices)
+    want = oracles.double_cosets_oracle(system, full, full)
+    poset = double_cosets(system, full, full)
+    assert poset.cosets == want.cosets
+    assert poset.up == want.up
+    assert poset.down == want.down
+    assert poset.covers() == want.covers
 
 
 def test_group_order_limit():
