@@ -96,8 +96,9 @@ def _resolve_out(name: str) -> Path:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; the empty string is the empty tuple."""
     try:
-        values = tuple(int(chunk) for chunk in text.split(","))
+        values = tuple(int(chunk) for chunk in text.split(",")) if text else ()
     except ValueError:
         raise UsageError(f"{what} must be comma-separated integers: {text!r}")
     return values
@@ -173,13 +174,13 @@ def _hasse_text(family: Family, rank: int, eta, signs: bool) -> str:
 
 
 def _cmd_hasse(args) -> int:
-    eta = _parse_ints(args.eta, "--eta") if args.eta else None
+    eta = _parse_ints(args.eta, "--eta") if args.eta is not None else None
     _emit(_hasse_text(Family[args.family], args.rank, eta, args.signs), args.out)
     return EXIT_OK
 
 
 def _cmd_ideals(args) -> int:
-    eta = _parse_ints(args.eta, "--eta") if args.eta else None
+    eta = _parse_ints(args.eta, "--eta") if args.eta is not None else None
     poset, labels = _poset_and_labels(Family[args.family], args.rank, eta, args.signs)
     balanced = enumerate_balanced_ideals(poset)
     payload = {

@@ -312,7 +312,11 @@ class ExactFlag:
     @classmethod
     def from_columns(cls, signature: Signature, columns: ExactMatrix) -> "ExactFlag":
         """Complete leading columns to a basis by one echelon pass over them and
-        then e_1, ..., e_n, keeping each e_i independent of what came before."""
+        then e_1, ..., e_n, keeping each e_i independent of what came before.
+
+        That pass proves the basis invertible, so the rank check of the
+        constructor is not run again.
+        """
         n = signature.ambient
         if columns.rows != n or columns.cols != signature.top:
             raise ValueError("need exactly the top-dimension many leading columns")
@@ -321,7 +325,10 @@ class ExactFlag:
             raise ValueError("leading columns are linearly dependent")
         units = ExactMatrix.identity(n)._columns
         completion = [e for e in units if _reduce_into(echelon, e) is not None]
-        return cls(signature, columns.hstack(ExactMatrix._make(n, completion, 1)))
+        flag = object.__new__(cls)
+        object.__setattr__(flag, "signature", signature)
+        object.__setattr__(flag, "basis", columns.hstack(ExactMatrix._make(n, completion, 1)))
+        return flag
 
     def subspace(self, k: int) -> ExactMatrix:
         """Columns spanning the ``k``-dimensional flag subspace."""

@@ -15,11 +15,16 @@ signs s1 = sign(ab), s2 = -s1, s4 = sign(b(a+qb)), s3 = -s4; weight-1 edges
 are principal and disappear.  The (a, b) = (1, 0) regime instead rotates the
 fibers of a line bundle of Euler number q and fixes two surfaces.
 Graph isomorphism is canonical-key equality: every component is a path or
-a cycle, named by its least sign/weight sequence (``canonical_key``).
+a cycle, named by its least sign/weight sequence (``canonical_key``; a
+cycle's least rotation comes from Booth's linear scan).  Classification
+compares candidates by keys and vertex profiles computed in closed form
+from that ring, and builds graphs only for the factors of a connected sum
+that pass the profile lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -487,6 +492,48 @@ def _json_text(value, what: str) -> str:
     return value
 
 
+def _least_rotation(seq: list) -> list:
+    """The least rotation of a sequence, by Booth's failure-function scan.
+
+    Booth, *Inf. Process. Lett.* 10 (1980); linear in the length.
+    """
+    doubled = seq + seq
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        x = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != doubled[k + i + 1]:
+            if x < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return doubled[k : k + len(seq)]
+
+
+def _component_key(walk: Sequence[int]) -> tuple[int, ...]:
+    """The least sign/weight sequence naming one component from a walk of it.
+
+    A path walk has odd length, sign first and last, and is read in both
+    directions.  A cycle walk has even length, (sign, weight) pairs ending
+    on the weight back to the start; it is read from its least rotation in
+    either direction.
+    """
+    if len(walk) % 2:
+        return min(tuple(walk), tuple(walk[::-1]))
+    signs, weights = walk[::2], walk[1::2]
+    forward = list(zip(signs, weights))
+    backward = [(signs[-j], weights[-j - 1]) for j in range(len(signs))]
+    return min(
+        tuple(x for pair in _least_rotation(d) for x in pair) for d in (forward, backward)
+    )
+
+
 @dataclass(frozen=True)
 class WeightGraph:
     """Signed fixed points, Euler-labeled fixed surfaces, weighted spheres."""
@@ -541,9 +588,7 @@ class WeightGraph:
         """A key that two graphs share exactly when they are isomorphic.
 
         At most two edges meet a round vertex, so each component is a path
-        (odd-length sign/weight sequence, least of both directions) or a
-        cycle, a double edge included (even length, ending on the weight
-        back to the start; least over rotations and both directions).
+        or a cycle, a double edge included, keyed by ``_component_key``.
 
         >>> hirzebruch_graph(2, -1, 2).canonical_key()
         (((-1, 2, -1, 3, 1, 2, 1),), ())
@@ -568,12 +613,7 @@ class WeightGraph:
                     break
                 walk.append(sign[v])
                 seen.add(v)
-            size = len(walk)
-            if size % 2:
-                components.append(min(tuple(walk), tuple(walk[::-1])))
-                continue
-            both = (tuple(walk * 2), tuple((walk[:1] + walk[:0:-1]) * 2))
-            components.append(min(d[k : k + size] for d in both for k in range(0, size, 2)))
+            components.append(_component_key(walk))
         return tuple(sorted(components)), tuple(sorted(e for _, e in self.squares))
 
     def to_json_dict(self) -> dict:
@@ -719,6 +759,43 @@ def _sign(x: int) -> int:
     return 1 if x > 0 else -1
 
 
+# The fixed points of Hir(q;a,b) in ring order; edge k joins point k to k+1.
+_RING = ("p1", "p2", "p4", "p3")
+
+
+def _hirzebruch_ring(q: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Signs and edge weights around the ring of Hir(q;a,b), weight 1s kept."""
+    s1, s4 = _sign(a * b), _sign(b * (a + q * b))
+    return (s1, -s1, s4, -s4), (abs(a), abs(b), abs(a + q * b), abs(b))
+
+
+def _ring_key(signs: Sequence[int], weights: Sequence[int]) -> tuple:
+    """The canonical key of the ring's graph, its weight-1 edges dropped.
+
+    The walk starts after the first dropped edge, and each dropped edge
+    ends a path; with none, the walk is the whole cycle.
+    """
+    n = len(signs)
+    start = next((k + 1 for k, w in enumerate(weights) if w < 2), 0)
+    walks, walk = [], []
+    for k in range(start - n, start):
+        walk.append(signs[k])
+        if weights[k] < 2:
+            walks.append(walk)
+            walk = []
+        else:
+            walk.append(weights[k])
+    return tuple(sorted(_component_key(w) for w in [*walks, walk] if w)), ()
+
+
+def _ring_profiles(signs: Sequence[int], weights: Sequence[int]) -> list[tuple[str, tuple]]:
+    """Each ring point with its (sign, incident weights) profile."""
+    return [
+        (_RING[k], (signs[k], tuple(sorted(w for w in (weights[k - 1], weights[k]) if w >= 2))))
+        for k in range(len(_RING))
+    ]
+
+
 def hirzebruch_graph(q: int, a: int, b: int) -> WeightGraph:
     """The tangential weight graph of the weight-(a, b) action on Hir(q).
 
@@ -731,17 +808,11 @@ def hirzebruch_graph(q: int, a: int, b: int) -> WeightGraph:
         return WeightGraph(squares=(("s+", q), ("s-", -q)))
     if a == 0 or b == 0 or math.gcd(abs(a), abs(b)) != 1 or a + q * b == 0:
         raise ValueError("weights outside both action regimes")
-    s1 = _sign(a * b)
-    s4 = _sign(b * (a + q * b))
-    rounds = (("p1", s1), ("p2", -s1), ("p3", -s4), ("p4", s4))
-    candidates = (
-        ("p1", "p2", abs(a)),
-        ("p1", "p3", abs(b)),
-        ("p2", "p4", abs(b)),
-        ("p3", "p4", abs(a + q * b)),
+    signs, weights = _hirzebruch_ring(q, a, b)
+    edges = tuple(
+        (_RING[k], _RING[(k + 1) % 4], w) for k, w in enumerate(weights) if w >= 2
     )
-    edges = tuple(e for e in candidates if e[2] >= 2)
-    return WeightGraph(rounds=rounds, edges=edges)
+    return WeightGraph(rounds=tuple(zip(_RING, signs)), edges=edges)
 
 
 def connected_sum(
@@ -826,25 +897,31 @@ def _hirzebruch_candidates(weights: Iterable[int]) -> list[tuple[int, int, int]]
     the weights and 1, and q = (+-c - a)/b is solved for each such c instead
     of scanned.  {|a|, |b|, |b|, |a+qb|} without its 1s must lie in the
     edge-weight multiset ``weights``, as in any sum with Hir(q;a,b) as a
-    factor.  The triples come sorted by q, |a|, |b|, a > 0 first, b > 0
-    first: the order in which the first match is reported.  For the largest
-    weight w, every triple has |a|, |b| <= w and q|b| = |+-c - a| <= 2w.
+    factor; that is a count check against one tally of the weights.  The
+    triples come sorted by q, |a|, |b|, a > 0 first, b > 0 first: the order
+    in which the first match is reported.  For the largest weight w, every
+    triple has |a|, |b| <= w and q|b| = |+-c - a| <= 2w.
 
     >>> _hirzebruch_candidates([])
     [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1), (2, 1, -1), (2, -1, 1)]
     """
     available = Counter(weights)
     magnitudes = set(available) | {1}
+
+    def fits(m: int, needed: int) -> bool:
+        return m == 1 or available[m] >= needed
+
     found = set()
-    for mag_a, mag_b, c in itertools.product(magnitudes, repeat=3):
-        if math.gcd(mag_a, mag_b) != 1:
-            continue
-        if Counter(m for m in (mag_a, mag_b, mag_b, c) if m > 1) - available:
-            continue
-        for a, b, a_plus_qb in itertools.product((mag_a, -mag_a), (mag_b, -mag_b), (c, -c)):
-            q, rest = divmod(a_plus_qb - a, b)
-            if rest == 0 and q >= 0:
-                found.add((q, a, b))
+    for mag_b in (m for m in magnitudes if fits(m, 2)):
+        for mag_a in (m for m in magnitudes if fits(m, 1) and math.gcd(m, mag_b) == 1):
+            # |a| = |b| only when both are 1, so only c can repeat either.
+            for c in (m for m in magnitudes if fits(m, 1 + (m == mag_a) + 2 * (m == mag_b))):
+                for a, b, a_plus_qb in itertools.product(
+                    (mag_a, -mag_a), (mag_b, -mag_b), (c, -c)
+                ):
+                    q, rest = divmod(a_plus_qb - a, b)
+                    if rest == 0 and q >= 0:
+                        found.add((q, a, b))
     return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
 
 
@@ -853,43 +930,52 @@ def _vertex_profiles(g: WeightGraph) -> list[tuple[str, tuple[int, tuple[int, ..
     return [(i, (s, g.incident_weights(i))) for i, s in g.rounds]
 
 
+def _without(items: Sequence, removed: Iterable) -> list | None:
+    """``items`` less one copy of each removed item, or None if one is missing."""
+    rest = list(items)
+    for x in removed:
+        if x not in rest:
+            return None
+        rest.remove(x)
+    return rest
+
+
 def _connected_sum_match(
-    g: WeightGraph, g_key: tuple, candidates: Iterable[tuple[tuple[int, int, int], WeightGraph]]
+    g: WeightGraph, g_key: tuple, candidates: Sequence[tuple[int, int, int]]
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
     """The first pair of candidates, in order, with a sum isomorphic to ``g``.
 
     Gluing v1 to v2 keeps every other vertex's profile, so the sum's profile
     multiset is the two factors' minus the glued pair.  Given the first
     factor and v1, that fixes the second factor's profile multiset, which
-    is looked up; only pairs that pass are built, and their keys compared
-    with ``g_key``, the canonical key of ``g``.
+    is looked up among the closed-form profiles of the candidates.  Only
+    factors of a pair that passes are built, each at most once, and the
+    keys of their sums compared with ``g_key``, the canonical key of ``g``.
     """
-    target = Counter(p for _, p in _vertex_profiles(g))
-    factors = [(params, h, _vertex_profiles(h)) for params, h in candidates]
-    keys = [frozenset(Counter(p for _, p in vertices).items()) for _, _, vertices in factors]
-    by_profiles: dict[frozenset, list[int]] = {}
+    target = [p for _, p in _vertex_profiles(g)]
+    factors = [_ring_profiles(*_hirzebruch_ring(*params)) for params in candidates]
+    keys = [tuple(sorted(p for _, p in vertices)) for vertices in factors]
+    by_profiles: dict[tuple, list[int]] = {}
     for j, key in enumerate(keys):
         by_profiles.setdefault(key, []).append(j)
-    for i, (params1, g1, vertices1) in enumerate(factors):
-        own = Counter(p for _, p in vertices1)
+    graph = functools.cache(lambda j: hirzebruch_graph(*candidates[j]))
+    for i, vertices1 in enumerate(factors):
         wanted = {}
-        for v1, (s1, weights) in vertices1:
-            rest = own - Counter([(s1, weights)])
-            if not rest - target:
-                partner = target - rest + Counter([(-s1, weights)])
-                wanted[v1] = frozenset(partner.items())
+        for k, (v1, (s1, weights)) in enumerate(vertices1):
+            partner = _without(target, [p for n, (_, p) in enumerate(vertices1) if n != k])
+            if partner is not None:
+                wanted[v1] = tuple(sorted([*partner, (-s1, weights)]))
         partners = {j for key in wanted.values() for j in by_profiles.get(key, ()) if j >= i}
         for j in sorted(partners):
-            params2, g2, vertices2 = factors[j]
             for v1, (s1, weights) in vertices1:
                 if wanted.get(v1) != keys[j]:
                     continue
-                for v2, profile in vertices2:
+                for v2, profile in factors[j]:
                     if (
                         profile == (-s1, weights)
-                        and connected_sum(g1, v1, g2, v2).canonical_key() == g_key
+                        and connected_sum(graph(i), v1, graph(j), v2).canonical_key() == g_key
                     ):
-                        return params1, params2
+                        return candidates[i], candidates[j]
     return None
 
 
@@ -899,12 +985,15 @@ def classify_fiber(g: WeightGraph) -> Classification:
     Two fixed surfaces with Euler numbers q and -q and nothing else are
     Hir(q;1,0).  Otherwise every Hir(q;a,b) has four fixed points and every
     two-term connected sum six, both with as many + signs as - signs, so
-    other graphs are rejected at once.  The search then compares canonical
-    keys with exactly the Hir(q;a,b) whose edge weights fit among the
-    graph's, and their sums, so its cost depends on the number of distinct
-    weights, not on their size.  An unmatched graph is reported, not an
-    error, with the invariant that failed as ``reason``, since the
-    catalogue makes no completeness claim.
+    other graphs are rejected at once.  The search then runs over exactly
+    the Hir(q;a,b) whose edge weights fit among the graph's, so its cost
+    depends on the number of distinct weights, not on their size.  No
+    candidate graph is built: a four-point graph is compared with the
+    closed-form key of each candidate whose weights equal its own, and a
+    sum is looked up by the candidates' closed-form vertex profiles, with
+    graphs built only for the factors of a pair that passes.  An unmatched
+    graph is reported, not an error, with the invariant that failed as
+    ``reason``, since the catalogue makes no completeness claim.
     """
     if g.squares:
         eulers = sorted(e for _, e in g.squares)
@@ -930,13 +1019,12 @@ def classify_fiber(g: WeightGraph) -> Classification:
         )
 
     key = g.canonical_key()
-    candidates = (
-        (params, hirzebruch_graph(*params))
-        for params in _hirzebruch_candidates(w for _, _, w in g.edges)
-    )
+    weights = sorted(w for _, _, w in g.edges)
+    candidates = _hirzebruch_candidates(weights)
     if count == 4:
-        for params, candidate in candidates:
-            if candidate.canonical_key() == key:
+        for params in candidates:
+            signs, ring = _hirzebruch_ring(*params)
+            if sorted(w for w in ring if w >= 2) == weights and _ring_key(signs, ring) == key:
                 return Classification(
                     _canonical_name(*params), _hirzebruch_diffeotype(params[0])
                 )

@@ -30,6 +30,12 @@ Everything here deliberately avoids the library's own code paths:
 - weight-graph isomorphism comes from backtracking over vertex matchings
   that respect sign, incident weights and adjacency, the library's earlier
   route before canonical keys;
+- canonical keys come from the library's earlier route: each cycle keyed
+  by the least of all its rotations in both directions, each built as a
+  fresh tuple, so a k-cycle costs O(k^2);
+- the Hirzebruch candidates of a weight multiset come from scanning every
+  triple up to the largest weight and subtracting its edge-weight multiset
+  from the graph's;
 - fiber classifications come from the exhaustive catalogue search: every
   Hir(q;a,b) up to the graph's largest edge weight, and every pair of them
   for connected sums (graphs are built with the library's
@@ -620,6 +626,53 @@ def graphs_isomorphic_oracle(g1: WeightGraph, g2: WeightGraph) -> bool:
         return False
 
     return extend(0)
+
+
+def canonical_key_oracle(g: WeightGraph) -> tuple:
+    """``WeightGraph.canonical_key`` by the least of all cycle rotations."""
+    sign = dict(g.rounds)
+    ends: dict[str, list[tuple[int, str, int]]] = {i: [] for i in sign}
+    for n, (a, b, w) in enumerate(g.edges):
+        ends[a].append((n, b, w))
+        ends[b].append((n, a, w))
+    seen: set[str] = set()
+    components = []
+    for start in sorted(sign, key=lambda i: len(ends[i]) == 2):
+        if start in seen:
+            continue
+        seen.add(start)
+        walk, v, came_by = [sign[start]], start, None
+        while steps := [e for e in ends[v] if e[0] != came_by]:
+            came_by, v, w = steps[0]
+            walk.append(w)
+            if v == start:
+                break
+            walk.append(sign[v])
+            seen.add(v)
+        size = len(walk)
+        if size % 2:
+            components.append(min(tuple(walk), tuple(walk[::-1])))
+            continue
+        both = (tuple(walk * 2), tuple((walk[:1] + walk[:0:-1]) * 2))
+        components.append(min(d[k : k + size] for d in both for k in range(0, size, 2)))
+    return tuple(sorted(components)), tuple(sorted(e for _, e in g.squares))
+
+
+def hirzebruch_candidates_oracle(weights: list[int]) -> list[tuple[int, int, int]]:
+    """Every valid (q, a, b) with |a|, |b| <= w+1 and q <= 2w+2 for the largest
+    weight w whose edge weights above 1 fit inside ``weights``, in catalogue order."""
+    w = max(weights, default=1)
+    available = Counter(weights)
+    found = []
+    for q in range(2 * w + 3):
+        for a in range(-w - 1, w + 2):
+            for b in range(-w - 1, w + 2):
+                if not a or not b or math.gcd(abs(a), abs(b)) != 1 or a + q * b == 0:
+                    continue
+                needed = Counter(m for m in (abs(a), abs(b), abs(b), abs(a + q * b)) if m > 1)
+                if not needed - available:
+                    found.append((q, a, b))
+    return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
 
 
 def _catalogue(max_weight: int) -> list[tuple[tuple[int, int, int], WeightGraph]]:

@@ -248,6 +248,18 @@ def test_ideals_projective_sl4(capsys):
     assert ideal["minimal_anosov_type"] == [2]
 
 
+def test_empty_eta_is_the_one_coset_poset(capsys):
+    code, out, _ = run(capsys, "hasse", "--family", "A", "--rank", "3", "--eta", "")
+    assert code == 0
+    assert out == 'digraph hasse {\n  rankdir=BT;\n  node [shape=plaintext];\n  "1234";\n}\n'
+    # One coset is an odd cardinality, so no ideal can be balanced.
+    with pytest.warns(UserWarning, match="odd cardinality"):
+        code, out, err = run(capsys, "ideals", "--family", "A", "--rank", "3", "--eta", "")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["eta"], payload["positions"], payload["balanced_ideals"]) == ([], ["1234"], [])
+
+
 # ---------------------------------------------------------------------------
 # position
 

@@ -493,6 +493,24 @@ def test_flag_completion_preserves_leading_columns():
         ExactFlag.from_columns(sig, span_of((1, 1, 0, 0), (2, 2, 0, 0)))
 
 
+def test_flag_from_columns_eliminates_once(monkeypatch):
+    sig = Signature((1, 2), 4)
+    lead = span_of((0, 0, 1, 0), (1, 1, 1, 1))
+    expected = ExactFlag(sig, ExactFlag.from_columns(sig, lead).basis)
+    calls = []
+    reduce_into = flags._reduce_into
+
+    def counting(echelon, vector):
+        calls.append(vector)
+        return reduce_into(echelon, vector)
+
+    monkeypatch.setattr(flags, "_reduce_into", counting)
+    assert ExactFlag.from_columns(sig, lead) == expected
+    # One insertion per leading column and one reduction per unit vector;
+    # no second elimination for the rank check.
+    assert len(calls) == 2 + 4
+
+
 # ---------------------------------------------------------------------------
 # full relative positions
 

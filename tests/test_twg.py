@@ -8,9 +8,11 @@ using the production graph builder.
 """
 
 import itertools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from flagfibers.sl2reps import (
     partitions_of,
     so2_weight_basis,
 )
+from flagfibers import twg
 from flagfibers.twg import (
     ActionAnalysis,
     CircleGroup,
@@ -54,6 +57,11 @@ from flagfibers.twg import (
     permuted_form,
     sign_of_fixed_point,
     tangent_weights_lagrangian,
+    _hirzebruch_candidates,
+    _hirzebruch_ring,
+    _ring_key,
+    _ring_profiles,
+    _vertex_profiles,
 )
 from flagfibers import weyl
 
@@ -545,6 +553,28 @@ def test_hirzebruch_graph_against_tangent_oracle():
         assert list(g.edges) == expected_edges
 
 
+def test_ring_closed_forms_match_the_built_graph():
+    # Every valid triple with q <= 12 and |a|, |b| <= 8: all of largest weight <= 6 and more.
+    count = 0
+    for q in range(13):
+        for a, b in itertools.product(range(-8, 9), repeat=2):
+            if not (a and b) or math.gcd(abs(a), abs(b)) != 1 or a + q * b == 0:
+                continue
+            g = hirzebruch_graph(q, a, b)
+            signs, weights = _hirzebruch_ring(q, a, b)
+            assert _ring_key(signs, weights) == g.canonical_key(), (q, a, b)
+            assert sorted(_ring_profiles(signs, weights)) == sorted(_vertex_profiles(g))
+            count += 1
+    assert count == 2220
+
+
+def test_hirzebruch_candidates_match_the_box_scan():
+    for size in range(5):
+        for weights in itertools.combinations_with_replacement((2, 3, 4, 5), size):
+            got = _hirzebruch_candidates(list(weights))
+            assert got == oracles.hirzebruch_candidates_oracle(list(weights)), weights
+
+
 # ---------------------------------------------------------------------------
 # connected sums
 
@@ -726,6 +756,38 @@ def test_canonical_key_matches_isomorphism_oracle(g, other, rng):
     for h in pairs:
         assert (g.canonical_key() == h.canonical_key()) == oracles.graphs_isomorphic_oracle(g, h)
     assert graphs_isomorphic(g, copy)
+    assert g.canonical_key() == oracles.canonical_key_oracle(g)
+
+
+@st.composite
+def cycle_graphs(draw) -> WeightGraph:
+    """One cycle of 2 to 12 vertices, a double edge at 2, often periodic.
+
+    A block of (sign, weight) pairs is repeated around the cycle, so its
+    rotations tie; the all-+ block of weight 2 ties at every rotation.
+    """
+    block = draw(
+        st.one_of(
+            st.just([(1, 2)]),
+            st.lists(st.tuples(st.sampled_from((1, -1)), st.sampled_from((2, 3))), min_size=1, max_size=6),
+        )
+    )
+    repeats = draw(st.integers(1, 12 // len(block)))
+    ring = block * repeats
+    if len(ring) < 2:
+        ring = ring * 2
+    ids = [f"c{k}" for k in range(len(ring))]
+    rounds = tuple((i, s) for i, (s, _) in zip(ids, ring))
+    edges = tuple((ids[k], ids[k - len(ids) + 1], w) for k, (_, w) in enumerate(ring))
+    return WeightGraph(rounds, (), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_graphs(), st.randoms())
+def test_cycle_keys_match_the_rotation_oracle(g, rng):
+    key = g.canonical_key()
+    assert key == oracles.canonical_key_oracle(g)
+    assert relabeled(g, rng).canonical_key() == key
 
 
 def test_graphs_isomorphic_scales_to_long_cycles():
@@ -987,6 +1049,88 @@ def test_classify_matches_catalogue_oracle():
         record, expected = classify_fiber(g), oracles.classify_fiber_oracle(g)
         assert (record.model, record.diffeotype) == (expected.model, expected.diffeotype), g
         assert (record.reason is None) == record.matched
+
+
+def test_classify_builds_no_candidate_graphs(monkeypatch):
+    rng = random.Random(29)
+    built, factors = [], []
+    post_init, build = WeightGraph.__post_init__, twg.hirzebruch_graph
+
+    def counting(self):
+        post_init(self)
+        built.append(self)
+
+    def building(*params):
+        factors.append(params)
+        return build(*params)
+
+    hirs = [relabeled(hirzebruch_graph(*p), rng) for p in [(2, -1, 2), (1, -1, 3), (3, 2, 5)]]
+    hirs += [flip_one_sign(rng, g) for g in hirs]
+    sums = [fiber_weight_graph(Partition((3,)), "full", CircleGroup.PSO2)]
+    sums += sum_sample(rng, hirzebruch_params_up_to(3), 6)
+    sums += [flip_one_sign(rng, g) for g in sums]
+    expected = [classify_fiber(g) for g in hirs + sums]
+    monkeypatch.setattr(WeightGraph, "__post_init__", counting)
+    monkeypatch.setattr(twg, "hirzebruch_graph", building)
+    for g, record in zip(hirs, expected):
+        assert classify_fiber(g) == record
+        assert built == []
+    for g, record in zip(sums, expected[len(hirs):]):
+        built.clear()
+        factors.clear()
+        assert classify_fiber(g) == record
+        # Each factor at most once; every other graph built is a sum of two.
+        assert len(set(factors)) == len(factors)
+        assert factors or not record.matched
+        assert sum(all(i.startswith("p") for i, _ in h.rounds) for h in built) == len(factors)
+
+
+def random_balanced_graphs(rng: random.Random, count: int) -> list[WeightGraph]:
+    """Graphs of 4 or 6 round vertices, half of each sign, weights 2-5."""
+    out = []
+    for _ in range(count):
+        n = rng.choice((4, 6))
+        signs = [1] * (n // 2) + [-1] * (n // 2)
+        rng.shuffle(signs)
+        ids = [f"r{k}" for k in range(n)]
+        degree = dict.fromkeys(ids, 0)
+        edges = []
+        for _ in range(rng.randrange(n + 2)):
+            a, b = rng.sample(ids, 2)
+            if degree[a] < 2 and degree[b] < 2:
+                degree[a] += 1
+                degree[b] += 1
+                edges.append((a, b, rng.randint(2, 5)))
+        out.append(WeightGraph(tuple(zip(ids, signs)), (), tuple(edges)))
+    return out
+
+
+def pinned_graphs() -> list[WeightGraph]:
+    """889 relabelled graphs: every Hir of largest weight <= 5, either sign of
+    b, and Hir(q;1,0) for q <= 10 (251); 238 seeded sums; 400 random graphs."""
+    rng = random.Random(13)
+    hirs = [
+        (q, a, b)
+        for q in range(11)
+        for a in range(-5, 6)
+        for b in (s * m for m in range(1, 6) for s in (1, -1))
+        if a and math.gcd(abs(a), abs(b)) == 1 and 0 < abs(a + q * b) <= 5
+    ]
+    out = [relabeled(hirzebruch_graph(*p), rng) for p in hirs]
+    out += [relabeled(hirzebruch_graph(q, 1, 0), rng) for q in range(11)]
+    out += [relabeled(g, rng) for g in sum_sample(rng, hirzebruch_params_up_to(3), 200)]
+    out += [relabeled(g, rng) for g in sum_sample(rng, hirzebruch_params_up_to(4), 38)]
+    return out + random_balanced_graphs(rng, 400)
+
+
+def test_classify_output_is_pinned():
+    # Recorded from the route that built and keyed a graph for every candidate.
+    lines = (Path(__file__).parent / "classify_pins.jsonl").read_text().splitlines()
+    graphs = pinned_graphs()
+    assert len(graphs) == len(lines) == 889
+    for g, line in zip(graphs, lines):
+        record = classify_fiber(g)
+        assert [record.model, record.diffeotype, record.reason] == json.loads(line), g
 
 
 def test_classify_large_weights():
