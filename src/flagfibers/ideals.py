@@ -18,7 +18,6 @@ A4 has 4608 of them (9298 states), and full-type C4 and A5 pass the limit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .weyl import DoubleCoset, PositionPoset, WeylElement
@@ -120,19 +119,14 @@ def enumerate_balanced_ideals(poset: PositionPoset) -> list[Ideal]:
     """All balanced ideals of the poset, smallest-member order.
 
     A balanced ideal contains exactly half of the cosets, so a poset of odd
-    cardinality has none; that case returns empty after warning, since it
-    usually signals a surprising input rather than a real query.  The
-    pair-choice search is described in the module docstring.
+    cardinality has none, and the empty list is the complete answer for it.
+    The pair-choice search is described in the module docstring.
     """
     w0 = poset.w0_action
     if w0 is None:
         raise ValueError("balance needs the w0-action (opposition-stable left type)")
     n = len(poset)
     if n % 2 == 1:
-        warnings.warn(
-            f"poset has odd cardinality {n}; no balanced ideals can exist",
-            stacklevel=2,
-        )
         return []
     down, up = poset.down, poset.up
     everything = (1 << n) - 1

@@ -17,14 +17,13 @@ fibers of a line bundle of Euler number q and fixes two surfaces.
 Graph isomorphism is canonical-key equality: every component is a path or
 a cycle, named by its least sign/weight sequence (``canonical_key``; a
 cycle's least rotation comes from Booth's linear scan).  Classification
-compares candidates by keys and vertex profiles computed in closed form
-from that ring, and builds graphs only for the factors of a connected sum
-that pass the profile lookup.
+builds no graph: it keys each candidate Hir(q;a,b) in closed form from its
+ring, and each two-term connected sum as the six-point ring glued from the
+arcs its factors' rings leave.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -755,17 +754,14 @@ def complete_intersection_c1_coeff(
 # the Hirzebruch catalogue
 
 
-def _sign(x: int) -> int:
-    return 1 if x > 0 else -1
-
-
 # The fixed points of Hir(q;a,b) in ring order; edge k joins point k to k+1.
 _RING = ("p1", "p2", "p4", "p3")
 
 
 def _hirzebruch_ring(q: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Signs and edge weights around the ring of Hir(q;a,b), weight 1s kept."""
-    s1, s4 = _sign(a * b), _sign(b * (a + q * b))
+    s1 = 1 if a * b > 0 else -1
+    s4 = 1 if b * (a + q * b) > 0 else -1
     return (s1, -s1, s4, -s4), (abs(a), abs(b), abs(a + q * b), abs(b))
 
 
@@ -788,12 +784,26 @@ def _ring_key(signs: Sequence[int], weights: Sequence[int]) -> tuple:
     return tuple(sorted(_component_key(w) for w in [*walks, walk] if w)), ()
 
 
-def _ring_profiles(signs: Sequence[int], weights: Sequence[int]) -> list[tuple[str, tuple]]:
-    """Each ring point with its (sign, incident weights) profile."""
-    return [
-        (_RING[k], (signs[k], tuple(sorted(w for w in (weights[k - 1], weights[k]) if w >= 2))))
-        for k in range(len(_RING))
-    ]
+def _glued_ring(ring1: tuple, k1: int, ring2: tuple, k2: int) -> tuple | None:
+    """The (signs, weights) ring of two Hirzebruch rings glued at points k1, k2.
+
+    The sum runs along the arc left by each ring less its glued point.  It
+    is None when ``connected_sum`` refuses: the glued signs must be opposite
+    and the weight pairs equal.  A point's two weights are coprime, so they
+    are equal only as 1, 1, where either orientation gives one key; else
+    each loose edge meets the one of its weight, as ``connected_sum`` splices.
+    """
+    (signs1, weights1), (signs2, weights2) = ring1, ring2
+    pair1, pair2 = (weights1[k1 - 1], weights1[k1]), (weights2[k2 - 1], weights2[k2])
+    if signs1[k1] != -signs2[k2] or sorted(pair1) != sorted(pair2):
+        return None
+    if pair1[0] != pair2[1]:
+        # Reflect ring2, point k to -k, so that its arc starts where the first arc ends.
+        signs2, weights2, k2 = signs2[:1] + signs2[:0:-1], weights2[::-1], -k2 % 4
+    return (
+        signs1[k1 + 1 :] + signs1[:k1] + signs2[k2 + 1 :] + signs2[:k2],
+        weights1[k1 + 1 :] + weights1[:k1] + weights2[k2 + 1 :] + weights2[:k2],
+    )
 
 
 def hirzebruch_graph(q: int, a: int, b: int) -> WeightGraph:
@@ -925,19 +935,13 @@ def _hirzebruch_candidates(weights: Iterable[int]) -> list[tuple[int, int, int]]
     return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
 
 
-def _vertex_profiles(g: WeightGraph) -> list[tuple[str, tuple[int, tuple[int, ...]]]]:
-    """Each round vertex with its (sign, incident weights) profile."""
-    return [(i, (s, g.incident_weights(i))) for i, s in g.rounds]
-
-
-def _without(items: Sequence, removed: Iterable) -> list | None:
-    """``items`` less one copy of each removed item, or None if one is missing."""
-    rest = list(items)
-    for x in removed:
-        if x not in rest:
-            return None
-        rest.remove(x)
-    return rest
+def _arc_profiles(signs: Sequence[int], weights: Sequence[int]) -> list[tuple]:
+    """For each point k, the sorted (sign, incident weights) profiles of the ring less k."""
+    profiles = [
+        (signs[k], tuple(sorted(w for w in (weights[k - 1], weights[k]) if w >= 2)))
+        for k in range(4)
+    ]
+    return [tuple(sorted(profiles[:k] + profiles[k + 1 :])) for k in range(4)]
 
 
 def _connected_sum_match(
@@ -945,37 +949,31 @@ def _connected_sum_match(
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
     """The first pair of candidates, in order, with a sum isomorphic to ``g``.
 
-    Gluing v1 to v2 keeps every other vertex's profile, so the sum's profile
-    multiset is the two factors' minus the glued pair.  Given the first
-    factor and v1, that fixes the second factor's profile multiset, which
-    is looked up among the closed-form profiles of the candidates.  Only
-    factors of a pair that passes are built, each at most once, and the
-    keys of their sums compared with ``g_key``, the canonical key of ``g``.
+    Gluing keeps every other point's (sign, incident weights) profile, so
+    the sum's six profiles are those of two arcs, each a ring less its
+    glued point.  An arc of the first factor leaves ``rest`` of ``g``'s
+    profiles, the arc the second needs, found in an index of candidates'
+    closed-form arc profiles.  Only a pair that passes is glued by
+    ``_glued_ring`` and keyed against ``g_key``, the canonical key of ``g``.
     """
-    target = [p for _, p in _vertex_profiles(g)]
-    factors = [_ring_profiles(*_hirzebruch_ring(*params)) for params in candidates]
-    keys = [tuple(sorted(p for _, p in vertices)) for vertices in factors]
-    by_profiles: dict[tuple, list[int]] = {}
-    for j, key in enumerate(keys):
-        by_profiles.setdefault(key, []).append(j)
-    graph = functools.cache(lambda j: hirzebruch_graph(*candidates[j]))
-    for i, vertices1 in enumerate(factors):
-        wanted = {}
-        for k, (v1, (s1, weights)) in enumerate(vertices1):
-            partner = _without(target, [p for n, (_, p) in enumerate(vertices1) if n != k])
-            if partner is not None:
-                wanted[v1] = tuple(sorted([*partner, (-s1, weights)]))
-        partners = {j for key in wanted.values() for j in by_profiles.get(key, ()) if j >= i}
-        for j in sorted(partners):
-            for v1, (s1, weights) in vertices1:
-                if wanted.get(v1) != keys[j]:
-                    continue
-                for v2, profile in factors[j]:
-                    if (
-                        profile == (-s1, weights)
-                        and connected_sum(graph(i), v1, graph(j), v2).canonical_key() == g_key
-                    ):
-                        return candidates[i], candidates[j]
+    target = sorted((s, g.incident_weights(i)) for i, s in g.rounds)
+    rest = {
+        tuple(target[n] for n in half): tuple(p for n, p in enumerate(target) if n not in half)
+        for half in itertools.combinations(range(6), 3)
+    }
+    rings = [_hirzebruch_ring(*params) for params in candidates]
+    arcs = [_arc_profiles(*ring) for ring in rings]
+    by_arc: dict[tuple, list[tuple[int, int]]] = {}
+    for j, k in itertools.product(range(len(rings)), range(4)):
+        by_arc.setdefault(arcs[j][k], []).append((j, k))
+    for i, ring in enumerate(rings):
+        pairs = []
+        for k1, arc in enumerate(arcs[i]):
+            pairs += [(j, k1, k2) for j, k2 in by_arc.get(rest.get(arc), ()) if j >= i]
+        for j, k1, k2 in sorted(pairs):
+            glued = _glued_ring(ring, k1, rings[j], k2)
+            if glued is not None and _ring_key(*glued) == g_key:
+                return candidates[i], candidates[j]
     return None
 
 
@@ -988,12 +986,12 @@ def classify_fiber(g: WeightGraph) -> Classification:
     other graphs are rejected at once.  The search then runs over exactly
     the Hir(q;a,b) whose edge weights fit among the graph's, so its cost
     depends on the number of distinct weights, not on their size.  No
-    candidate graph is built: a four-point graph is compared with the
-    closed-form key of each candidate whose weights equal its own, and a
-    sum is looked up by the candidates' closed-form vertex profiles, with
-    graphs built only for the factors of a pair that passes.  An unmatched
-    graph is reported, not an error, with the invariant that failed as
-    ``reason``, since the catalogue makes no completeness claim.
+    graph is built: a four-point graph is compared with the closed-form
+    key of each candidate whose weights equal its own, and a six-point one
+    with the keys of the glued rings of candidate pairs whose arc profiles
+    fit its own (``_connected_sum_match``).  An unmatched graph is
+    reported, not an error, with the invariant that failed as ``reason``,
+    since the catalogue makes no completeness claim.
     """
     if g.squares:
         eulers = sorted(e for _, e in g.squares)

@@ -253,11 +253,19 @@ def test_empty_eta_is_the_one_coset_poset(capsys):
     assert code == 0
     assert out == 'digraph hasse {\n  rankdir=BT;\n  node [shape=plaintext];\n  "1234";\n}\n'
     # One coset is an odd cardinality, so no ideal can be balanced.
-    with pytest.warns(UserWarning, match="odd cardinality"):
-        code, out, err = run(capsys, "ideals", "--family", "A", "--rank", "3", "--eta", "")
+    code, out, err = run(capsys, "ideals", "--family", "A", "--rank", "3", "--eta", "")
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert (payload["eta"], payload["positions"], payload["balanced_ideals"]) == ([], ["1234"], [])
+
+
+def test_ideals_on_an_odd_poset_leaves_stderr_empty():
+    # One coset, and the three of CP^2: no balanced ideal, and nothing on stderr.
+    for rank, eta, positions in (("3", "", ["1234"]), ("2", "1", ["123", "213", "312"])):
+        done = run_child("-m", "flagfibers.cli", "ideals", "--family", "A", "--rank", rank, "--eta", eta)
+        assert (done.returncode, done.stderr) == (0, ""), (rank, eta)
+        payload = json.loads(done.stdout)
+        assert (payload["positions"], payload["balanced_ideals"]) == (positions, []), (rank, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,7 @@ def test_balanced_ideals_of_full_c2_poset_match_oracle():
 def test_search_and_left_action_match_antichain_and_product_oracles(case):
     system, eta = case
     poset = double_cosets(system, frozenset(system.simple_indices), eta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # odd posets warn that they have none
-        balanced = enumerate_balanced_ideals(poset)
+    balanced = enumerate_balanced_ideals(poset)
     assert [b.members for b in balanced] == oracles.balanced_ideals_antichain_oracle(poset)
     for b in balanced:
         assert minimal_anosov_type(b) == oracles.minimal_anosov_type_oracle(b)
@@ -183,10 +181,11 @@ def test_full_type_a4_balanced_ideals():
         assert Ideal(poset, b.members).is_balanced()
 
 
-def test_odd_poset_warns_and_returns_empty():
+def test_odd_poset_returns_empty_without_warning():
     poset = poset_of(A2, {1})  # CP^2 positions: a 3-chain
     assert len(poset) == 3
-    with pytest.warns(UserWarning, match="odd cardinality"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert enumerate_balanced_ideals(poset) == []
 
 

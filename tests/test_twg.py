@@ -57,11 +57,12 @@ from flagfibers.twg import (
     permuted_form,
     sign_of_fixed_point,
     tangent_weights_lagrangian,
+    _RING,
+    _arc_profiles,
+    _glued_ring,
     _hirzebruch_candidates,
     _hirzebruch_ring,
     _ring_key,
-    _ring_profiles,
-    _vertex_profiles,
 )
 from flagfibers import weyl
 
@@ -563,7 +564,6 @@ def test_ring_closed_forms_match_the_built_graph():
             g = hirzebruch_graph(q, a, b)
             signs, weights = _hirzebruch_ring(q, a, b)
             assert _ring_key(signs, weights) == g.canonical_key(), (q, a, b)
-            assert sorted(_ring_profiles(signs, weights)) == sorted(_vertex_profiles(g))
             count += 1
     assert count == 2220
 
@@ -1037,6 +1037,41 @@ def bump_one_weight(rng: random.Random, g: WeightGraph) -> WeightGraph:
     return WeightGraph(g.rounds, g.squares, edges)
 
 
+def test_glued_ring_matches_the_built_sum():
+    # Every ordered pair of Hirs of largest weight <= 3, either sign of b, and
+    # a seeded sample at <= 4, glued at all 16 pairs of points.
+    def hirs(largest: int) -> list[tuple[int, int, int]]:
+        return [
+            (q, a, b)
+            for q in range(2 * largest + 1)
+            for a in range(-largest, largest + 1)
+            for b in range(-largest, largest + 1)
+            if a and b and math.gcd(abs(a), abs(b)) == 1 and 0 < abs(a + q * b) <= largest
+        ]
+
+    rng = random.Random(14)
+    pairs = list(itertools.product(hirs(3), repeat=2))
+    sample = hirs(4)
+    pairs += [(rng.choice(sample), rng.choice(sample)) for _ in range(400)]
+    legal = 0
+    for p1, p2 in pairs:
+        ring1, ring2 = _hirzebruch_ring(*p1), _hirzebruch_ring(*p2)
+        g1, g2 = hirzebruch_graph(*p1), hirzebruch_graph(*p2)
+        arcs1, arcs2 = _arc_profiles(*ring1), _arc_profiles(*ring2)
+        for k1, k2 in itertools.product(range(4), repeat=2):
+            glued = _glued_ring(ring1, k1, ring2, k2)
+            try:
+                total = connected_sum(g1, _RING[k1], g2, _RING[k2])
+            except ValueError:
+                assert glued is None, (p1, k1, p2, k2)
+                continue
+            assert _ring_key(*glued) == total.canonical_key(), (p1, k1, p2, k2)
+            profiles = [(total.sign_of(v), total.incident_weights(v)) for v, _ in total.rounds]
+            assert sorted(arcs1[k1] + arcs2[k2]) == sorted(profiles), (p1, k1, p2, k2)
+            legal += 1
+    assert (len(pairs), legal) == (5876, 11982)
+
+
 def test_classify_matches_catalogue_oracle():
     rng = random.Random(20260)
     hirs = [hirzebruch_graph(*p) for p in hirzebruch_params_up_to(4)]
@@ -1069,20 +1104,14 @@ def test_classify_builds_no_candidate_graphs(monkeypatch):
     sums = [fiber_weight_graph(Partition((3,)), "full", CircleGroup.PSO2)]
     sums += sum_sample(rng, hirzebruch_params_up_to(3), 6)
     sums += [flip_one_sign(rng, g) for g in sums]
-    expected = [classify_fiber(g) for g in hirs + sums]
+    graphs = hirs + sums + random_balanced_graphs(rng, 20)
+    expected = [classify_fiber(g) for g in graphs]
+    assert {record.matched for record in expected} == {True, False}
     monkeypatch.setattr(WeightGraph, "__post_init__", counting)
     monkeypatch.setattr(twg, "hirzebruch_graph", building)
-    for g, record in zip(hirs, expected):
+    for g, record in zip(graphs, expected):
         assert classify_fiber(g) == record
-        assert built == []
-    for g, record in zip(sums, expected[len(hirs):]):
-        built.clear()
-        factors.clear()
-        assert classify_fiber(g) == record
-        # Each factor at most once; every other graph built is a sum of two.
-        assert len(set(factors)) == len(factors)
-        assert factors or not record.matched
-        assert sum(all(i.startswith("p") for i, _ in h.rounds) for h in built) == len(factors)
+        assert (built, factors) == ([], []), g
 
 
 def random_balanced_graphs(rng: random.Random, count: int) -> list[WeightGraph]:
