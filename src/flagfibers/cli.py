@@ -26,13 +26,16 @@ from pathlib import Path
 
 from .dims import enumerate_3dim_flag_varieties, fullcases_table
 from .flags import (
+    ExactFlag,
     SymplecticForm,
     flag_from_json,
+    isotropic_signature,
     json_fields,
     matrix_from_json,
     matrix_to_json,
     relative_position_full,
     relative_position_symplectic,
+    signature_from_json,
 )
 from .ideals import enumerate_balanced_ideals, minimal_anosov_type
 from .sl2reps import (
@@ -200,9 +203,24 @@ def _cmd_ideals(args) -> int:
     return EXIT_OK
 
 
+def _read_position_flag(path: str, symplectic: bool) -> ExactFlag:
+    """A flag of the signature the question takes.  Any other is refused
+    before its basis is completed, which for leading columns in C^n costs
+    time and memory of order n^2 whatever the columns are."""
+    data = _load_json(path)
+    signature = signature_from_json(data)
+    if symplectic:
+        n, odd = divmod(signature.ambient, 2)
+        if odd or signature != isotropic_signature(n):
+            raise ValueError("expected a complete isotropic flag (signature 1..n)")
+    elif not signature.is_full():
+        raise ValueError("expected a full flag (signature 1..n-1)")
+    return flag_from_json(data)
+
+
 def _cmd_position(args) -> int:
-    first = flag_from_json(_load_json(args.flag))
-    second = flag_from_json(_load_json(args.other))
+    first = _read_position_flag(args.flag, bool(args.symplectic))
+    second = _read_position_flag(args.other, bool(args.symplectic))
     if args.symplectic:
         omega = _form_from_json(_load_json(args.symplectic))
         w = relative_position_symplectic(first, second, omega)

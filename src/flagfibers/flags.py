@@ -236,6 +236,10 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(a or b for col in self._columns for a, b in col)
 
+    def nonzero_positions(self) -> list[tuple[int, int]]:
+        """The (row, column) indices of the nonzero entries, column by column."""
+        return [(i, j) for j, col in enumerate(self._columns) for i, (a, b) in enumerate(col) if a or b]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -596,15 +600,20 @@ def flag_to_json(flag: ExactFlag) -> dict:
     }
 
 
-def flag_from_json(data) -> ExactFlag:
-    """Rebuild a flag from its full basis or leading columns; bad shapes raise ValueError."""
-    ambient, dims, rows = json_fields(data, "flag", ("ambient", "signature", "matrix"))
+def signature_from_json(data) -> Signature:
+    """The signature of a flag document, read without its matrix; bad shapes raise ValueError."""
+    ambient, dims, _ = json_fields(data, "flag", ("ambient", "signature", "matrix"))
     if type(ambient) is not int:
         raise ValueError('flag JSON "ambient" must be an integer')
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ValueError('flag JSON "signature" must be a list of integers')
-    signature = Signature(tuple(dims), ambient)
-    matrix = matrix_from_json(rows)
+    return Signature(tuple(dims), ambient)
+
+
+def flag_from_json(data) -> ExactFlag:
+    """Rebuild a flag from its full basis or leading columns; bad shapes raise ValueError."""
+    signature = signature_from_json(data)
+    matrix = matrix_from_json(data["matrix"])
     if matrix.cols == signature.ambient:
         return ExactFlag(signature, matrix)
     if matrix.cols == signature.top:

@@ -3,11 +3,21 @@
 Given an n-dimensional representation with its labeled circle-weight basis,
 the circle acts on flag varieties of the representation space.  This module
 locates the fixed flags (isolated points and projective-line families),
-computes exact tangent weights at each fixed point, strings invariant
-two-spheres into a labeled graph, transfers the graph from the ambient flag
-variety to the four-dimensional fiber, and classifies the result against the
-catalogue of Hirzebruch-surface circle actions and their equivariant
-connected sums.
+reads the tangent weights and invariant two-spheres at each fixed point off
+one chart pass, strings the spheres into a labeled graph, transfers the
+graph from the ambient flag variety to the four-dimensional fiber, and
+classifies the result against the catalogue of Hirzebruch-surface circle
+actions and their equivariant connected sums.
+
+The tangent data is in closed form, with no linear algebra.  At the fixed
+flag spanned by weight vectors v_1, ..., v_n of weights w_1, ..., w_n, the
+chart direction (i, j) moving v_j toward v_i has weight w_i - w_j (halved
+for the projectivized circle), and its sphere ends at the flag with v_i and
+v_j swapped.  At a fixed Lagrangian L = <v_1, ..., v_n> of C^2n,
+T_L Lag = Sym^2(L*), so the weights are -(w_i + w_j), i <= j, halved
+likewise; the sphere of direction {i, j} ends where v_i swaps with the
+form's partner of v_j and v_j with that of v_i.  The partner is the one
+basis vector each pairs with.
 
 The catalogue graphs Hir(q; a, b) live on four fixed points p1, p2, p3, p4
 arranged in a cycle p1-p2-p4-p3 with edge weights |a|, |b|, |a+qb|, |b| and
@@ -34,7 +44,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .flags import (
-    ExactMatrix,
     Signature,
     SymplecticForm,
     full_signature,
@@ -93,64 +102,6 @@ def chart_index_set(sig: Signature) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Weight differences over the chart index set; blocked entries are None."""
-
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    entries: tuple[tuple[int | None, ...], ...]
-
-    def entry(self, i: int, j: int) -> int | None:
-        """1-based lookup."""
-        return self.entries[i - 1][j - 1]
-
-    def entry_values(self) -> tuple[int, ...]:
-        return tuple(
-            value for row in self.entries for value in row if value is not None
-        )
-
-    def __str__(self) -> str:
-        width = max(
-            [len(label) for label in self.row_labels + self.col_labels]
-            + [len(str(v)) for v in self.entry_values()] or [1]
-        )
-        def pad(text: str) -> str:
-            return text.rjust(width)
-
-        head = " " * width + " " + " ".join(pad(c) for c in self.col_labels)
-        lines = [head]
-        for label, row in zip(self.row_labels, self.entries):
-            cells = " ".join(pad("*" if v is None else str(v)) for v in row)
-            lines.append(f"{pad(label)} {cells}")
-        return "\n".join(lines)
-
-
-def difference_matrix(
-    order: WeightedBasis, sig: Signature, group: CircleGroup
-) -> DifferenceMatrix:
-    """Scaled weight differences w_i - w_j at a fixed flag in the given order.
-
-    The entry multiset is the tangent-weight multiset of the flag variety at
-    the fixed flag spanned by the ordered basis.
-    """
-    if len(order) != sig.ambient:
-        raise ValueError("basis size must match the ambient dimension")
-    group.check_weights(order.weights)
-    n = len(order)
-    allowed = set(chart_index_set(sig))
-    rows = tuple(
-        tuple(
-            group.scaled(order.weights[i] - order.weights[j])
-            if (i + 1, j + 1) in allowed
-            else None
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return DifferenceMatrix(order.labels, order.labels, rows)
-
-
 # ---------------------------------------------------------------------------
 # fixed loci
 
@@ -194,19 +145,45 @@ class FixedLocus:
     surfaces: tuple[FixedSurface, ...]
 
 
+def form_partners(basis: WeightedBasis, omega: SymplecticForm) -> dict[str, str]:
+    """The label of the one basis vector that each basis vector pairs with.
+
+    Read from the nonzero entries of the Gram matrix, one in each row.  An
+    invariant form pairs a vector of weight w with one of weight -w, so a
+    coordinate span is isotropic exactly when it holds no label together
+    with its partner.
+
+    >>> p = Partition((2, 1, 1))
+    >>> form_partners(so2_weight_basis(p), invariant_symplectic_form(p))
+    {'f1': 'f-1', 'f-1': 'f1', 'X2': 'Y2', 'Y2': 'X2'}
+    """
+    if omega.ambient != len(basis):
+        raise ValueError("form and basis sizes differ")
+    labels, weights = basis.labels, basis.weights
+    partner: dict[str, str] = {}
+    for i, j in omega.gram.nonzero_positions():
+        if labels[j] in partner:
+            raise NotImplementedError("the form pairs a basis vector with more than one other")
+        if weights[i] != -weights[j]:
+            raise ArithmeticError("the form does not respect the weights")
+        partner[labels[j]] = labels[i]
+    return partner
+
+
 def fixed_flags(
     basis: WeightedBasis,
     sig: Signature,
     group: CircleGroup,
-    iso: SymplecticForm | None = None,
+    partner: Mapping[str, str] | None = None,
 ) -> FixedLocus:
     """All invariant flags of the given signature, grouped by rigidity.
 
     An invariant flag decomposes each subspace along the weight eigenspaces;
     the possible intersection-dimension profiles are enumerated directly.
     Profiles choosing a line inside a two-dimensional eigenspace sweep a
-    projective-line family; anything bigger is out of scope.  With ``iso``
-    set, only isotropic flags (and families of them) survive.
+    projective-line family; anything bigger is out of scope.  With the
+    ``partner`` of each label under a form (:func:`form_partners`), only
+    isotropic flags (and families of them) survive.
     """
     group.check_weights(basis.weights)
     if sig.ambient != len(basis):
@@ -221,6 +198,9 @@ def fixed_flags(
 
     def monotone_profiles(mult: int):
         return itertools.combinations_with_replacement(range(mult + 1), depth)
+
+    def isotropic(labels: Sequence[str]) -> bool:
+        return partner is None or not any(partner[label] in labels for label in labels)
 
     isolated: list[IsolatedFixedFlag] = []
     surfaces: list[FixedSurface] = []
@@ -265,9 +245,7 @@ def fixed_flags(
             used = {label for level in level_groups for label in level}
             completion = tuple(l for l in basis.labels if l not in used)
             flag = IsolatedFixedFlag(tuple(level_groups), completion)
-            if iso is not None and not _spans_isotropic(
-                basis, iso, flag.flag_order[: sig.top]
-            ):
+            if not isotropic(flag.flag_order[: sig.top]):
                 continue
             isolated.append(flag)
         else:
@@ -284,9 +262,7 @@ def fixed_flags(
             # space with either pencil vector; the plane's own pairing matters
             # only if some level swallows the plane whole.
             parts = [pencil] if pencil_completed else [(label,) for label in pencil]
-            if iso is not None and not all(
-                _spans_isotropic(basis, iso, [*anchored, *part]) for part in parts
-            ):
+            if not all(isotropic([*anchored, *part]) for part in parts):
                 continue
             surfaces.append(FixedSurface(tuple(anchored), pencil))
 
@@ -295,20 +271,6 @@ def fixed_flags(
     if len({s.id for s in surfaces}) != len(surfaces):
         raise NotImplementedError("coincident fixed-surface families")
     return FixedLocus(tuple(isolated), tuple(surfaces))
-
-
-def _spans_isotropic(
-    basis: WeightedBasis, iso: SymplecticForm, labels: Sequence[str]
-) -> bool:
-    """Whether the form vanishes on the span of these basis vectors.
-
-    The span of coordinate vectors is isotropic exactly when every Gram entry
-    among their indices is zero.
-    """
-    positions = [basis.index_of(label) for label in labels]
-    return not any(
-        iso.gram.entry(i, j) for i, j in itertools.combinations(positions, 2)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,153 +288,60 @@ def sign_of_fixed_point(weights: Iterable[int]) -> int:
     return -1 if negatives % 2 else 1
 
 
-def exceptional_sphere_targets(
-    order: WeightedBasis, sig: Signature, group: CircleGroup
-) -> list[tuple[tuple[int, int], tuple[str, ...], int]]:
-    """Invariant spheres leaving a fixed flag along chart directions.
+def chart_directions(
+    order: WeightedBasis,
+    sig: Signature,
+    group: CircleGroup,
+    partner: Mapping[str, str] | None = None,
+) -> list[tuple[int, tuple[str, ...]]]:
+    """The weight and far end of each chart direction at the fixed flag ``order`` spans.
 
-    Each chart direction of scaled weight of absolute value >= 2 closes to a
-    sphere ending at the flag with the two basis vectors swapped; weight-1
-    directions are principal and weight-0 directions lie along fixed
-    surfaces, so neither yields a sphere.
+    In a flag chart, direction (i, j) of :func:`chart_index_set` has weight
+    scaled(w_i - w_j), and its invariant sphere ends at the flag with the
+    i-th and j-th vectors swapped.  With ``partner`` (see
+    :func:`form_partners`) the chart is that of the Lagrangian locus at the
+    span L of the first n vectors, where T_L Lag = Sym^2(L*): direction
+    {i <= j} has weight -scaled(w_i + w_j) and ends where v_i swaps with the
+    partner of v_j and v_j with the partner of v_i.  Two Lagrangian
+    directions sharing a weight of absolute value >= 2 span a plane of
+    sphere directions, whose ends are not followed: that raises
+    ``NotImplementedError``.
+
+    >>> basis = so2_weight_basis(Partition((4,)))
+    >>> chart_directions(basis, Signature((1,), 4), CircleGroup.PSO2)[0]
+    (-1, ('f1', 'f3', 'f-1', 'f-3'))
     """
+    if len(order) != sig.ambient:
+        raise ValueError("basis size must match the ambient dimension")
     group.check_weights(order.weights)
-    out = []
-    for i, j in chart_index_set(sig):
-        delta = group.scaled(order.weights[i - 1] - order.weights[j - 1])
-        if abs(delta) < 2:
-            continue
-        swapped = list(order.labels)
-        swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
-        out.append(((i, j), tuple(swapped), abs(delta)))
-    return out
+    labels, weights = order.labels, order.weights
 
+    def swapped(*pairs: tuple[int, int]) -> tuple[str, ...]:
+        far = list(labels)
+        for a, b in pairs:
+            far[a], far[b] = far[b], far[a]
+        return tuple(far)
 
-def permuted_form(
-    omega: SymplecticForm, basis: WeightedBasis, order: Sequence[str]
-) -> SymplecticForm:
-    """The form's Gram matrix reindexed to a reordering of the basis labels."""
-    positions = [basis.index_of(label) for label in order]
-    entries = [
-        [omega.gram.entry(r, c) for c in positions] for r in positions
-    ]
-    return SymplecticForm(ExactMatrix(entries))
-
-
-def _lagrangian_chart_classes(
-    order: WeightedBasis, omega: SymplecticForm, group: CircleGroup
-):
-    """Solve the linearized isotropy equations, one weight class at a time.
-
-    Chart coordinates u_ij (1 <= i, j <= n) move the j-th spanning vector
-    toward the (n+i)-th; the coordinate's weight is the scaled difference.
-    Isotropy of the deformed span is one linear equation per pair j < k, and
-    each equation touches a single weight class, so the classes are solved
-    independently and exactly.  Returns (class weight -> kernel basis,
-    coordinate list per class).
-    """
-    size = len(order)
-    if size % 2 or omega.ambient != size:
-        raise ValueError("a Lagrangian chart needs an even ambient dimension")
-    n = size // 2
-    group.check_weights(order.weights)
-    gram = omega.gram
-    for a in range(n):
-        for b in range(n):
-            if gram.entry(a, b):
-                raise ValueError("flag is not Lagrangian for the given form")
-
-    coords = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    weight_of = {
-        (i, j): group.scaled(order.weights[n + i - 1] - order.weights[j - 1])
-        for (i, j) in coords
-    }
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for c in coords:
-        classes.setdefault(weight_of[c], []).append(c)
-
-    # For j < k the keys (i, k) and (i, j) never collide, so each coefficient
-    # is a single Gram entry or its negation.
-    negated = -gram
-    rows = []
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            row = {(i, k): gram.entry(j - 1, n + i - 1) for i in range(1, n + 1)}
-            row |= {(i, j): negated.entry(k - 1, n + i - 1) for i in range(1, n + 1)}
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-
-    solved: dict[int, tuple[list[tuple[int, int]], ExactMatrix]] = {}
-    for w, members in sorted(classes.items(), reverse=True):
-        member_set = set(members)
-        relevant = []
-        for row in rows:
-            support = set(row)
-            if support & member_set:
-                if not support <= member_set:
-                    raise ArithmeticError(
-                        "isotropy equations are not weight-homogeneous; "
-                        "the form does not respect the weights"
-                    )
-                relevant.append(row)
-        if relevant:
-            matrix = ExactMatrix([[row.get(c, 0) for c in members] for row in relevant])
-            kernel = matrix.nullspace()
-        else:
-            kernel = ExactMatrix.identity(len(members))
-        solved[w] = (members, kernel)
-    return solved
-
-
-def tangent_weights_lagrangian(
-    order: WeightedBasis, omega: SymplecticForm, group: CircleGroup
-) -> tuple[int, ...]:
-    """Tangent-weight multiset of the Lagrangian locus at a fixed point.
-
-    The Gram matrix must be given in the coordinates of ``order`` (see
-    :func:`permuted_form`).
-    """
-    solved = _lagrangian_chart_classes(order, omega, group)
-    weights: list[int] = []
-    for w, (_, kernel) in solved.items():
-        weights.extend([w] * kernel.cols)
-    n = len(order) // 2
-    if len(weights) != n * (n + 1) // 2:
-        raise ArithmeticError("isotropy cut has the wrong dimension")
-    return tuple(sorted(weights, reverse=True))
-
-
-def lagrangian_sphere_targets(
-    order: WeightedBasis, omega: SymplecticForm, group: CircleGroup
-) -> list[tuple[int, tuple[str, ...], int]]:
-    """Invariant spheres in the Lagrangian locus through a fixed point.
-
-    A weight class of the cut chart with a one-dimensional solution and
-    weight of absolute value >= 2 closes to a sphere; the far endpoint swaps
-    every spanning vector paired by the support of the solution.
-    """
-    solved = _lagrangian_chart_classes(order, omega, group)
-    n = len(order) // 2
-    out = []
-    for w, (members, kernel) in sorted(solved.items(), reverse=True):
-        if abs(w) < 2 or kernel.cols == 0:
-            continue
-        if kernel.cols != 1:
-            raise NotImplementedError("sphere direction with multiplicity")
-        support = [
-            members[r] for r in range(kernel.rows) if kernel.entry(r, 0)
+    if partner is None:
+        return [
+            (group.scaled(weights[i - 1] - weights[j - 1]), swapped((i - 1, j - 1)))
+            for i, j in chart_index_set(sig)
         ]
-        swapped = list(order.labels)
-        touched: set[int] = set()
-        for i, j in support:
-            a, b = j - 1, n + i - 1
-            if a in touched or b in touched:
-                raise NotImplementedError("sphere support is not a disjoint swap")
-            touched.update((a, b))
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-        out.append((w, tuple(swapped), abs(w)))
-    return out
+    n = sig.top
+    if sig.dims != (n,) or 2 * n != sig.ambient:
+        raise ValueError("a Lagrangian chart needs the signature (n) in C^2n")
+    top = labels[:n]
+    if any(partner[label] in top for label in top):
+        raise ValueError("flag is not Lagrangian for the given form")
+    across = [labels.index(partner[label]) for label in top]
+    directions = [
+        # A set of the two swaps, which coincide when i = j.
+        (-group.scaled(weights[i] + weights[j]), swapped(*{(i, across[j]), (j, across[i])}))
+        for i, j in itertools.combinations_with_replacement(range(n), 2)
+    ]
+    if any(abs(w) >= 2 and count > 1 for w, count in Counter(w for w, _ in directions).items()):
+        raise NotImplementedError("sphere direction with multiplicity")
+    return directions
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +959,7 @@ def analyze_action(
     """
     basis = so2_weight_basis(partition)
     n = partition.total
-    omega = None
+    partner = None
     c1_coeff = None
     if kind == "full":
         if n * (n - 1) // 2 != 3:
@@ -1105,36 +974,29 @@ def analyze_action(
         if n != 4:
             raise ValueError("the Lagrangian Grassmannian is 3-dimensional only for n = 4")
         sig = Signature((n // 2,), n)
-        omega = invariant_symplectic_form(partition)
+        partner = form_partners(basis, invariant_symplectic_form(partition))
         # Lag(C^4) is the quadric threefold.
         c1_coeff = complete_intersection_c1_coeff(4, (2,))
     else:
         raise ValueError(f"unknown flag variety kind {kind!r}")
 
-    locus = fixed_flags(basis, sig, group, iso=omega)
+    locus = fixed_flags(basis, sig, group, partner)
 
     rounds = []
     tangents: dict[str, tuple[int, ...]] = {}
     sightings: Counter[tuple[str, str, int]] = Counter()
     for flag in locus.isolated:
-        order = basis.permuted(flag.flag_order)
-        if kind == "lag":
-            local_form = permuted_form(omega, basis, flag.flag_order)
-            weights = tangent_weights_lagrangian(order, local_form, group)
-            targets = lagrangian_sphere_targets(order, local_form, group)
-        else:
-            weights = tuple(
-                sorted(
-                    difference_matrix(order, sig, group).entry_values(),
-                    reverse=True,
-                )
-            )
-            targets = exceptional_sphere_targets(order, sig, group)
+        directions = chart_directions(basis.permuted(flag.flag_order), sig, group, partner)
+        weights = tuple(sorted((w for w, _ in directions), reverse=True))
         tangents[flag.id] = weights
         rounds.append((flag.id, sign_of_fixed_point(weights)))
-        for _, swapped, weight in targets:
-            other = _order_to_id(swapped, sig, basis)
-            key = (min(flag.id, other), max(flag.id, other), weight)
+        # Weight-1 directions are principal and weight-0 ones lie along fixed
+        # surfaces, so only the others close to invariant spheres.
+        for weight, far_end in directions:
+            if abs(weight) < 2:
+                continue
+            other = _order_to_id(far_end, sig, basis)
+            key = (min(flag.id, other), max(flag.id, other), abs(weight))
             sightings[key] += 1
 
     if any(count != 2 for count in sightings.values()):

@@ -620,9 +620,3 @@ def sign_vector(w: WeylElement) -> tuple[int, ...]:
         raise ValueError("sign vectors are defined for type C elements only")
     inv = w.inverse()
     return tuple(1 if inv.window[k] > 0 else -1 for k in range(w.system.degree))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -45,7 +45,11 @@ Everything here deliberately avoids the library's own code paths:
   f_w = (X - iY)^a (X + iY)^b in monomials and multiplying out
   ``basis^T @ pairing @ basis`` with the library's exact matrices;
 - the census of three-dimensional flag varieties comes from scanning every
-  index subset at every rank.
+  index subset at every rank;
+- tangent weights and sphere ends of the Lagrangian locus come from the
+  library's earlier route: the Gram matrix reindexed to the fixed point,
+  and the linearized isotropy equations of the chart solved exactly, one
+  weight class at a time, with ``ExactMatrix.nullspace``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
 from flagfibers.flags import (
@@ -66,7 +71,9 @@ from flagfibers.flags import (
     omega_perp,
 )
 from flagfibers.ideals import Ideal, all_ideals
+from flagfibers.sl2reps import WeightedBasis
 from flagfibers.twg import (
+    CircleGroup,
     Classification,
     WeightGraph,
     _canonical_name,
@@ -859,3 +866,95 @@ def census_oracle(max_rank: int) -> list[FlagVarietyDescriptor]:
                     if flag_dim(d) == 3:
                         found.append(d)
     return found
+
+
+# ---------------------------------------------------------------------------
+# the Lagrangian chart, by solving the linearized isotropy equations
+
+
+def lagrangian_chart_oracle(
+    basis: WeightedBasis,
+    omega: SymplecticForm,
+    order: Sequence[str],
+    group: CircleGroup,
+) -> tuple[tuple[int, ...], dict[int, tuple[str, ...] | None]]:
+    """Tangent weights and sphere ends of the Lagrangian locus at the span of
+    the first half of ``order``, a reordering of the basis labels.
+
+    Chart coordinates u_ij (1 <= i, j <= n) move the j-th spanning vector
+    toward the (n+i)-th; the coordinate's weight is the scaled difference.
+    Isotropy of the deformed span is one linear equation per pair j < k, and
+    each equation touches a single weight class, so the classes are solved
+    independently.  Returns the weights, largest first, and for each class
+    of weight of absolute value >= 2 with solutions, the far end of its
+    sphere (every spanning vector swapped with the one the solution's support
+    pairs it with), or None when the class has more than one solution.
+    """
+    positions = [basis.index_of(label) for label in order]
+    gram = ExactMatrix(
+        [[omega.gram.entry(r, c) for c in positions] for r in positions]
+    )
+    weights = [basis.weight_of(label) for label in order]
+    size = len(order)
+    if size % 2 or gram.rows != size:
+        raise ValueError("a Lagrangian chart needs an even ambient dimension")
+    n = size // 2
+    group.check_weights(weights)
+    for a in range(n):
+        for b in range(n):
+            if gram.entry(a, b):
+                raise ValueError("flag is not Lagrangian for the given form")
+
+    coords = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for i, j in coords:
+        classes.setdefault(group.scaled(weights[n + i - 1] - weights[j - 1]), []).append((i, j))
+    # For j < k the keys (i, k) and (i, j) never collide, so each coefficient
+    # is a single Gram entry or its negation.
+    negated = -gram
+    rows = []
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            row = {(i, k): gram.entry(j - 1, n + i - 1) for i in range(1, n + 1)}
+            row |= {(i, j): negated.entry(k - 1, n + i - 1) for i in range(1, n + 1)}
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+
+    tangent: list[int] = []
+    spheres: dict[int, tuple[str, ...] | None] = {}
+    for w, members in sorted(classes.items(), reverse=True):
+        member_set = set(members)
+        relevant = []
+        for row in rows:
+            support = set(row)
+            if support & member_set:
+                if not support <= member_set:
+                    raise ArithmeticError(
+                        "isotropy equations are not weight-homogeneous; "
+                        "the form does not respect the weights"
+                    )
+                relevant.append(row)
+        if relevant:
+            matrix = ExactMatrix([[row.get(c, 0) for c in members] for row in relevant])
+            kernel = matrix.nullspace()
+        else:
+            kernel = ExactMatrix.identity(len(members))
+        tangent.extend([w] * kernel.cols)
+        if abs(w) < 2 or kernel.cols == 0:
+            continue
+        if kernel.cols != 1:
+            spheres[w] = None
+            continue
+        swapped = list(order)
+        touched: set[int] = set()
+        for i, j in (members[r] for r in range(kernel.rows) if kernel.entry(r, 0)):
+            a, b = j - 1, n + i - 1
+            if a in touched or b in touched:
+                raise NotImplementedError("sphere support is not a disjoint swap")
+            touched.update((a, b))
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+        spheres[w] = tuple(swapped)
+    if len(tangent) != n * (n + 1) // 2:
+        raise ArithmeticError("isotropy cut has the wrong dimension")
+    return tuple(sorted(tangent, reverse=True)), spheres

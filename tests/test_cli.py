@@ -55,12 +55,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(*args) -> subprocess.CompletedProcess:
+def run_child(*args, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run ``python args...`` in a fresh interpreter that sees the package."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -353,6 +353,29 @@ def test_position_computation_errors(capsys, tmp_path):
         assert code_out_err == (2, "", f"error: {message}\n")
 
 
+def test_position_refuses_a_signature_before_completing_the_flag(tmp_path):
+    # 256 MB of address space and one column in C^100000 (a 1 MB file): its
+    # n x n completion would not fit in the memory, nor in the time bound.
+    script = (
+        "import resource, sys; from flagfibers.cli import main; "
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    n = 10**5
+    rows = [[["1", "0"]]] + [[["0", "0"]]] * (n - 1)
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"ambient": n, "signature": [1], "matrix": rows}))
+    form = write_form_file(tmp_path / "w.json", SymplecticForm.standard(1))
+    for extra, message in (
+        ((), "expected a full flag (signature 1..n-1)"),
+        (("--symplectic", form), "expected a complete isotropic flag (signature 1..n)"),
+    ):
+        start = time.perf_counter()
+        done = run_child("-c", script, "position", str(line), str(line), *extra)
+        assert time.perf_counter() - start < 2.0
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_position_stdout_matches_jump_pattern_oracle(capsys, tmp_path):
     """100 seeded pairs in every shape; the expected text is built from the
     oracle's window the way ``position`` has always printed it."""
@@ -636,6 +659,15 @@ def test_census_large_rank_matches_default(capsys):
     assert code == 0
     assert out == default
     assert elapsed < 2.0, f"census --max-rank 60 took {elapsed:.2f} s"
+
+
+def test_census_huge_rank_answers_at_once():
+    default = run_child("-m", "flagfibers.cli", "census")
+    start = time.perf_counter()
+    done = run_child("-m", "flagfibers.cli", "census", "--max-rank", str(10**6), timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == default.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from flagfibers.flags import (
     ExactMatrix,
     GaussianRational,
     Signature,
+    SymplecticForm,
     is_isotropic,
 )
 from flagfibers.sl2reps import (
@@ -32,7 +34,7 @@ from flagfibers.sl2reps import (
     partitions_of,
     so2_weight_basis,
 )
-from flagfibers import twg
+from flagfibers import flags, twg
 from flagfibers.twg import (
     ActionAnalysis,
     CircleGroup,
@@ -40,23 +42,20 @@ from flagfibers.twg import (
     WeightGraph,
     ambient_to_fiber_graph,
     analyze_action,
+    chart_directions,
     chart_index_set,
     check_almost_complex_obstruction,
     classify_fiber,
     complete_intersection_c1_coeff,
     connected_sum,
-    difference_matrix,
-    exceptional_sphere_targets,
     fiber_tangent_weights,
     fiber_weight_graph,
     fixed_flags,
     fixed_surface_euler,
+    form_partners,
     graphs_isomorphic,
     hirzebruch_graph,
-    lagrangian_sphere_targets,
-    permuted_form,
     sign_of_fixed_point,
-    tangent_weights_lagrangian,
     _RING,
     _arc_profiles,
     _glued_ring,
@@ -112,31 +111,36 @@ def test_chart_index_set():
 
 
 # ---------------------------------------------------------------------------
-# difference matrices
+# flag charts
+
+
+def weights_of(directions) -> list[int]:
+    return [w for w, _ in directions]
+
+
+def spheres_of(directions) -> list[tuple[tuple[str, ...], int]]:
+    """(far end, edge weight) of each direction that closes to a sphere."""
+    return [(far, abs(w)) for w, far in directions if abs(w) >= 2]
 
 
 def test_difference_matrix_full_flag_example():
     basis = so2_weight_basis(Partition((3,)))
     order = basis.permuted(["f2", "f-2", "f0"])
-    dm = difference_matrix(order, Signature((1, 2), 3), CircleGroup.PSO2)
-    assert sorted(dm.entry_values()) == [-2, -1, 1]
-    assert dm.entry(2, 1) == -2
-    assert dm.entry(3, 1) == -1
-    assert dm.entry(3, 2) == 1
-    assert dm.entry(1, 2) is None
-    assert "*" in str(dm)
+    directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.PSO2)
+    # Directions follow chart_index_set: (2, 1), (3, 1), (3, 2).
+    assert weights_of(directions) == [-2, -1, 1]
 
 
 def test_difference_matrix_projective_example():
     basis = so2_weight_basis(Partition((4,)))
-    dm = difference_matrix(basis, Signature((1,), 4), CircleGroup.PSO2)
-    assert sorted(dm.entry_values()) == [-3, -2, -1]
+    directions = chart_directions(basis, Signature((1,), 4), CircleGroup.PSO2)
+    assert sorted(weights_of(directions)) == [-3, -2, -1]
 
 
 def test_difference_matrix_all_equal_weights():
     basis = so2_weight_basis(Partition((1, 1, 1)))
-    dm = difference_matrix(basis, Signature((1, 2), 3), CircleGroup.SO2)
-    assert dm.entry_values() == (0, 0, 0)
+    directions = chart_directions(basis, Signature((1, 2), 3), CircleGroup.SO2)
+    assert weights_of(directions) == [0, 0, 0]
 
 
 def test_difference_matrix_entry_count_is_dimension():
@@ -147,17 +151,17 @@ def test_difference_matrix_entry_count_is_dimension():
         ((4,), Signature((1, 2, 3), 4), 6),
     ]:
         basis = so2_weight_basis(Partition(parts))
-        dm = difference_matrix(basis, sig, CircleGroup.SO2)
-        assert len(dm.entry_values()) == dim == len(chart_index_set(sig))
+        directions = chart_directions(basis, sig, CircleGroup.SO2)
+        assert len(directions) == dim == len(chart_index_set(sig))
 
 
 def test_difference_matrix_validation():
     basis = so2_weight_basis(Partition((3,)))
-    with pytest.raises(ValueError):
-        difference_matrix(basis, Signature((1,), 4), CircleGroup.SO2)
+    with pytest.raises(ValueError, match="basis size"):
+        chart_directions(basis, Signature((1,), 4), CircleGroup.SO2)
     mixed = so2_weight_basis(Partition((2, 1)))
-    with pytest.raises(ValueError):
-        difference_matrix(mixed, Signature((1, 2), 3), CircleGroup.PSO2)
+    with pytest.raises(ValueError, match="parity"):
+        chart_directions(mixed, Signature((1, 2), 3), CircleGroup.PSO2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,8 @@ def test_fixed_flags_lagrangian_families():
     p = Partition((2, 1, 1))
     basis = so2_weight_basis(p)
     omega = invariant_symplectic_form(p)
-    locus = fixed_flags(basis, Signature((2,), 4), CircleGroup.SO2, iso=omega)
+    partner = form_partners(basis, omega)
+    locus = fixed_flags(basis, Signature((2,), 4), CircleGroup.SO2, partner=partner)
     assert not locus.isolated
     assert [s.id for s in locus.surfaces] == ["C(f-1;X2,Y2)", "C(f1;X2,Y2)"]
     # Without the isotropy filter the non-isotropic members show up too.
@@ -201,7 +206,8 @@ def test_fixed_flags_lagrangian_isolated():
     p = Partition((4,))
     basis = so2_weight_basis(p)
     omega = invariant_symplectic_form(p)
-    locus = fixed_flags(basis, Signature((2,), 4), CircleGroup.PSO2, iso=omega)
+    partner = form_partners(basis, omega)
+    locus = fixed_flags(basis, Signature((2,), 4), CircleGroup.PSO2, partner=partner)
     assert not locus.surfaces
     assert {f.id for f in locus.isolated} == {
         "f3,f1", "f3,f-1", "f1,f-3", "f-1,f-3",
@@ -227,6 +233,7 @@ def test_isotropy_rule_matches_matrix_route():
         p = Partition(parts)
         basis = so2_weight_basis(p)
         omega = invariant_symplectic_form(p)
+        partner = form_partners(basis, omega)
         half = p.total // 2
         for group in CircleGroup:
             if group is CircleGroup.PSO2 and len({w % 2 for w in basis.weights}) > 1:
@@ -238,7 +245,7 @@ def test_isotropy_rule_matches_matrix_route():
                         plain = fixed_flags(basis, sig, group)
                     except NotImplementedError:
                         continue
-                    kept = fixed_flags(basis, sig, group, iso=omega).isolated
+                    kept = fixed_flags(basis, sig, group, partner=partner).isolated
                     expected = tuple(
                         flag
                         for flag in plain.isolated
@@ -289,61 +296,148 @@ def test_sign_of_fixed_point():
 def test_exceptional_sphere_targets_full_flag():
     basis = so2_weight_basis(Partition((3,)))
     order = basis.permuted(["f2", "f-2", "f0"])
-    targets = exceptional_sphere_targets(order, Signature((1, 2), 3), CircleGroup.PSO2)
-    assert targets == [((2, 1), ("f-2", "f2", "f0"), 2)]
+    directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.PSO2)
+    assert spheres_of(directions) == [(("f-2", "f2", "f0"), 2)]
 
 
 def test_exceptional_sphere_targets_projective():
     basis = so2_weight_basis(Partition((4,)))
     order = basis.permuted(["f-3", "f3", "f1", "f-1"])
-    targets = exceptional_sphere_targets(order, Signature((1,), 4), CircleGroup.PSO2)
-    assert {(t[1][0], t[2]) for t in targets} == {("f3", 3), ("f1", 2)}
+    directions = chart_directions(order, Signature((1,), 4), CircleGroup.PSO2)
+    assert {(far[0], w) for far, w in spheres_of(directions)} == {("f3", 3), ("f1", 2)}
 
 
 def test_weight_one_directions_are_principal():
     basis = so2_weight_basis(Partition((2, 1)))
     order = basis.permuted(["f1", "f0", "f-1"])
-    targets = exceptional_sphere_targets(order, Signature((1, 2), 3), CircleGroup.SO2)
-    assert [(t[0], t[2]) for t in targets] == [((3, 1), 2)]
+    directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.SO2)
+    # Of the directions (2, 1), (3, 1), (3, 2), only (3, 1) has weight 2.
+    assert weights_of(directions) == [-1, -2, -1]
+    assert spheres_of(directions) == [(("f-1", "f0", "f1"), 2)]
 
 
 # ---------------------------------------------------------------------------
 # Lagrangian charts
 
 
-def lag_form_at(p: Partition, order: list[str]) -> tuple[WeightedBasis, object]:
+LAGRANGIAN = Signature((2,), 4)
+
+
+def lag_chart_at(p: Partition, order: list[str], group: CircleGroup):
     basis = so2_weight_basis(p)
-    omega = invariant_symplectic_form(p)
-    return basis.permuted(order), permuted_form(omega, basis, order)
+    partner = form_partners(basis, invariant_symplectic_form(p))
+    return chart_directions(basis.permuted(order), LAGRANGIAN, group, partner)
 
 
 def test_tangent_weights_lagrangian_examples():
-    order, form = lag_form_at(Partition((4,)), ["f3", "f1", "f-1", "f-3"])
-    assert tangent_weights_lagrangian(order, form, CircleGroup.PSO2) == (-1, -2, -3)
-    order, form = lag_form_at(Partition((4,)), ["f-1", "f-3", "f3", "f1"])
-    assert tangent_weights_lagrangian(order, form, CircleGroup.PSO2) == (3, 2, 1)
+    directions = lag_chart_at(Partition((4,)), ["f3", "f1", "f-1", "f-3"], CircleGroup.PSO2)
+    assert sorted(weights_of(directions), reverse=True) == [-1, -2, -3]
+    directions = lag_chart_at(Partition((4,)), ["f-1", "f-3", "f3", "f1"], CircleGroup.PSO2)
+    assert sorted(weights_of(directions), reverse=True) == [3, 2, 1]
 
 
 def test_tangent_weights_lagrangian_trivial_weights():
-    order, form = lag_form_at(Partition((1, 1, 1, 1)), ["X1", "X2", "Y1", "Y2"])
-    assert tangent_weights_lagrangian(order, form, CircleGroup.SO2) == (0, 0, 0)
+    directions = lag_chart_at(Partition((1, 1, 1, 1)), ["X1", "X2", "Y1", "Y2"], CircleGroup.SO2)
+    assert weights_of(directions) == [0, 0, 0]
 
 
 def test_tangent_weights_lagrangian_rejects_non_lagrangian():
-    order, form = lag_form_at(Partition((4,)), ["f3", "f-3", "f1", "f-1"])
-    with pytest.raises(ValueError):
-        tangent_weights_lagrangian(order, form, CircleGroup.PSO2)
+    with pytest.raises(ValueError, match="not Lagrangian"):
+        lag_chart_at(Partition((4,)), ["f3", "f-3", "f1", "f-1"], CircleGroup.PSO2)
 
 
 def test_lagrangian_sphere_targets():
-    order, form = lag_form_at(Partition((4,)), ["f3", "f1", "f-1", "f-3"])
-    targets = lagrangian_sphere_targets(order, form, CircleGroup.PSO2)
-    moved = {t[1]: t[2] for t in targets}
-    # The weight -2 class ties both chart coordinates: both columns swap.
+    directions = lag_chart_at(Partition((4,)), ["f3", "f1", "f-1", "f-3"], CircleGroup.PSO2)
+    moved = dict(spheres_of(directions))
+    # The weight -2 direction {f3, f1} moves both spanning vectors: both swap.
     assert moved == {
         ("f-1", "f-3", "f3", "f1"): 2,
         ("f-3", "f1", "f-1", "f3"): 3,
     }
+
+
+def weight_basis_lagrangians(totals):
+    """(basis, form, order, group) for each Lagrangian spanned by weight vectors.
+
+    One label of each partner pair spans it, in basis order, and the rest
+    complete it in basis order, as at a fixed point of ``analyze_action``.
+    """
+    for total in totals:
+        for p in partitions_of(total):
+            if not admits_symplectic_form(p):
+                continue
+            basis = so2_weight_basis(p)
+            omega = invariant_symplectic_form(p)
+            partner = form_partners(basis, omega)
+            pairs = {tuple(sorted((a, b), key=basis.index_of)) for a, b in partner.items()}
+            for group in CircleGroup:
+                if group is CircleGroup.PSO2 and len({w % 2 for w in basis.weights}) > 1:
+                    continue
+                for span in itertools.product(*sorted(pairs)):
+                    top = sorted(span, key=basis.index_of)
+                    order = top + [label for label in basis.labels if label not in span]
+                    yield basis, omega, order, group
+
+
+def test_lagrangian_charts_match_the_isotropy_oracle():
+    checked = refused = 0
+    for basis, omega, order, group in weight_basis_lagrangians((2, 4, 6, 8)):
+        weights, spheres = oracles.lagrangian_chart_oracle(basis, omega, order, group)
+        n = len(order) // 2
+        w = [basis.weight_of(label) for label in order[:n]]
+        sym2 = sorted(
+            (-group.scaled(w[i] + w[j]) for i in range(n) for j in range(i, n)),
+            reverse=True,
+        )
+        assert list(weights) == sym2
+        partner = form_partners(basis, omega)
+        sig = Signature((n,), 2 * n)
+        if None in spheres.values():
+            with pytest.raises(NotImplementedError, match="multiplicity"):
+                chart_directions(basis.permuted(order), sig, group, partner)
+            refused += 1
+            continue
+        directions = chart_directions(basis.permuted(order), sig, group, partner)
+        assert sorted(weights_of(directions), reverse=True) == list(weights)
+        assert {w: far for w, far in directions if abs(w) >= 2} == spheres
+        checked += 1
+    assert checked + refused == 476
+    assert checked and refused
+
+
+def test_scaled_forms_give_the_same_chart_data():
+    def chart_data(order, group, partner):
+        n = len(order) // 2
+        try:
+            return chart_directions(order, Signature((n,), 2 * n), group, partner)
+        except NotImplementedError as refusal:
+            return str(refusal)
+
+    for basis, omega, order, group in weight_basis_lagrangians((2, 4, 6)):
+        expected = chart_data(basis.permuted(order), group, form_partners(basis, omega))
+        wanted = oracles.lagrangian_chart_oracle(basis, omega, order, group)
+        size = len(basis)
+        for scale in (Fraction(1, 3), Fraction(-1, 2)):
+            scaled = SymplecticForm(ExactMatrix([
+                [omega.gram.entry(i, j).real * scale for j in range(size)]
+                for i in range(size)
+            ]))
+            assert chart_data(basis.permuted(order), group, form_partners(basis, scaled)) == expected
+            assert oracles.lagrangian_chart_oracle(basis, scaled, order, group) == wanted
+
+
+def test_form_partners_refuse_forms_the_closed_form_does_not_cover():
+    standard = SymplecticForm.standard(2)
+    with pytest.raises(ArithmeticError, match="the form does not respect the weights"):
+        form_partners(WeightedBasis(("a", "b", "c", "d"), (3, 1, -3, -1)), standard)
+    assert form_partners(WeightedBasis(("a", "b", "c", "d"), (3, 1, -1, -3)), standard) == {
+        "a": "d", "b": "c", "c": "b", "d": "a",
+    }
+    crossed = SymplecticForm(ExactMatrix([[0, 0, 1, 1], [0, 0, 0, 1], [-1, 0, 0, 0], [-1, -1, 0, 0]]))
+    with pytest.raises(NotImplementedError, match="more than one"):
+        form_partners(WeightedBasis(("a", "b", "c", "d"), (0, 0, 0, 0)), crossed)
+    with pytest.raises(ValueError, match="sizes differ"):
+        form_partners(so2_weight_basis(Partition((2,))), standard)
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +1015,27 @@ def test_case_tangent_multisets():
     a = analysis((4,), "lag", CircleGroup.PSO2)
     assert a.ambient_tangents["f3,f1"] == (-1, -2, -3)
     assert a.ambient_tangents["f-1,f-3"] == (3, 2, 1)
+
+
+def test_analyze_action_eliminates_only_to_build_the_form(monkeypatch):
+    # The chart data of every fixed point is in closed form: the only exact
+    # elimination is the rank check that builds the invariant form.
+    calls = 0
+    reduce_into = flags._reduce_into
+
+    def counting(echelon, vector):
+        nonlocal calls
+        calls += 1
+        return reduce_into(echelon, vector)
+
+    monkeypatch.setattr(flags, "_reduce_into", counting)
+    for parts, kind, group in SIX_CASES:
+        calls = 0
+        if kind == "lag":
+            invariant_symplectic_form(Partition(parts))
+        form_calls, calls = calls, 0
+        analysis(parts, kind, group)
+        assert calls == form_calls, (parts, kind)
 
 
 def test_analyze_action_validation():
