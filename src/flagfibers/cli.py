@@ -28,8 +28,8 @@ from .dims import enumerate_3dim_flag_varieties, fullcases_table
 from .flags import (
     ExactFlag,
     SymplecticForm,
+    check_position_signature,
     flag_from_json,
-    isotropic_signature,
     json_fields,
     matrix_from_json,
     matrix_to_json,
@@ -208,13 +208,7 @@ def _read_position_flag(path: str, symplectic: bool) -> ExactFlag:
     before its basis is completed, which for leading columns in C^n costs
     time and memory of order n^2 whatever the columns are."""
     data = _load_json(path)
-    signature = signature_from_json(data)
-    if symplectic:
-        n, odd = divmod(signature.ambient, 2)
-        if odd or signature != isotropic_signature(n):
-            raise ValueError("expected a complete isotropic flag (signature 1..n)")
-    elif not signature.is_full():
-        raise ValueError("expected a full flag (signature 1..n-1)")
+    check_position_signature(signature_from_json(data), symplectic)
     return flag_from_json(data)
 
 

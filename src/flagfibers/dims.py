@@ -175,24 +175,19 @@ def _descriptors(family: GroupFamily, n: int, indices: tuple[int, ...]):
         yield FlagVarietyDescriptor(family, n, indices)
 
 
-def _pool(family: GroupFamily, n: int, limit: int) -> list[int]:
-    """The indices from 1..limit whose one-index varieties have dimension <= 3."""
-    return [
-        i
-        for i in range(1, limit + 1)
-        if any(flag_dim(d) <= 3 for d in _descriptors(family, n, (i,)))
-    ]
-
-
 def _three_dim(family: GroupFamily, n: int, limit: int):
     """The dimension-3 varieties of one group with indices from 1..limit.
 
     A flag variety maps onto the Grassmannian of each of its indices, so its
-    dimension is at least that one-index variety's.  Only indices in the
-    :func:`_pool` can occur, and the index sets are the combinations of
-    those, in the order of a scan over all subsets.
+    dimension is at least that one-index variety's.  Only indices whose
+    one-index varieties have dimension <= 3 can occur, and the index sets
+    are the combinations of those, in the order of a scan over all subsets.
     """
-    pool = _pool(family, n, limit)
+    pool = [
+        i
+        for i in range(1, limit + 1)
+        if any(flag_dim(d) <= 3 for d in _descriptors(family, n, (i,)))
+    ]
     for size in range(1, len(pool) + 1):
         for indices in combinations(pool, size):
             for d in _descriptors(family, n, indices):
@@ -204,34 +199,30 @@ def enumerate_3dim_flag_varieties(max_rank: int) -> list[FlagVarietyDescriptor]:
     """All classical flag varieties of complex dimension three, by scan.
 
     Ranks from two up to ``max_rank`` are searched in each family, over the
-    index sets that can reach dimension three (see :func:`_three_dim`).  The
-    scan stops at the first rank whose groups have an empty pool, since no
-    later rank has a nonempty one.  A one-index variety's dimension is
+    index sets that can reach dimension three (see :func:`_three_dim`), and
+    no rank beyond three is searched, so the work is bounded whatever
+    ``max_rank`` is.  From rank four on every one-index variety has
+    dimension above three, so by :func:`_three_dim`'s argument no variety of
+    that rank can have dimension three.  A one-index variety's dimension is
     concave in its index k: k(m - k) for SL(m), and for isotropic k-planes
     in C^m less k(k + 1)/2 (SO) or k(k - 1)/2 (Sp).  So its least value is
     at the first or the last index, and there it grows with the rank r:
     r for SL(r+1); 2r - 1 and r(r + 1)/2 for Sp(2r); 2r - 2 and r(r - 1)/2
-    for SO(2r); 2r - 1 and r(r + 1)/2 for SO(2r+1).  Every one exceeds 3
-    from rank four on, so the work is bounded whatever ``max_rank`` is.
+    for SO(2r); 2r - 1 and r(r + 1)/2 for SO(2r+1).  At r = 4 the least of
+    these is 4.
     """
     if max_rank < 2:
         raise ValueError(f"max_rank must be >= 2, got {max_rank}")
-    groups: dict[GroupFamily, list[tuple[GroupFamily, int, int]]] = {
-        GroupFamily.SL: [], GroupFamily.Sp: [], GroupFamily.SO: []
-    }
-    for rank in range(2, max_rank + 1):
-        # (family, n, largest index) of each group of this rank
-        of_rank = [
-            (GroupFamily.SL, rank + 1, rank),
-            (GroupFamily.Sp, rank, rank),
-            (GroupFamily.SO, 2 * rank, rank),
-            (GroupFamily.SO, 2 * rank + 1, rank),
-        ]
-        if not any(_pool(*group) for group in of_rank):
-            break
-        for group in of_rank:
-            groups[group[0]].append(group)
-    return [d for family in groups.values() for group in family for d in _three_dim(*group)]
+    last = min(max_rank, 3)
+    found: list[FlagVarietyDescriptor] = []
+    for rank in range(2, last + 1):
+        found.extend(_three_dim(GroupFamily.SL, rank + 1, rank))
+    for rank in range(2, last + 1):
+        found.extend(_three_dim(GroupFamily.Sp, rank, rank))
+    for rank in range(2, last + 1):
+        for n in (2 * rank, 2 * rank + 1):
+            found.extend(_three_dim(GroupFamily.SO, n, rank))
+    return found
 
 
 @dataclass(frozen=True)

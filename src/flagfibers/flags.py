@@ -276,7 +276,8 @@ class Signature:
         return self.dims[-1] if self.dims else 0
 
     def is_full(self) -> bool:
-        return self.dims == tuple(range(1, self.ambient))
+        # Positive, strictly increasing and below n: n - 1 of them are 1..n-1.
+        return len(self.dims) == self.ambient - 1
 
 
 def full_signature(n: int) -> Signature:
@@ -287,6 +288,30 @@ def full_signature(n: int) -> Signature:
 def isotropic_signature(n: int) -> Signature:
     """Signature of a complete isotropic flag in C^{2n}: dimensions 1..n."""
     return Signature(tuple(range(1, n + 1)), 2 * n)
+
+
+def check_position_signature(
+    signature: Signature, symplectic: bool, ambient: int | None = None
+) -> None:
+    """Refuse a flag whose signature a relative position question cannot take.
+
+    The plain question takes full flags (1..n-1); the symplectic one takes
+    complete isotropic flags (1..n in C^{2n}, and C^{2n} = C^ambient if that
+    is given).  Counting the dimensions is enough, since they are positive,
+    strictly increasing and below the ambient one, so the check costs
+    O(len(dims)) whatever the ambient dimension.
+    """
+    if symplectic:
+        n, odd = divmod(signature.ambient, 2)
+        if (
+            odd
+            or len(signature.dims) != n
+            or signature.top != n
+            or ambient not in (None, signature.ambient)
+        ):
+            raise ValueError("expected a complete isotropic flag (signature 1..n)")
+    elif not signature.is_full():
+        raise ValueError("expected a full flag (signature 1..n-1)")
 
 
 @dataclass(frozen=True)
@@ -395,8 +420,8 @@ def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:
     The identity means F = H levelwise, the longest element means the flags
     are transverse.
     """
-    if not (F.signature.is_full() and H.signature.is_full()):
-        raise ValueError("expected a full flag (signature 1..n-1)")
+    check_position_signature(F.signature, symplectic=False)
+    check_position_signature(H.signature, symplectic=False)
     n = F.signature.ambient
     if H.signature.ambient != n:
         raise ValueError("ambient dimension mismatch")
@@ -479,9 +504,8 @@ def _perp_extension(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
     F^n with the completion.  Eliminated over tags, they leave under pivot j
     a combination g_j of the completion with omega(f_i, g_j) = 0 for i < j.
     """
+    check_position_signature(flag.signature, symplectic=True, ambient=omega.ambient)
     n = omega.ambient // 2
-    if flag.signature != isotropic_signature(n):
-        raise ValueError("expected a complete isotropic flag (signature 1..n)")
     basis = flag.basis
     pairing = basis.prefix_columns(n).transpose() @ omega.gram @ basis
     if not pairing.prefix_columns(n).is_zero():

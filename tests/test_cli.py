@@ -354,8 +354,10 @@ def test_position_computation_errors(capsys, tmp_path):
 
 
 def test_position_refuses_a_signature_before_completing_the_flag(tmp_path):
-    # 256 MB of address space and one column in C^100000 (a 1 MB file): its
+    # 256 MB of address space.  One column in C^100000 (a 1 MB file): its
     # n x n completion would not fit in the memory, nor in the time bound.
+    # A 60-byte file that claims C^1000000000: the refusal must not build
+    # anything of the claimed size either.
     script = (
         "import resource, sys; from flagfibers.cli import main; "
         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
@@ -365,15 +367,18 @@ def test_position_refuses_a_signature_before_completing_the_flag(tmp_path):
     rows = [[["1", "0"]]] + [[["0", "0"]]] * (n - 1)
     line = tmp_path / "line.json"
     line.write_text(json.dumps({"ambient": n, "signature": [1], "matrix": rows}))
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps({"ambient": 10**9, "signature": [1], "matrix": [[["1", "0"]]]}))
     form = write_form_file(tmp_path / "w.json", SymplecticForm.standard(1))
-    for extra, message in (
-        ((), "expected a full flag (signature 1..n-1)"),
-        (("--symplectic", form), "expected a complete isotropic flag (signature 1..n)"),
-    ):
-        start = time.perf_counter()
-        done = run_child("-c", script, "position", str(line), str(line), *extra)
-        assert time.perf_counter() - start < 2.0
-        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+    for flag in (line, claim):
+        for extra, message in (
+            ((), "expected a full flag (signature 1..n-1)"),
+            (("--symplectic", form), "expected a complete isotropic flag (signature 1..n)"),
+        ):
+            start = time.perf_counter()
+            done = run_child("-c", script, "position", str(flag), str(flag), *extra)
+            assert time.perf_counter() - start < 2.0
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_position_stdout_matches_jump_pattern_oracle(capsys, tmp_path):

@@ -313,7 +313,10 @@ def test_weight_one_directions_are_principal():
     directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.SO2)
     # Of the directions (2, 1), (3, 1), (3, 2), only (3, 1) has weight 2.
     assert weights_of(directions) == [-1, -2, -1]
-    assert spheres_of(directions) == [(("f-1", "f0", "f1"), 2)]
+    # analyze_action closes only that one to a sphere, to the flag f-1|f0.
+    edges = analyze_action(Partition((2, 1)), "full", CircleGroup.SO2).ambient_graph.edges
+    assert [edge for edge in edges if "f1|f0" in edge[:2]] == [("f-1|f0", "f1|f0", 2)]
+    assert all(weight >= 2 for _, _, weight in edges)
 
 
 # ---------------------------------------------------------------------------
