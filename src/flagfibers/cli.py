@@ -42,12 +42,13 @@ from .sl2reps import (
     Partition,
     admits_symplectic_form,
     anosov_type,
+    check_partition_total,
     invariant_symplectic_form,
     partition_weights,
     so2_weight_basis,
 )
 from .twg import CircleGroup, WeightGraph, analyze_action, classify_fiber
-from .weyl import Family, RootSystem, double_cosets, group_elements, identity, sign_vector
+from .weyl import Family, RootSystem, check_group_order, double_cosets, identity, sign_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,7 +141,7 @@ def _sign_label(signs: tuple[int, ...]) -> str:
 
 def _poset_and_labels(family: Family, rank: int, eta, signs: bool):
     system = RootSystem(family, rank)
-    group_elements(system)  # cached; refuses a group over the order limit first
+    check_group_order(system)  # before any work that grows with the rank
     full = frozenset(system.simple_indices)
     eta_set = frozenset(eta) if eta is not None else full
     if not eta_set <= set(system.simple_indices):
@@ -226,6 +227,7 @@ def _cmd_position(args) -> int:
 
 def _cmd_reps(args) -> int:
     p = Partition(_parse_ints(args.partition, "--partition"))
+    check_partition_total(p)  # before any work that grows with the total
     basis = so2_weight_basis(p)
     symplectic = p.total % 2 == 0 and admits_symplectic_form(p)
     payload = {

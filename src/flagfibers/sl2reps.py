@@ -26,6 +26,10 @@ from typing import Sequence
 
 from .flags import ExactMatrix, SymplecticForm
 
+# The invariant form of the irreducible partition (n) has n^2 entries of
+# about n bits each, so ``reps`` answers partitions of this total at most.
+PARTITION_TOTAL_LIMIT = 128
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -46,6 +50,14 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(d) for d in self.parts) + ")"
+
+
+def check_partition_total(p: Partition) -> None:
+    """Refuse a partition of total over ``PARTITION_TOTAL_LIMIT`` with a ``ValueError``."""
+    if p.total > PARTITION_TOTAL_LIMIT:
+        raise ValueError(
+            f"partition total {p.total} is above the limit of {PARTITION_TOTAL_LIMIT}"
+        )
 
 
 def partitions_of(n: int) -> list[Partition]:

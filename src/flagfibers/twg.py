@@ -957,9 +957,7 @@ def analyze_action(
     (complete flags, 3-dimensional ambient), "proj" (the projective space of
     lines), or "lag" (the Lagrangian Grassmannian of the invariant form).
     """
-    basis = so2_weight_basis(partition)
     n = partition.total
-    partner = None
     c1_coeff = None
     if kind == "full":
         if n * (n - 1) // 2 != 3:
@@ -974,11 +972,13 @@ def analyze_action(
         if n != 4:
             raise ValueError("the Lagrangian Grassmannian is 3-dimensional only for n = 4")
         sig = Signature((n // 2,), n)
-        partner = form_partners(basis, invariant_symplectic_form(partition))
         # Lag(C^4) is the quadric threefold.
         c1_coeff = complete_intersection_c1_coeff(4, (2,))
     else:
         raise ValueError(f"unknown flag variety kind {kind!r}")
+    # Built only once n fits the kind: both grow with n.
+    basis = so2_weight_basis(partition)
+    partner = form_partners(basis, invariant_symplectic_form(partition)) if kind == "lag" else None
 
     locus = fixed_flags(basis, sig, group, partner)
 

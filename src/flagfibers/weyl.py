@@ -24,20 +24,21 @@ of C^2n, where s_i swaps slots i-1 and i (and, for i < n, their mirror
 images).  The Bruhat order comes from the counting criterion of S_N
 (Bjoerner-Brenti, *Combinatorics of Coxeter Groups*, Ch. 2 and 8.1).
 
-Groups are closed breadth-first on window tuples from the simple
-reflections, and only up to ``GROUP_ORDER_LIMIT`` elements.  A step w -> w s
-changes the length by one, so breadth-first layer k holds exactly the
-elements of length k, and each layer sorted by window gives the
-(length, window) order without computing a length.  Position posets walk
-the group in that order and place each element in one step: a left descent
-s_i (i not in theta) or a right descent s_i (i not in eta) of w leads to a
-shorter element of the same double coset, which the walk has already
-placed, and an element with neither descent is the minimal representative
-of a new coset (Bjoerner-Brenti, Sec. 2.4-2.5).  Strictly Bruhat-smaller
-minimal representatives are strictly shorter, so coset index order is a
-linear extension of the poset.  By the counting criterion (Bjoerner-Brenti,
-Thm. 2.1.5) u <= w iff every Bruhat count of u is at most the same count of
-w, so the up-set of a coset is the AND, over the count fields, of the
+One closure grows every enumerated set from the identity, one length per
+layer: a parabolic subgroup, or the quotient W^eta of minimal left coset
+representatives.  Both are closed under dropping the first letter of a
+reduced word (Bjoerner-Brenti, Sec. 2.4), so the closure grows inverses u:
+u -> u s_i swaps two window entries (or negates the last), and lengthens u
+exactly when s_i is not a right descent of u.  A subgroup is its own set
+of inverses, so only a quotient inverts.  Each layer sorted by window gives
+the (length, window) order.  The members of W^eta with no left descent s_i
+(i not in theta) are the minimal representatives of the W_theta \\ W /
+W_eta double cosets, and any element reaches its coset's by stripping
+descents (Bjoerner-Brenti, Sec. 2.4-2.5).  Strictly Bruhat-smaller minimal
+representatives are strictly shorter, so coset index order is a linear
+extension of the poset.  By the counting criterion (Bjoerner-Brenti,
+Thm. 2.1.5) u <= w iff every Bruhat count of u is at most the same count
+of w, so the up-set of a coset is the AND, over the count fields, of the
 bitset of cosets whose count in that field is at least its own.
 
 ``group_elements`` and ``parabolic_elements`` are the only memoised group
@@ -61,6 +62,7 @@ __all__ = [
     "simple_reflection",
     "simple_reflections",
     "longest_element",
+    "check_group_order",
     "group_elements",
     "opposition_involution",
     "reduced_word",
@@ -386,18 +388,8 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     return all(map(int.__le__, _bruhat_counts(u), _bruhat_counts(w)))
 
 
-@cache
-def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[WeylElement, ...]:
-    """Elements of W_typeset, the subgroup generated by {s_i : i NOT in typeset}.
-
-    The complement convention matches flag types: typeset marks the levels a
-    flag of that type keeps, so the full type (all indices) yields the
-    trivial subgroup, and W_emptyset is the whole group.  Generated
-    breadth-first on windows from the identity, one length per layer, and
-    sorted by (length, window); refused with a ``ValueError`` when the whole
-    group has more than ``GROUP_ORDER_LIMIT`` elements, by rank alone when
-    2^rank is already larger.
-    """
+def check_group_order(system: RootSystem) -> None:
+    """Refuse a group of over ``GROUP_ORDER_LIMIT`` elements with a ``ValueError``."""
     name = f"{system.family.value}{system.rank}"
     # Both orders are at least 2^rank, so a large rank is refused before
     # its factorial is taken.
@@ -410,15 +402,37 @@ def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[Wey
         raise ValueError(
             f"Weyl group {name} has order {system.order()}, above the limit of {GROUP_ORDER_LIMIT}"
         )
-    typeset = _simple_subset(system, typeset)
-    gens = _generators(system, typeset)
-    layer = [identity(system).window]
-    seen = set(layer)
+
+
+def _closure(system: RootSystem, gens: list[int], right: list[int]) -> list[tuple[int, ...]]:
+    """Windows of <s_i : i in gens> with no right descent among ``right``, in (length,
+    window) order; ``right`` is empty (a subgroup) or ``gens`` is every index."""
+    layer = {identity(system).window}
     ordered: list[tuple[int, ...]] = []
     while layer:
-        ordered.extend(layer)
-        layer = sorted({_times_s(w, i) for w in layer for i in gens} - seen)
-        seen.update(layer)
+        if right:
+            inverses = {_inverse(u): u for u in layer}
+            kept = sorted(w for w in inverses if not any(_descends(w, i) for i in right))
+            layer = [inverses[w] for w in kept]
+        else:
+            kept = layer = sorted(layer)
+        ordered.extend(kept)
+        layer = {_times_s(u, i) for u in layer for i in gens if not _descends(u, i)}
+    return ordered
+
+
+@cache
+def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[WeylElement, ...]:
+    """Elements of W_typeset, the subgroup generated by {s_i : i NOT in typeset}.
+
+    The complement convention matches flag types: typeset marks the levels a
+    flag of that type keeps, so the full type (all indices) yields the
+    trivial subgroup, and W_emptyset is the whole group.  Sorted by (length,
+    window); refused by :func:`check_group_order` first.
+    """
+    check_group_order(system)
+    typeset = _simple_subset(system, typeset)
+    ordered = _closure(system, _generators(system, typeset), [])
     return tuple(WeylElement(system, w) for w in ordered)
 
 
@@ -453,6 +467,7 @@ class PositionPoset:
     up: tuple[int, ...]
     w0_action: tuple[int, ...] | None
     _index_of_window: dict[tuple[int, ...], int]
+    _gens: tuple[list[int], list[int]]
 
     def __len__(self) -> int:
         return len(self.cosets)
@@ -461,8 +476,11 @@ class PositionPoset:
         return bool(self.up[i] >> j & 1)
 
     def coset_index(self, w: WeylElement) -> int:
-        """Index of the double coset containing ``w``."""
-        return self._index_of_window[w.window]
+        """Index of the double coset containing ``w``, by its minimal representative."""
+        return self._index_of(w.window)
+
+    def _index_of(self, window: tuple[int, ...]) -> int:
+        return self._index_of_window[_min_rep(window, *self._gens)]
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -484,7 +502,7 @@ class PositionPoset:
         cosets are left cosets w W_eta.
         """
         return tuple(
-            tuple(self._index_of_window[_s_times(dc.min_rep.window, i)] for dc in self.cosets)
+            tuple(self._index_of(_s_times(dc.min_rep.window, i)) for dc in self.cosets)
             for i in self.system.simple_indices
         )
 
@@ -530,26 +548,19 @@ def _coset_step(
     return None
 
 
-def _min_rep(
-    system: RootSystem, theta: frozenset[int], eta: frozenset[int], w: WeylElement
-) -> WeylElement:
-    """The minimal element of W_theta w W_eta, by stripping descents."""
-    left, right = _generators(system, theta), _generators(system, eta)
-    window = w.window
+def _min_rep(window: tuple[int, ...], left: list[int], right: list[int]) -> tuple[int, ...]:
+    """Window of the least element of W_theta w W_eta, ``left`` and ``right`` generating those."""
     while (shorter := _coset_step(window, left, right)) is not None:
         window = shorter
-    return WeylElement(system, window)
+    return window
 
 
-def double_cosets(
-    system: RootSystem, theta: frozenset[int], eta: frozenset[int]
-) -> PositionPoset:
+def double_cosets(system: RootSystem, theta: frozenset[int], eta: frozenset[int]) -> PositionPoset:
     """Partition W into W_theta \\ W / W_eta double cosets.
 
-    One walk over the group in (length, window) order: an element with a
-    descent in W_theta or W_eta joins the coset of the shorter element that
-    descent leads to, which came earlier; any other element is the minimal
-    representative of a new coset.  For each Bruhat count field,
+    The cosets are named by their minimal representatives: the members of
+    W^eta with no left descent s_i (i not in theta), in the (length, window)
+    order the closure of W^eta gives.  For each Bruhat count field,
     ``at_least[v]`` is the bitset of cosets whose count there is at least v,
     and ``up[i]`` is the AND of ``at_least[count(i)]`` over the fields.
     Distinct cosets have distinct counts, and a coset lies strictly below
@@ -560,18 +571,13 @@ def double_cosets(
     >>> [dc.label() for dc in poset.cosets]
     ['1234', '2134', '3124', '4123']
     """
+    check_group_order(system)
     theta = _simple_subset(system, theta)
     eta = _simple_subset(system, eta)
     left, right = _generators(system, theta), _generators(system, eta)
-    index_of_window: dict[tuple[int, ...], int] = {}
-    cosets: list[DoubleCoset] = []
-    for w in group_elements(system):
-        shorter = _coset_step(w.window, left, right)
-        if shorter is None:
-            index_of_window[w.window] = len(cosets)
-            cosets.append(DoubleCoset(system, theta, eta, w))
-        else:
-            index_of_window[w.window] = index_of_window[shorter]
+    quotient = _closure(system, _generators(system, frozenset()), right)
+    reps = [w for w in quotient if _coset_step(w, left, []) is None]
+    cosets = tuple(DoubleCoset(system, theta, eta, WeylElement(system, w)) for w in reps)
     up = [(1 << len(cosets)) - 1] * len(cosets)
     for field in zip(*(_bruhat_counts(dc.min_rep) for dc in cosets)):
         at_least = [0] * (system.ambient_dim + 1)
@@ -580,13 +586,12 @@ def double_cosets(
         for count in range(system.ambient_dim - 1, -1, -1):
             at_least[count] |= at_least[count + 1]
         up = [u & at_least[count] for u, count in zip(up, field)]
+    index = {w: k for k, w in enumerate(reps)}
     w0_action: tuple[int, ...] | None = None
     if opposition_involution(system, theta) == theta:
         w0 = longest_element(system).window
-        w0_action = tuple(index_of_window[_compose(w0, dc.min_rep.window)] for dc in cosets)
-    return PositionPoset(
-        system, theta, eta, tuple(cosets), tuple(up), w0_action, index_of_window
-    )
+        w0_action = tuple(index[_min_rep(_compose(w0, w), left, right)] for w in reps)
+    return PositionPoset(system, theta, eta, cosets, tuple(up), w0_action, index, (left, right))
 
 
 def double_coset_of(
@@ -599,7 +604,8 @@ def double_coset_of(
     """
     theta = _simple_subset(system, theta)
     eta = _simple_subset(system, eta)
-    return DoubleCoset(system, theta, eta, _min_rep(system, theta, eta, w))
+    window = _min_rep(w.window, _generators(system, theta), _generators(system, eta))
+    return DoubleCoset(system, theta, eta, WeylElement(system, window))
 
 
 def coset_inverse(dc: DoubleCoset) -> DoubleCoset:

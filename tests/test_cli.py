@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagfibers import weyl
 from flagfibers.cli import main
 from flagfibers.flags import (
     ExactFlag,
@@ -28,6 +29,7 @@ from flagfibers.flags import (
     isotropic_signature,
     matrix_to_json,
 )
+from flagfibers.sl2reps import PARTITION_TOTAL_LIMIT
 
 import oracles
 from test_flags import a_pair, c_pair, weyl_windows
@@ -62,6 +64,25 @@ def run_child(*args, timeout: float = 60) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def run_capped(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter with 512 MB of address space."""
+    script = (
+        "import resource, sys; from flagfibers.cli import main; "
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    return run_child("-c", script, *argv)
+
+
+def assert_refused_at_once(argv, message: str) -> None:
+    """Exit 2 within 2 s, with one line on stderr naming ``message``."""
+    start = time.perf_counter()
+    done = run_capped(*argv)
+    assert time.perf_counter() - start < 2.0, argv
+    assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
+    assert done.stderr.count("\n") == 1 and message in done.stderr, argv
 
 
 def write_flag_file(path: Path, flag: ExactFlag) -> str:
@@ -138,6 +159,27 @@ def test_huge_rank_is_refused_before_any_factorial():
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.count("\n") == 1 and "above the limit" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_rank_over_the_limit_is_refused_before_eta_is_read(capsys):
+    # The order check comes first, so an eta index outside the rank still
+    # gets the order line, not a usage error.
+    for command in ("hasse", "ideals"):
+        code, out, err = run(capsys, command, "--family", "A", "--rank", "7", "--eta", "9")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "order 40320" in err
+
+
+def test_posets_leave_the_group_caches_empty(capsys):
+    # Position posets grow W^eta from the identity; no whole group is closed.
+    weyl.group_elements.cache_clear()
+    weyl.parabolic_elements.cache_clear()
+    cases = (("A", "6", ("--eta", "3")), ("C", "5", ("--eta", "2")), ("A", "3", ()))
+    for family, rank, eta in cases:
+        for command in ("hasse", "ideals"):
+            assert run(capsys, command, "--family", family, "--rank", rank, *eta)[0] == 0
+    assert weyl.group_elements.cache_info().currsize == 0
+    assert weyl.parabolic_elements.cache_info().currsize == 0
 
 
 def test_ideal_search_limit_exits_2_and_full_a4_answers(capsys):
@@ -489,6 +531,17 @@ def test_reps_large_part_is_fast(capsys):
     assert gram[79][0] == [str(lcm), "0"]
 
 
+def test_reps_answers_up_to_the_total_limit(capsys):
+    assert run(capsys, "reps", "--partition", str(PARTITION_TOTAL_LIMIT))[0] == 0
+    code, out, err = run(capsys, "reps", "--partition", f"{PARTITION_TOTAL_LIMIT},1")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"above the limit of {PARTITION_TOTAL_LIMIT}" in err
+
+
+def test_reps_refuses_a_huge_total_before_any_weight():
+    assert_refused_at_once(["reps", "--partition", str(10**8)], "above the limit")
+
+
 def test_reps_rejects_bad_partition(capsys):
     assert run(capsys, "reps", "--partition", "0,1")[0] == 2
     assert run(capsys, "reps", "--partition", "x")[0] == 1
@@ -538,6 +591,13 @@ def test_twg_parity_violation_is_computation_error(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_twg_refuses_a_huge_partition_before_its_basis():
+    # n is checked against the flag kind before the n-vector basis is built.
+    for kind in ("full", "proj", "lag"):
+        argv = ["twg", "--partition", str(10**8), "--flag", kind, "--group", "so2"]
+        assert_refused_at_once(argv, "3-dimensional only")
 
 
 def test_twg_deterministic_output(capsys):

@@ -285,14 +285,13 @@ def test_min_reps_match_orbit_minimum_oracle(family, rank, system):
 
 @pytest.mark.parametrize("system", [A2, A3, A4, C2, C3], ids=["A2", "A3", "A4", "C2", "C3"])
 def test_double_cosets_match_product_and_scan_oracle(system):
-    # Every (theta, eta): a theta other than the full type makes the walk
-    # follow left descents too.
+    # Every (theta, eta): a theta other than the full type makes the
+    # representatives drop left descents too, and lookups strip them.
     subsets = [
         frozenset(c)
         for size in range(system.rank + 1)
         for c in itertools.combinations(system.simple_indices, size)
     ]
-    full = frozenset(system.simple_indices)
     for theta, eta in itertools.product(subsets, repeat=2):
         want = oracles.double_cosets_oracle(system, theta, eta)
         poset = double_cosets(system, theta, eta)
@@ -302,8 +301,7 @@ def test_double_cosets_match_product_and_scan_oracle(system):
         assert poset.down == want.down
         assert poset.covers() == want.covers
         assert poset.w0_action == want.w0_action
-        if theta == full:
-            assert poset.left_action == want.left_action
+        assert poset.left_action == want.left_action
 
 
 @pytest.mark.parametrize(
