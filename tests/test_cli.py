@@ -222,6 +222,18 @@ def test_cli_import_leaves_numpy_out():
     assert done.stdout == "False\n", done.stderr
 
 
+def test_package_runs_without_numpy():
+    script = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from flagfibers.cli import main; from flagfibers.sl2reps import cartan_projection; "
+        "print(cartan_projection([[2, 0], [0, 1]])); sys.exit(main(['reproduce']))"
+    )
+    done = run_child("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == str([math.log(2), 0.0])
+    assert done.stdout.splitlines()[1].startswith("10 artifacts match")
+
+
 # ---------------------------------------------------------------------------
 # hasse
 

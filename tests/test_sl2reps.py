@@ -391,6 +391,7 @@ def test_representation_matrix_is_exact_homomorphism():
 
 def test_cartan_projection_identity():
     assert cartan_projection([[1, 0], [0, 1]]) == [0.0, 0.0]
+    assert cartan_projection([[True, False], [False, True]]) == [0.0, 0.0]
 
 
 def test_cartan_projection_diagonal():
@@ -399,6 +400,8 @@ def test_cartan_projection_diagonal():
     assert out[1] == pytest.approx(-1.0, abs=1e-9)
     out = cartan_projection([[2, 0, 0], [0, 1, 0], [0, 0, 0.5]])
     assert out == pytest.approx([math.log(2), 0.0, -math.log(2)], abs=1e-9)
+    for entries in ([["2", "0"], ["0", "1"]], [[Fraction(2), 0], [0, 1]]):
+        assert cartan_projection(entries) == pytest.approx([math.log(2), 0.0], abs=1e-9)
 
 
 def test_cartan_projection_rotation_invariant():
@@ -416,11 +419,39 @@ def test_cartan_projection_shear():
     assert out == pytest.approx([math.log(phi), -math.log(phi)], abs=1e-9)
 
 
-def test_cartan_projection_singular():
-    with pytest.raises(ValueError):
-        cartan_projection([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        cartan_projection([[1, 2, 3]])
+@pytest.mark.parametrize(
+    "m, error",
+    [
+        pytest.param([[1, 1], [1, 1]], ValueError, id="rank-one"),
+        pytest.param([[1, 2, 3]], ValueError, id="one-row"),
+        pytest.param([], ValueError, id="empty"),
+        pytest.param([[]], ValueError, id="empty-row"),
+        pytest.param(3.0, ValueError, id="scalar"),
+        pytest.param([[[1]]], ValueError, id="three-deep"),
+        pytest.param([[1, 2], [3]], ValueError, id="ragged"),
+        pytest.param([[0, 0], [0, 0]], ValueError, id="zero"),
+        pytest.param([[1e300, 0], [0, 1e-300]], ValueError, id="below-cutoff"),
+        pytest.param([[math.inf, 0], [0, 1]], ValueError, id="inf"),
+        pytest.param([[math.nan, 0], [0, 1]], ValueError, id="nan"),
+        pytest.param([[1j, 0], [0, 1]], TypeError, id="complex"),
+    ],
+)
+def test_cartan_projection_singular(m, error):
+    with pytest.raises(error):
+        cartan_projection(m)
+
+
+def test_cartan_projection_matches_numpy_on_rotated_diagonals():
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(18)
+    for n in range(1, 7):
+        for _ in range(40):
+            logs = np.sort(rng.uniform(-3, 3, n))[::-1]
+            q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+            m = q1 @ np.diag(np.exp(logs)) @ q2
+            out = cartan_projection(m.tolist())
+            assert out == pytest.approx(logs.tolist(), abs=1e-9)
+            assert out == pytest.approx(np.log(np.linalg.svd(m, compute_uv=False)), abs=1e-9)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
