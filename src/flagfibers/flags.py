@@ -5,8 +5,8 @@ the flag subspaces, together with a signature recording which prefix
 dimensions carry meaning.  Matrices store Gaussian-integer columns over one
 common denominator; ranks, kernels and intersection dimensions come from one
 fraction-free elimination kernel over Z[i] (Bareiss, Math. Comp. 22, 1968) fed
-those columns, so they are exact even where positions degenerate.  Single
-entries go in and out as :class:`GaussianRational`, the boundary scalar.
+those columns, each step from the pivot on, so they are exact even where
+positions degenerate.  Single entries go in and out as :class:`GaussianRational`.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
 full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
@@ -100,7 +100,7 @@ def _over_common_denominator(
     width = len(rows[0]) if rows else cols or 0
     if any(len(row) != width for row in rows):
         raise ValueError("rows must all have the same length")
-    den = math.lcm(*(q for row in rows for pair in row for _, q in pair))
+    den = math.lcm(*[q for row in rows for pair in row for _, q in pair])
     columns = [[(a * (den // b), c * (den // d)) for (a, b), (c, d) in col] for col in zip(*rows)]
     return len(rows), columns or [()] * width, den
 
@@ -135,7 +135,7 @@ class ExactMatrix:
     @classmethod
     def _make(cls, rows: int, columns: Sequence[_Row], den: int) -> "ExactMatrix":
         """The one constructor: int-pair columns over ``den`` > 0, put in lowest terms."""
-        common = math.gcd(den, *(t for col in columns for pair in col for t in pair))
+        common = math.gcd(den, *[t for col in columns for pair in col for t in pair])
         if common > 1:
             columns = [[(a // common, b // common) for a, b in col] for col in columns]
         matrix = object.__new__(cls)
@@ -454,24 +454,32 @@ def _reduce_into(echelon: dict[int, _Row], vector: _Row) -> _Row | None:
     """Fraction-free reduction of a Z[i] vector against ``echelon`` (pivot -> row).
 
     Entry v_i is cleared by v <- p*v - v_i*row, p the row's pivot entry, and
-    the integer content is divided out after each step.  Returns the remainder,
-    inserted under its first nonzero entry, or None if the vector reduces to 0.
+    the integer content is divided out after each step.  Entries before the
+    pivot i are zero in v and the row alike, so a step touches only those from
+    i on, and the next pivot is sought from i.  Returns the full-length
+    remainder, inserted under its first nonzero entry, or None if v reduces to 0.
     """
+    i, n = 0, len(vector)
     while True:
-        content = math.gcd(*(t for pair in vector for t in pair))
-        if content > 1:
-            vector = [(x // content, y // content) for x, y in vector]
-        i = next((k for k, (a, b) in enumerate(vector) if a or b), None)
-        if i is None:
+        while i < n and vector[i] == (0, 0):
+            i += 1
+        if i == n:
             return None
+        tail = vector[i:]
+        content = math.gcd(*tail[0])  # a multiple of the content; 1 settles it
+        if content > 1:
+            content = math.gcd(content, *[t for pair in tail for t in pair])
+        if content > 1:
+            tail = [(x // content, y // content) for x, y in tail]
+            vector = [(0, 0)] * i + tail
         row = echelon.get(i)
         if row is None:
             echelon[i] = vector
             return vector
-        (a, b), (c, d) = vector[i], row[i]
-        vector = [
+        (a, b), (c, d) = tail[0], row[i]
+        vector = [(0, 0)] * (i + 1) + [
             (c * x - d * y - a * p + b * q, c * y + d * x - a * q - b * p)
-            for (x, y), (p, q) in zip(vector, row)
+            for (x, y), (p, q) in zip(tail[1:], row[i + 1 :])
         ]
 
 
@@ -575,8 +583,8 @@ def matrix_from_json(rows) -> ExactMatrix:
     """Read rows of ``[real, imag]`` pairs, the parts numbers or ``"p"``/``"p/q"`` strings.
 
     Anything else (a bare number for an entry, a pair of the wrong length, a
-    part that is not a rational, a string in exponent notation, whose value
-    can take far more memory than its text) raises ``ValueError``.
+    boolean or other part that is not a rational, a string in exponent notation,
+    whose value can take far more memory than its text) raises ``ValueError``.
 
     >>> print(matrix_from_json([[["1/2", "-1"], [0, 3]]]).entry(0, 0))
     1/2-i
@@ -594,10 +602,16 @@ def matrix_from_json(rows) -> ExactMatrix:
 def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"matrix entries must be [real, imag] pairs, got {entry!r}")
-    if any(isinstance(part, str) and "e" in part.lower() for part in entry):
+    real, imag = entry
+    real_plain = _PLAIN_RATIO.fullmatch(real) if isinstance(real, str) else None
+    imag_plain = _PLAIN_RATIO.fullmatch(imag) if isinstance(imag, str) else None
+    if not (real_plain and imag_plain) and any(
+        not plain and isinstance(part, str) and "e" in part.lower()
+        for part, plain in ((real, real_plain), (imag, imag_plain))
+    ):
         raise ValueError(f'matrix entry parts must read "p" or "p/q", not use an exponent: {entry!r}')
     try:
-        return _ratio_from_json(entry[0]), _ratio_from_json(entry[1])
+        return _ratio_from_json(real, real_plain), _ratio_from_json(imag, imag_plain)
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"matrix entry is not a pair of rationals: {entry!r}") from None
 
@@ -605,12 +619,13 @@ def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:
 _PLAIN_RATIO = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def _ratio_from_json(part) -> _Ratio:
-    """A ``"p"`` or ``"p/q"`` string (q > 0) by ``int``, left unreduced; any
-    other part (a decimal, spaces, underscores, a JSON number) by ``Fraction``."""
-    match = _PLAIN_RATIO.fullmatch(part) if isinstance(part, str) else None
-    if match:
-        return int(match[1]), int(match[2] or 1)
+def _ratio_from_json(part, plain: re.Match | None) -> _Ratio:
+    """A ``"p"`` or ``"p/q"`` string (q > 0) that ``plain`` matched by ``int``, left unreduced;
+    any other part but a boolean (a decimal, spaces, a JSON number) by ``Fraction``."""
+    if plain:
+        return int(plain[1]), int(plain[2] or 1)
+    if isinstance(part, bool):
+        raise TypeError("a boolean is not a rational")
     value = Fraction(part)
     return value.numerator, value.denominator
 

@@ -20,6 +20,8 @@ Everything here deliberately avoids the library's own code paths:
   and from the library's earlier route: the jump pattern of those dimensions,
   one elimination of the F basis per level of H, with isotropic flags extended
   to full ones through ``omega_perp`` and an adapted basis of the perps;
+- the fraction-free elimination step is the library's earlier kernel, which
+  works every step over the whole vector;
 - linear systems are solved by plain Gauss-Jordan elimination over Q(i);
 - balanced ideals come from filtering all 2^n subsets of a poset, and, for
   larger posets, from the antichain route: every ideal of at most half the
@@ -67,7 +69,6 @@ from flagfibers.flags import (
     ExactMatrix,
     GaussianRational,
     SymplecticForm,
-    _reduce_into,
     omega_perp,
 )
 from flagfibers.ideals import Ideal, all_ideals
@@ -459,6 +460,33 @@ def relative_position_symplectic_oracle(
     return window
 
 
+def reduce_into_oracle(echelon: dict, vector):
+    """Fraction-free reduction of a Z[i] vector against ``echelon`` (pivot -> row),
+    every step over the whole vector.
+
+    Entry v_i is cleared by v <- p*v - v_i*row, p the row's pivot entry, and
+    the integer content is divided out before each pivot search.  Returns the
+    remainder, inserted under its first nonzero entry, or None if the vector
+    reduces to 0.
+    """
+    while True:
+        content = math.gcd(*(t for pair in vector for t in pair))
+        if content > 1:
+            vector = [(x // content, y // content) for x, y in vector]
+        i = next((k for k, (a, b) in enumerate(vector) if a or b), None)
+        if i is None:
+            return None
+        row = echelon.get(i)
+        if row is None:
+            echelon[i] = vector
+            return vector
+        (a, b), (c, d) = vector[i], row[i]
+        vector = [
+            (c * x - d * y - a * p + b * q, c * y + d * x - a * q - b * p)
+            for (x, y), (p, q) in zip(vector, row)
+        ]
+
+
 def _jump_permutation(f_basis, h_basis) -> Window:
     """One-line permutation of the intersection-dimension jump pattern.
 
@@ -473,10 +501,10 @@ def _jump_permutation(f_basis, h_basis) -> Window:
     previous: frozenset[int] = frozenset()
     h_echelon: dict = {}
     for h in h_basis:
-        _reduce_into(h_echelon, h)
+        reduce_into_oracle(h_echelon, h)
         echelon = dict(h_echelon)
         jumps = frozenset(
-            k + 1 for k, f in enumerate(f_basis) if _reduce_into(echelon, f) is None
+            k + 1 for k, f in enumerate(f_basis) if reduce_into_oracle(echelon, f) is None
         )
         (new_level,) = jumps - previous
         window.append(new_level)
@@ -492,10 +520,10 @@ def _extended_basis(flag: ExactFlag, omega: SymplecticForm) -> list:
     echelon: dict = {}
     basis = list(flag.basis._columns[:n])
     for vector in basis:
-        _reduce_into(echelon, vector)
+        reduce_into_oracle(echelon, vector)
     for size in range(n + 1, 2 * n + 1):
         for column in omega_perp(flag.subspace(2 * n - size), omega)._columns:
-            inserted = _reduce_into(echelon, column)
+            inserted = reduce_into_oracle(echelon, column)
             if inserted is not None:
                 basis.append(inserted)
         assert len(basis) == size, "perps are not a complete nested filtration"

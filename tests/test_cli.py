@@ -483,6 +483,19 @@ def test_bare_integer_flag_entries_exit_2_without_traceback(tmp_path):
     assert done.stderr == "error: matrix entries must be [real, imag] pairs, got 1\n"
 
 
+def test_boolean_flag_entries_exit_2_without_traceback(tmp_path):
+    """JSON ``true``/``false`` parts are not rationals, though Python counts them as ints."""
+    data = flag_to_json(ExactFlag.standard(full_signature(2)))
+    data["matrix"][0][0] = [True, False]
+    flag = tmp_path / "bool.json"
+    flag.write_text(json.dumps(data))
+    assert "[true, false]" in flag.read_text()
+    done = run_child("-m", "flagfibers.cli", "position", str(flag), str(flag))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: matrix entry is not a pair of rationals: [True, False]\n"
+    )
+
+
 @pytest.mark.parametrize("entry", [1, "1", ["1"], ["1", "0", "0"], ["x", "0"], [None, "0"]])
 def test_malformed_matrix_entries_are_computation_errors(capsys, tmp_path, entry):
     std = ExactFlag.standard(full_signature(2))

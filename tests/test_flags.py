@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -413,6 +414,55 @@ def test_equal_matrices_from_different_routes_compare_and_hash_equal():
     assert len({hash(m) for m in routes}) == 1
     assert ExactMatrix([[1, Fraction(1, 3)]]).prefix_columns(1) == ExactMatrix([[1]])
     assert ExactMatrix.zeros(2, 0) != ExactMatrix.zeros(3, 0)
+
+
+def kernel_sequence(rng: random.Random, span: int, tagged: bool) -> list:
+    """Z[i] vectors for one echelon: runs of leading zeros, integer common
+    factors, Z[i] combinations of earlier vectors, and, when ``tagged``,
+    ``[*v, *tag]`` as ``_bruhat_window`` builds them (first under unit tags in
+    reversed order, then over zeros)."""
+    length = rng.randint(1, 8)
+    vectors = []
+    for _ in range(rng.randint(1, length + 3)):
+        if vectors and rng.random() < 0.3:  # dependent on the earlier ones
+            v = [(0, 0)] * length
+            for u in vectors:
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                v = [(re + a * x - b * y, im + a * y + b * x) for (re, im), (x, y) in zip(v, u)]
+        else:
+            zeros = rng.randint(0, length)
+            v = [(0, 0)] * zeros + [
+                (rng.randint(-span, span), rng.randint(-span, span)) for _ in range(length - zeros)
+            ]
+        factor = rng.choice((1, 1, 2, 6, 10**3))
+        vectors.append([(factor * x, factor * y) for x, y in v])
+    if tagged:
+        m = len(vectors)
+        cut = rng.randint(0, m)
+        return [
+            [*v, *((int(j < cut and k == m - 1 - j), 0) for k in range(m))]
+            for j, v in enumerate(vectors)
+        ]
+    return [tuple(v) if rng.random() < 0.5 else v for v in vectors]
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["plain", "tagged"])
+@pytest.mark.parametrize("span", [3, 10**6])
+def test_reduce_into_matches_whole_vector_oracle(span, tagged):
+    """The kernel, working from the pivot on, leaves every remainder and the
+    whole echelon equal to those of the whole-vector kernel, insertion by insertion."""
+    rng = random.Random(f"kernel:{span}:{tagged}")
+    dependent = with_content = 0
+    for _ in range(300):
+        echelon: dict = {}
+        reference: dict = {}
+        for vector in kernel_sequence(rng, span, tagged):
+            remainder = flags._reduce_into(echelon, vector)
+            assert remainder == oracles.reduce_into_oracle(reference, vector)
+            assert echelon == reference
+            dependent += remainder is None
+            with_content += math.gcd(*[t for pair in vector for t in pair]) > 1
+    assert dependent and with_content
 
 
 def test_prefix_columns_bounds():
@@ -1008,7 +1058,7 @@ def test_json_parts_read_as_fraction_reads_them(
         with pytest.raises(ValueError, match="^matrix entry is not a pair of rationals"):
             matrix_from_json([[[text, "0"]]])
         return
-    p, q = flags._ratio_from_json(text)
+    (p, q), _ = flags._entry_from_json([text, "0"])
     assert Fraction(p, q) == expected
     if not pad and not underscore:
         assert q == (1 if denominator is None else denominator)
@@ -1022,12 +1072,20 @@ def test_json_parts_read_as_fraction_reads_them(
 
 
 def test_json_parts_keep_their_refusals():
+    exponent = 'matrix entry parts must read "p" or "p/q", not use an exponent: '
     for entry, message in (
         (["1/0", "0"], "matrix entry is not a pair of rationals: ['1/0', '0']"),
         (["0", "-3/00"], "matrix entry is not a pair of rationals: ['0', '-3/00']"),
         (["1/-2", "0"], "matrix entry is not a pair of rationals: ['1/-2', '0']"),
-        (["1e3", "0"], 'matrix entry parts must read "p" or "p/q", not use an exponent: '
-         "['1e3', '0']"),
+        ([True, False], "matrix entry is not a pair of rationals: [True, False]"),
+        (["1", False], "matrix entry is not a pair of rationals: ['1', False]"),
+        (["1e3", "0"], exponent + "['1e3', '0']"),
+        # The exponent refusal wins over a bad other part, the shape refusal over both.
+        (["1/0", "1e3"], exponent + "['1/0', '1e3']"),
+        ([None, "1E3"], exponent + "[None, '1E3']"),
+        ([True, "1e3"], exponent + "[True, '1e3']"),
+        (["1", "0", "2"], "matrix entries must be [real, imag] pairs, got ['1', '0', '2']"),
+        (("1", "0"), "matrix entries must be [real, imag] pairs, got ('1', '0')"),
     ):
         with pytest.raises(ValueError) as caught:
             matrix_from_json([[entry]])
