@@ -27,9 +27,10 @@ fibers of a line bundle of Euler number q and fixes two surfaces.
 Graph isomorphism is canonical-key equality: every component is a path or
 a cycle, named by its least sign/weight sequence (``canonical_key``; a
 cycle's least rotation comes from Booth's linear scan).  Classification
-builds no graph: it keys each candidate Hir(q;a,b) in closed form from its
-ring, and each two-term connected sum as the six-point ring glued from the
-arcs its factors' rings leave.
+builds no graph and lists no candidates: it closes the graph into rings
+with weight-1 edges and reads (q, a, b) off each four-point ring in closed
+form; a two-term connected sum is a six-point ring that cuts into two arcs,
+each reading as a factor once a point closes it.
 """
 
 from __future__ import annotations
@@ -384,22 +385,52 @@ def _least_rotation(seq: list) -> list:
     return doubled[k : k + len(seq)]
 
 
-def _component_key(walk: Sequence[int]) -> tuple[int, ...]:
+def _component_key(signs: Sequence[int], weights: Sequence[int]) -> tuple[int, ...]:
     """The least sign/weight sequence naming one component from a walk of it.
 
-    A path walk has odd length, sign first and last, and is read in both
-    directions.  A cycle walk has even length, (sign, weight) pairs ending
-    on the weight back to the start; it is read from its least rotation in
-    either direction.
+    A path has one weight fewer than signs and is read in both directions.
+    A cycle has as many, weight k joining point k to the next and the last
+    back to the start; it is read from its least rotation in either
+    direction.
     """
-    if len(walk) % 2:
-        return min(tuple(walk), tuple(walk[::-1]))
-    signs, weights = walk[::2], walk[1::2]
+    if len(weights) < len(signs):
+        walk = tuple(x for pair in zip(signs, weights) for x in pair) + (signs[-1],)
+        return min(walk, walk[::-1])
     forward = list(zip(signs, weights))
     backward = [(signs[-j], weights[-j - 1]) for j in range(len(signs))]
     return min(
         tuple(x for pair in _least_rotation(d) for x in pair) for d in (forward, backward)
     )
+
+
+def _walks(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (signs, weights) walk of each component of ``g``, as ``_component_key`` reads it.
+
+    At most two edges meet a round vertex, so each component is a path or
+    a cycle, a double edge included.
+    """
+    sign = dict(g.rounds)
+    ends: dict[str, list[tuple[int, str, int]]] = {i: [] for i in sign}
+    for n, (a, b, w) in enumerate(g.edges):
+        ends[a].append((n, b, w))
+        ends[b].append((n, a, w))
+    seen: set[str] = set()
+    walks = []
+    # Path ends come first, so a walk from a vertex of degree 2 is a cycle.
+    for start in sorted(sign, key=lambda i: len(ends[i]) == 2):
+        if start in seen:
+            continue
+        seen.add(start)
+        signs, weights, v, came_by = [sign[start]], [], start, None
+        while steps := [e for e in ends[v] if e[0] != came_by]:
+            came_by, v, w = steps[0]
+            weights.append(w)
+            if v == start:
+                break
+            signs.append(sign[v])
+            seen.add(v)
+        walks.append((tuple(signs), tuple(weights)))
+    return walks
 
 
 @dataclass(frozen=True)
@@ -455,34 +486,11 @@ class WeightGraph:
     def canonical_key(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """A key that two graphs share exactly when they are isomorphic.
 
-        At most two edges meet a round vertex, so each component is a path
-        or a cycle, a double edge included, keyed by ``_component_key``.
-
         >>> hirzebruch_graph(2, -1, 2).canonical_key()
         (((-1, 2, -1, 3, 1, 2, 1),), ())
         """
-        sign = dict(self.rounds)
-        ends: dict[str, list[tuple[int, str, int]]] = {i: [] for i in sign}
-        for n, (a, b, w) in enumerate(self.edges):
-            ends[a].append((n, b, w))
-            ends[b].append((n, a, w))
-        seen: set[str] = set()
-        components = []
-        # Path ends come first, so a walk from a vertex of degree 2 is a cycle.
-        for start in sorted(sign, key=lambda i: len(ends[i]) == 2):
-            if start in seen:
-                continue
-            seen.add(start)
-            walk, v, came_by = [sign[start]], start, None
-            while steps := [e for e in ends[v] if e[0] != came_by]:
-                came_by, v, w = steps[0]
-                walk.append(w)
-                if v == start:
-                    break
-                walk.append(sign[v])
-                seen.add(v)
-            components.append(_component_key(walk))
-        return tuple(sorted(components)), tuple(sorted(e for _, e in self.squares))
+        components = sorted(_component_key(*w) for w in _walks(self))
+        return tuple(components), tuple(sorted(e for _, e in self.squares))
 
     def to_json_dict(self) -> dict:
         return {
@@ -634,45 +642,59 @@ def _hirzebruch_ring(q: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int
     return (s1, -s1, s4, -s4), (abs(a), abs(b), abs(a + q * b), abs(b))
 
 
-def _ring_key(signs: Sequence[int], weights: Sequence[int]) -> tuple:
-    """The canonical key of the ring's graph, its weight-1 edges dropped.
+def _rings(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (signs, weights) ring whose edges of weight >= 2 are exactly ``g``'s.
 
-    The walk starts after the first dropped edge, and each dropped edge
-    ends a path; with none, the walk is the whole cycle.
+    A graph that is one cycle is its own ring.  Otherwise its components
+    must all be paths, and a ring strings them in some order and direction
+    with weight-1 edges between.  The longest path leads in one direction,
+    since rings are read up to rotation and reflection.
     """
-    n = len(signs)
-    start = next((k + 1 for k, w in enumerate(weights) if w < 2), 0)
-    walks, walk = [], []
-    for k in range(start - n, start):
-        walk.append(signs[k])
-        if weights[k] < 2:
-            walks.append(walk)
-            walk = []
-        else:
-            walk.append(weights[k])
-    return tuple(sorted(_component_key(w) for w in [*walks, walk] if w)), ()
+    walks = sorted(_walks(g), key=lambda w: -len(w[0]))
+    if any(len(weights) == len(signs) for signs, weights in walks):
+        return walks if len(walks) == 1 else []
+    (lead_signs, lead_weights), *rest = walks
+    rings = []
+    for order in set(itertools.permutations(rest)):
+        for paths in itertools.product(*({p, (p[0][::-1], p[1][::-1])} for p in order)):
+            signs, weights = lead_signs, lead_weights + (1,)
+            for more_signs, more_weights in paths:
+                signs, weights = signs + more_signs, weights + more_weights + (1,)
+            rings.append((signs, weights))
+    return rings
 
 
-def _glued_ring(ring1: tuple, k1: int, ring2: tuple, k2: int) -> tuple | None:
-    """The (signs, weights) ring of two Hirzebruch rings glued at points k1, k2.
+def _catalogue_order(params: tuple[int, int, int]) -> tuple:
+    """The order in which Hir(q;a,b) are tried: q, |a|, |b|, a > 0 first, b > 0 first."""
+    q, a, b = params
+    return q, abs(a), abs(b), a < 0, b < 0
 
-    The sum runs along the arc left by each ring less its glued point.  It
-    is None when ``connected_sum`` refuses: the glued signs must be opposite
-    and the weight pairs equal.  A point's two weights are coprime, so they
-    are equal only as 1, 1, where either orientation gives one key; else
-    each loose edge meets the one of its weight, as ``connected_sum`` splices.
+
+def _reading(signs: Sequence[int], weights: Sequence[int]) -> tuple[int, int, int] | None:
+    """The least (q, a, b) whose ``_hirzebruch_ring`` is this four-point ring, if any.
+
+    Rings are equal up to rotation and reflection.  Read from a point, the
+    ring of Hir(q;a,b) has signs (s, -s, t, -t) and weights
+    (|a|, |b|, |a+qb|, |b|); with b > 0, a = s|a| and a + qb = t|a+qb|
+    fix q, and (q, -a, -b) has the same ring.
+
+    >>> _reading(*_hirzebruch_ring(2, -1, 2))
+    (2, 1, -2)
     """
-    (signs1, weights1), (signs2, weights2) = ring1, ring2
-    pair1, pair2 = (weights1[k1 - 1], weights1[k1]), (weights2[k2 - 1], weights2[k2])
-    if signs1[k1] != -signs2[k2] or sorted(pair1) != sorted(pair2):
-        return None
-    if pair1[0] != pair2[1]:
-        # Reflect ring2, point k to -k, so that its arc starts where the first arc ends.
-        signs2, weights2, k2 = signs2[:1] + signs2[:0:-1], weights2[::-1], -k2 % 4
-    return (
-        signs1[k1 + 1 :] + signs1[:k1] + signs2[k2 + 1 :] + signs2[:k2],
-        weights1[k1 + 1 :] + weights1[:k1] + weights2[k2 + 1 :] + weights2[:k2],
-    )
+    signs, weights = tuple(signs), tuple(weights)
+    reflected = (signs[:1] + signs[:0:-1], weights[::-1])
+    found = []
+    for ring_signs, ring_weights in (signs, weights), reflected:
+        for k in range(4):
+            (s, minus_s, t, minus_t) = ring_signs[k:] + ring_signs[:k]
+            mag_a, b, c, b_again = ring_weights[k:] + ring_weights[:k]
+            if minus_s != -s or minus_t != -t or b != b_again or math.gcd(mag_a, b) != 1:
+                continue
+            a = s * mag_a
+            q, rest = divmod(t * c - a, b)
+            if rest == 0 and q >= 0:
+                found.append((q, a, b) if a > 0 else (q, -a, -b))
+    return min(found, key=_catalogue_order, default=None)
 
 
 def hirzebruch_graph(q: int, a: int, b: int) -> WeightGraph:
@@ -769,98 +791,22 @@ def _canonical_name(q: int, a: int, b: int) -> str:
     return f"Hir({q};{a},{b})"
 
 
-def _hirzebruch_candidates(weights: Iterable[int]) -> list[tuple[int, int, int]]:
-    """Every Hir(q;a,b), a, b != 0, whose edge weights fit inside ``weights``.
-
-    An edge of weight 1 disappears, so |a|, |b| and |a+qb| are drawn from
-    the weights and 1, and q = (+-c - a)/b is solved for each such c instead
-    of scanned.  {|a|, |b|, |b|, |a+qb|} without its 1s must lie in the
-    edge-weight multiset ``weights``, as in any sum with Hir(q;a,b) as a
-    factor; that is a count check against one tally of the weights.  The
-    triples come sorted by q, |a|, |b|, a > 0 first, b > 0 first: the order
-    in which the first match is reported.  For the largest weight w, every
-    triple has |a|, |b| <= w and q|b| = |+-c - a| <= 2w.
-
-    >>> _hirzebruch_candidates([])
-    [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1), (2, 1, -1), (2, -1, 1)]
-    """
-    available = Counter(weights)
-    magnitudes = set(available) | {1}
-
-    def fits(m: int, needed: int) -> bool:
-        return m == 1 or available[m] >= needed
-
-    found = set()
-    for mag_b in (m for m in magnitudes if fits(m, 2)):
-        for mag_a in (m for m in magnitudes if fits(m, 1) and math.gcd(m, mag_b) == 1):
-            # |a| = |b| only when both are 1, so only c can repeat either.
-            for c in (m for m in magnitudes if fits(m, 1 + (m == mag_a) + 2 * (m == mag_b))):
-                for a, b, a_plus_qb in itertools.product(
-                    (mag_a, -mag_a), (mag_b, -mag_b), (c, -c)
-                ):
-                    q, rest = divmod(a_plus_qb - a, b)
-                    if rest == 0 and q >= 0:
-                        found.add((q, a, b))
-    return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
-
-
-def _arc_profiles(signs: Sequence[int], weights: Sequence[int]) -> list[tuple]:
-    """For each point k, the sorted (sign, incident weights) profiles of the ring less k."""
-    profiles = [
-        (signs[k], tuple(sorted(w for w in (weights[k - 1], weights[k]) if w >= 2)))
-        for k in range(4)
-    ]
-    return [tuple(sorted(profiles[:k] + profiles[k + 1 :])) for k in range(4)]
-
-
-def _connected_sum_match(
-    g: WeightGraph, g_key: tuple, candidates: Sequence[tuple[int, int, int]]
-) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
-    """The first pair of candidates, in order, with a sum isomorphic to ``g``.
-
-    Gluing keeps every other point's (sign, incident weights) profile, so
-    the sum's six profiles are those of two arcs, each a ring less its
-    glued point.  An arc of the first factor leaves ``rest`` of ``g``'s
-    profiles, the arc the second needs, found in an index of candidates'
-    closed-form arc profiles.  Only a pair that passes is glued by
-    ``_glued_ring`` and keyed against ``g_key``, the canonical key of ``g``.
-    """
-    target = sorted((s, g.incident_weights(i)) for i, s in g.rounds)
-    rest = {
-        tuple(target[n] for n in half): tuple(p for n, p in enumerate(target) if n not in half)
-        for half in itertools.combinations(range(6), 3)
-    }
-    rings = [_hirzebruch_ring(*params) for params in candidates]
-    arcs = [_arc_profiles(*ring) for ring in rings]
-    by_arc: dict[tuple, list[tuple[int, int]]] = {}
-    for j, k in itertools.product(range(len(rings)), range(4)):
-        by_arc.setdefault(arcs[j][k], []).append((j, k))
-    for i, ring in enumerate(rings):
-        pairs = []
-        for k1, arc in enumerate(arcs[i]):
-            pairs += [(j, k1, k2) for j, k2 in by_arc.get(rest.get(arc), ()) if j >= i]
-        for j, k1, k2 in sorted(pairs):
-            glued = _glued_ring(ring, k1, rings[j], k2)
-            if glued is not None and _ring_key(*glued) == g_key:
-                return candidates[i], candidates[j]
-    return None
-
-
 def classify_fiber(g: WeightGraph) -> Classification:
     """Match a fiber graph against Hirzebruch actions and their sums.
 
     Two fixed surfaces with Euler numbers q and -q and nothing else are
     Hir(q;1,0).  Otherwise every Hir(q;a,b) has four fixed points and every
     two-term connected sum six, both with as many + signs as - signs, so
-    other graphs are rejected at once.  The search then runs over exactly
-    the Hir(q;a,b) whose edge weights fit among the graph's, so its cost
-    depends on the number of distinct weights, not on their size.  No
-    graph is built: a four-point graph is compared with the closed-form
-    key of each candidate whose weights equal its own, and a six-point one
-    with the keys of the glued rings of candidate pairs whose arc profiles
-    fit its own (``_connected_sum_match``).  An unmatched graph is
-    reported, not an error, with the invariant that failed as ``reason``,
-    since the catalogue makes no completeness claim.
+    other graphs are rejected at once.  The parameters are then read off
+    the rings the graph closes into (``_rings``), and no graph is built.  A
+    four-point ring is read as a Hir(q;a,b) directly (``_reading``).  A
+    six-point ring is a sum when it cuts into two three-point arcs, each
+    of which, closed by a point joined by the two cut edges, reads as a
+    factor.  That is at most 120 orders of at most 6 components, whatever
+    the weights.  The least reading, or least sorted pair of readings, in
+    the order q, |a|, |b|, a > 0 first, b > 0 first, names the match.  An
+    unmatched graph is reported, not an error, with the invariant that
+    failed as ``reason``, since the catalogue makes no completeness claim.
     """
     if g.squares:
         eulers = sorted(e for _, e in g.squares)
@@ -885,22 +831,36 @@ def classify_fiber(g: WeightGraph) -> Classification:
             None, None, f"the signs are unbalanced ({plus} +, {count - plus} -)"
         )
 
-    key = g.canonical_key()
-    weights = sorted(w for _, _, w in g.edges)
-    candidates = _hirzebruch_candidates(weights)
-    if count == 4:
-        for params in candidates:
-            signs, ring = _hirzebruch_ring(*params)
-            if sorted(w for w in ring if w >= 2) == weights and _ring_key(signs, ring) == key:
-                return Classification(
-                    _canonical_name(*params), _hirzebruch_diffeotype(params[0])
+    readings: dict[tuple, tuple[int, int, int] | None] = {}
+    matches = set()
+    for signs, weights in _rings(g):
+        if count == 4:
+            cuts = [[(signs, weights)]]
+        else:
+            # Cut edges e - 1 and e + 2; each arc is closed by a point that takes
+            # both, signed to balance the arc (a sign of +-3 reads as nothing).
+            cuts = []
+            for e in range(3):
+                s, w = signs[e:] + signs[:e], weights[e:] + weights[:e]
+                cuts.append(
+                    [(s[h : h + 3] + (-sum(s[h : h + 3]),), w[h : h + 3] + (w[h - 1],)) for h in (0, 3)]
                 )
-    else:
-        pair = _connected_sum_match(g, key, candidates)
-        if pair is not None:
-            names = " # ".join(_canonical_name(*params) for params in pair)
-            types = " # ".join(f"({_hirzebruch_diffeotype(q)})" for q, _, _ in pair)
-            return Classification(names, types)
+        for factors in cuts:
+            for ring in factors:
+                if ring not in readings:
+                    readings[ring] = _reading(*ring)
+            params = tuple(readings[ring] for ring in factors)
+            if all(params):
+                matches.add(params)
+    if matches:
+        factors = min(
+            (sorted(m, key=_catalogue_order) for m in matches),
+            key=lambda m: [_catalogue_order(p) for p in m],
+        )
+        types = [_hirzebruch_diffeotype(q) for q, _, _ in factors]
+        if len(types) == 2:
+            types = [f"({t})" for t in types]
+        return Classification(" # ".join(_canonical_name(*p) for p in factors), " # ".join(types))
     return Classification(
         None, None, "no Hir(q;a,b) or two-term connected sum is isomorphic"
     )
@@ -982,6 +942,19 @@ def analyze_action(
 
     locus = fixed_flags(basis, sig, group, partner)
 
+    # Before the spheres, which a locus of the wrong shape leaves unpaired.
+    squares = ()
+    if locus.surfaces:
+        if c1_coeff is None:
+            raise NotImplementedError(
+                "no Euler data for fixed surfaces in this ambient variety"
+            )
+        if len(locus.surfaces) != 2:
+            raise NotImplementedError("expected a pair of fixed surfaces")
+        euler = fixed_surface_euler(c1_coeff, 2, 1)
+        first, second = sorted(s.id for s in locus.surfaces)
+        squares = ((first, euler), (second, -euler))
+
     rounds = []
     tangents: dict[str, tuple[int, ...]] = {}
     sightings: Counter[tuple[str, str, int]] = Counter()
@@ -1001,18 +974,6 @@ def analyze_action(
 
     if any(count != 2 for count in sightings.values()):
         raise ArithmeticError("an invariant sphere was not seen from both ends")
-
-    squares = ()
-    if locus.surfaces:
-        if c1_coeff is None:
-            raise NotImplementedError(
-                "no Euler data for fixed surfaces in this ambient variety"
-            )
-        if len(locus.surfaces) != 2:
-            raise NotImplementedError("expected a pair of fixed surfaces")
-        euler = fixed_surface_euler(c1_coeff, 2, 1)
-        first, second = sorted(s.id for s in locus.surfaces)
-        squares = ((first, euler), (second, -euler))
 
     ambient = WeightGraph(tuple(rounds), squares, tuple(sightings))
     fiber = ambient_to_fiber_graph(ambient, group, tangents)

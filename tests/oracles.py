@@ -693,21 +693,38 @@ def canonical_key_oracle(g: WeightGraph) -> tuple:
     return tuple(sorted(components)), tuple(sorted(e for _, e in g.squares))
 
 
-def hirzebruch_candidates_oracle(weights: list[int]) -> list[tuple[int, int, int]]:
-    """Every valid (q, a, b) with |a|, |b| <= w+1 and q <= 2w+2 for the largest
-    weight w whose edge weights above 1 fit inside ``weights``, in catalogue order."""
-    w = max(weights, default=1)
-    available = Counter(weights)
-    found = []
-    for q in range(2 * w + 3):
-        for a in range(-w - 1, w + 2):
-            for b in range(-w - 1, w + 2):
-                if not a or not b or math.gcd(abs(a), abs(b)) != 1 or a + q * b == 0:
-                    continue
-                needed = Counter(m for m in (abs(a), abs(b), abs(b), abs(a + q * b)) if m > 1)
-                if not needed - available:
-                    found.append((q, a, b))
-    return sorted(found, key=lambda p: (p[0], abs(p[1]), abs(p[2]), p[1] < 0, p[2] < 0))
+def rings_oracle(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (signs, weights) ring on ``g``'s round vertices in which each of
+    ``g``'s edges joins neighbours and the other neighbours join by weight 1.
+
+    Every cyclic order of the vertices from the first is tried; each edge of
+    ``g`` takes an unclaimed ring position between its ends, and an order
+    where some edge finds none is dropped.
+    """
+    ids = [i for i, _ in g.rounds]
+    sign = dict(g.rounds)
+    rings = []
+    for rest in itertools.permutations(ids[1:]):
+        order = [ids[0], *rest]
+        weights = [1] * len(order)
+        claimed = [False] * len(order)
+        fits = True
+        for a, b, w in g.edges:
+            k = next(
+                (
+                    k
+                    for k in range(len(order))
+                    if not claimed[k] and {order[k], order[(k + 1) % len(order)]} == {a, b}
+                ),
+                None,
+            )
+            if k is None:
+                fits = False
+                break
+            claimed[k], weights[k] = True, w
+        if fits:
+            rings.append((tuple(sign[i] for i in order), tuple(weights)))
+    return rings
 
 
 def _catalogue(max_weight: int) -> list[tuple[tuple[int, int, int], WeightGraph]]:

@@ -618,6 +618,16 @@ def test_twg_parity_violation_is_computation_error(capsys):
     assert err.startswith("error:")
 
 
+def test_twg_unpaired_fixed_surfaces_are_named_for_both_circles(capsys):
+    # P^3 under (3, 1) fixes more than a pair of lines; the shape is reported,
+    # not a sphere count the unexpected locus throws off.
+    for group in ("so2", "pso2"):
+        code, out, err = run(
+            capsys, "twg", "--partition", "3,1", "--flag", "proj", "--group", group
+        )
+        assert (code, out, err) == (2, "", "error: expected a pair of fixed surfaces\n"), group
+
+
 def test_twg_refuses_a_huge_partition_before_its_basis():
     # n is checked against the flag kind before the n-vector basis is built.
     for kind in ("full", "proj", "lag"):

@@ -56,12 +56,11 @@ from flagfibers.twg import (
     graphs_isomorphic,
     hirzebruch_graph,
     sign_of_fixed_point,
-    _RING,
-    _arc_profiles,
-    _glued_ring,
-    _hirzebruch_candidates,
+    _canonical_name,
+    _catalogue_order,
     _hirzebruch_ring,
-    _ring_key,
+    _reading,
+    _rings,
 )
 from flagfibers import weyl
 
@@ -651,25 +650,75 @@ def test_hirzebruch_graph_against_tangent_oracle():
         assert list(g.edges) == expected_edges
 
 
-def test_ring_closed_forms_match_the_built_graph():
+def dihedral_least(signs: tuple, weights: tuple) -> tuple:
+    """The least of a ring's rotations and reflections, weight k joining point k to k+1."""
+    n = len(signs)
+    images = []
+    for s, w in ((signs, weights), (signs[:1] + signs[:0:-1], weights[::-1])):
+        images += [(s[k:] + s[:k], w[k:] + w[:k]) for k in range(n)]
+    return min(images)
+
+
+def test_reading_round_trips_the_box():
     # Every valid triple with q <= 12 and |a|, |b| <= 8: all of largest weight <= 6 and more.
-    count = 0
-    for q in range(13):
-        for a, b in itertools.product(range(-8, 9), repeat=2):
-            if not (a and b) or math.gcd(abs(a), abs(b)) != 1 or a + q * b == 0:
-                continue
-            g = hirzebruch_graph(q, a, b)
-            signs, weights = _hirzebruch_ring(q, a, b)
-            assert _ring_key(signs, weights) == g.canonical_key(), (q, a, b)
-            count += 1
-    assert count == 2220
+    box = [
+        (q, a, b)
+        for q in range(13)
+        for a, b in itertools.product(range(-8, 9), repeat=2)
+        if a and b and math.gcd(abs(a), abs(b)) == 1 and a + q * b != 0
+    ]
+    assert len(box) == 2220
+    by_ring, by_key = {}, {}
+    for p in box:
+        by_ring.setdefault(dihedral_least(*_hirzebruch_ring(*p)), []).append(p)
+        by_key.setdefault(hirzebruch_graph(*p).canonical_key(), []).append(p)
+    for p in box:
+        ring, key = _hirzebruch_ring(*p), hirzebruch_graph(*p).canonical_key()
+        got = _reading(*ring)
+        assert hirzebruch_graph(*got).canonical_key() == key, p
+        assert got == min(by_ring[dihedral_least(*ring)], key=_catalogue_order), p
+        # A graph closes into every ring of its key, and the least reading names it.
+        least = min(by_key[key], key=_catalogue_order)
+        assert classify_fiber(hirzebruch_graph(*p)).model == _canonical_name(*least), p
+    assert _reading((1, 1, -1, -1), (2, 3, 5, 3)) is None
 
 
-def test_hirzebruch_candidates_match_the_box_scan():
-    for size in range(5):
-        for weights in itertools.combinations_with_replacement((2, 3, 4, 5), size):
-            got = _hirzebruch_candidates(list(weights))
-            assert got == oracles.hirzebruch_candidates_oracle(list(weights)), weights
+def test_rings_match_the_cyclic_order_oracle():
+    rng = random.Random(20)
+    graphs = [
+        # a double edge, alone and beside a point; a triangle, alone and beside points
+        WeightGraph((("a", 1), ("b", -1)), (), (("a", "b", 2), ("a", "b", 3))),
+        WeightGraph((("a", 1), ("b", -1), ("c", 1)), (), (("a", "b", 2), ("a", "b", 3))),
+        WeightGraph((("a", 1), ("b", -1), ("c", 1)), (), (("a", "b", 2), ("b", "c", 3), ("a", "c", 4))),
+        WeightGraph(
+            (("a", 1), ("b", -1), ("c", 1), ("d", -1)), (), (("a", "b", 2), ("b", "c", 3), ("a", "c", 4))
+        ),
+    ]
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        ids = [f"r{k}" for k in range(n)]
+        rounds = tuple((i, rng.choice((1, -1))) for i in ids)
+        if rng.random() < 0.2:
+            # a full cycle
+            order = rng.sample(ids, n)
+            edges = [(order[k], order[k - 1], rng.randint(2, 4)) for k in range(n)]
+        else:
+            degree = dict.fromkeys(ids, 0)
+            edges = []
+            for _ in range(rng.randrange(n + 2)):
+                a, b = rng.sample(ids, 2)
+                if degree[a] < 2 and degree[b] < 2:
+                    degree[a] += 1
+                    degree[b] += 1
+                    edges.append((a, b, rng.randint(2, 4)))
+        graphs.append(WeightGraph(rounds, (), tuple(edges)))
+    kinds = set()
+    for g in graphs:
+        got = {dihedral_least(*ring) for ring in _rings(g)}
+        expected = {dihedral_least(*ring) for ring in oracles.rings_oracle(g)}
+        assert got == expected, g
+        kinds.add((len(got) > 0, len(g.edges) == len(g.rounds)))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -1155,41 +1204,6 @@ def bump_one_weight(rng: random.Random, g: WeightGraph) -> WeightGraph:
     return WeightGraph(g.rounds, g.squares, edges)
 
 
-def test_glued_ring_matches_the_built_sum():
-    # Every ordered pair of Hirs of largest weight <= 3, either sign of b, and
-    # a seeded sample at <= 4, glued at all 16 pairs of points.
-    def hirs(largest: int) -> list[tuple[int, int, int]]:
-        return [
-            (q, a, b)
-            for q in range(2 * largest + 1)
-            for a in range(-largest, largest + 1)
-            for b in range(-largest, largest + 1)
-            if a and b and math.gcd(abs(a), abs(b)) == 1 and 0 < abs(a + q * b) <= largest
-        ]
-
-    rng = random.Random(14)
-    pairs = list(itertools.product(hirs(3), repeat=2))
-    sample = hirs(4)
-    pairs += [(rng.choice(sample), rng.choice(sample)) for _ in range(400)]
-    legal = 0
-    for p1, p2 in pairs:
-        ring1, ring2 = _hirzebruch_ring(*p1), _hirzebruch_ring(*p2)
-        g1, g2 = hirzebruch_graph(*p1), hirzebruch_graph(*p2)
-        arcs1, arcs2 = _arc_profiles(*ring1), _arc_profiles(*ring2)
-        for k1, k2 in itertools.product(range(4), repeat=2):
-            glued = _glued_ring(ring1, k1, ring2, k2)
-            try:
-                total = connected_sum(g1, _RING[k1], g2, _RING[k2])
-            except ValueError:
-                assert glued is None, (p1, k1, p2, k2)
-                continue
-            assert _ring_key(*glued) == total.canonical_key(), (p1, k1, p2, k2)
-            profiles = [(total.sign_of(v), total.incident_weights(v)) for v, _ in total.rounds]
-            assert sorted(arcs1[k1] + arcs2[k2]) == sorted(profiles), (p1, k1, p2, k2)
-            legal += 1
-    assert (len(pairs), legal) == (5876, 11982)
-
-
 def test_classify_matches_catalogue_oracle():
     rng = random.Random(20260)
     hirs = [hirzebruch_graph(*p) for p in hirzebruch_params_up_to(4)]
@@ -1284,6 +1298,13 @@ def test_classify_large_weights():
     start = time.perf_counter()
     record = classify_fiber(hirzebruch_graph(1, 99999, 100000))
     assert (record.model, record.diffeotype) == ("Hir(1;99999,100000)", "CP^2 # -CP^2")
+    # Hir(1;99999,100000) glued to itself cuts into a lesser pair of factors too.
+    h = hirzebruch_graph(1, 99999, 100000)
+    total = connected_sum(h, "p1", h, "p2")
+    record = classify_fiber(relabeled(total, random.Random(5)))
+    assert record.model == "Hir(0;100000,199999) # Hir(1;99999,100000)"
+    assert record.diffeotype == "(S^2 x S^2) # (CP^2 # -CP^2)"
+    assert graphs_isomorphic(connected_sum(hirzebruch_graph(0, 100000, 199999), "p1", h, "p3"), total)
     pair = WeightGraph(rounds=(("x", 1), ("y", -1)), edges=(("x", "y", 100000),))
     record = classify_fiber(pair)
     assert not record.matched
