@@ -452,6 +452,7 @@ def main(argv=None) -> int:
         ArithmeticError,
         NotImplementedError,
         OSError,
+        RecursionError,  # JSON nested past the interpreter's recursion limit
     ) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -121,6 +121,12 @@ def enumerate_balanced_ideals(poset: PositionPoset) -> list[Ideal]:
     A balanced ideal contains exactly half of the cosets, so a poset of odd
     cardinality has none, and the empty list is the complete answer for it.
     The pair-choice search is described in the module docstring.
+
+    >>> from flagfibers.weyl import Family, RootSystem, double_cosets
+    >>> poset = double_cosets(RootSystem(Family.A, 2), frozenset({1, 2}), frozenset({1, 2}))
+    >>> (ideal,) = enumerate_balanced_ideals(poset)
+    >>> sorted(poset.cosets[i].label() for i in ideal.members), sorted(minimal_anosov_type(ideal))
+    (['123', '132', '213'], [1, 2])
     """
     w0 = poset.w0_action
     if w0 is None:

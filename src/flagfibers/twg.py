@@ -2,7 +2,8 @@
 
 Given an n-dimensional representation with its labeled circle-weight basis,
 the circle acts on flag varieties of the representation space.  This module
-locates the fixed flags (isolated points and projective-line families),
+locates the fixed flags (isolated points and projective-line families) by
+the level at which each line of each weight eigenspace enters the flag,
 reads the tangent weights and invariant two-spheres at each fixed point off
 one chart pass, strings the spheres into a labeled graph, transfers the
 graph from the ambient flag variety to the four-dimensional fiber, and
@@ -179,12 +180,14 @@ def fixed_flags(
 ) -> FixedLocus:
     """All invariant flags of the given signature, grouped by rigidity.
 
-    An invariant flag decomposes each subspace along the weight eigenspaces;
-    the possible intersection-dimension profiles are enumerated directly.
-    Profiles choosing a line inside a two-dimensional eigenspace sweep a
-    projective-line family; anything bigger is out of scope.  With the
-    ``partner`` of each label under a form (:func:`form_partners`), only
-    isotropic flags (and families of them) survive.
+    An invariant flag is spanned level by level by weight vectors, so it is
+    read off the level at which each line of each weight eigenspace enters;
+    lines left to the completion enter at level ``len(sig.dims)``.  An
+    eigenspace whose lines all enter together is rigid.  A plane whose two
+    lines enter apart sweeps a projective-line family, a pencil; anything
+    bigger is out of scope.  With the ``partner`` of each label under a form
+    (:func:`form_partners`), only isotropic flags (and families of them)
+    survive.
     """
     group.check_weights(basis.weights)
     if sig.ambient != len(basis):
@@ -194,78 +197,62 @@ def fixed_flags(
     for label, weight in zip(basis.labels, basis.weights):
         eigen.setdefault(weight, []).append(label)
     weights = sorted(eigen, reverse=True)
-    dims = sig.dims
-    depth = len(dims)
-
-    def monotone_profiles(mult: int):
-        return itertools.combinations_with_replacement(range(mult + 1), depth)
+    depth = len(sig.dims)
 
     def isotropic(labels: Sequence[str]) -> bool:
         return partner is None or not any(partner[label] in labels for label in labels)
 
+    # Entry levels, one sorted tuple per eigenspace, grown largest weight
+    # first; a choice is kept with the room its levels have left, and the
+    # completion counts as a level.
+    room = tuple(b - a for a, b in zip((0, *sig.dims), (*sig.dims, sig.ambient)))
+    choices: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), room)]
+    for w in weights:
+        grown = []
+        for entries, left in choices:
+            for entry in itertools.combinations_with_replacement(range(depth + 1), len(eigen[w])):
+                rest = list(left)
+                for level in entry:
+                    rest[level] -= 1
+                if min(rest) >= 0:
+                    grown.append(((*entries, entry), tuple(rest)))
+        choices = grown
+
     isolated: list[IsolatedFixedFlag] = []
     surfaces: list[FixedSurface] = []
-    for combo in itertools.product(
-        *(monotone_profiles(len(eigen[w])) for w in weights)
-    ):
-        if any(
-            sum(prof[j] for prof in combo) != dims[j] for j in range(depth)
-        ):
-            continue
-        pencil_weight = None
-        pencil_completed = False
-        for w, prof in zip(weights, combo):
-            mult = len(eigen[w])
-            partial = {v for v in prof if v not in (0, mult)}
-            if not partial:
-                continue
-            if mult == 2 and partial == {1}:
-                if pencil_weight is not None:
+    # Latest entries first, that is least intersection dimensions first: this
+    # fixes which refusal a locus open to both meets.
+    for entries, _ in reversed(choices):
+        levels: list[list[str]] = [[] for _ in range(depth + 1)]
+        pencil = None
+        for w, entry in zip(weights, entries):
+            if entry[0] == entry[-1]:
+                levels[entry[0]].extend(eigen[w])
+            elif len(entry) == 2:
+                if pencil is not None:
                     raise NotImplementedError(
                         "fixed locus with more than one pencil factor"
                     )
-                pencil_weight = w
-                pencil_completed = mult in prof
+                pencil, completed = tuple(eigen[w]), entry[1] < depth
             else:
                 raise NotImplementedError(
                     "fixed locus beyond isolated flags and line pencils"
                 )
 
-        if pencil_weight is None:
-            level_groups = []
-            for j in range(depth):
-                added = [
-                    label
-                    for w, prof in zip(weights, combo)
-                    if prof[j] and (j == 0 or not prof[j - 1])
-                    for label in eigen[w]
-                ]
-                level_groups.append(
-                    tuple(sorted(added, key=basis.index_of))
-                )
-            used = {label for level in level_groups for label in level}
-            completion = tuple(l for l in basis.labels if l not in used)
-            flag = IsolatedFixedFlag(tuple(level_groups), completion)
-            if not isotropic(flag.flag_order[: sig.top]):
-                continue
-            isolated.append(flag)
+        if pencil is None:
+            *heads, completion = (tuple(sorted(level, key=basis.index_of)) for level in levels)
+            flag = IsolatedFixedFlag(tuple(heads), completion)
+            if isotropic(flag.flag_order[: sig.top]):
+                isolated.append(flag)
         else:
-            anchored = []
-            for j in range(depth):
-                for w, prof in zip(weights, combo):
-                    if w == pencil_weight:
-                        continue
-                    if prof[j] and (j == 0 or not prof[j - 1]):
-                        anchored.extend(eigen[w])
-            pencil = tuple(eigen[pencil_weight])
+            anchored = tuple(label for level in levels[:depth] for label in level)
             # Each line of the pencil plane is self-isotropic, so every member
             # flag is isotropic when the anchored vectors span an isotropic
             # space with either pencil vector; the plane's own pairing matters
             # only if some level swallows the plane whole.
-            parts = [pencil] if pencil_completed else [(label,) for label in pencil]
-            if not all(isotropic([*anchored, *part]) for part in parts):
-                continue
-            surfaces.append(FixedSurface(tuple(anchored), pencil))
+            parts = [pencil] if completed else [(label,) for label in pencil]
+            if all(isotropic([*anchored, *part]) for part in parts):
+                surfaces.append(FixedSurface(anchored, pencil))
 
     isolated.sort(key=lambda f: tuple(basis.index_of(l) for l in f.flag_order))
     surfaces.sort(key=lambda s: s.id)

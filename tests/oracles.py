@@ -48,6 +48,10 @@ Everything here deliberately avoids the library's own code paths:
   ``basis^T @ pairing @ basis`` with the library's exact matrices;
 - the census of three-dimensional flag varieties comes from scanning every
   index subset at every rank;
+- fixed flags come from every ordering of the weight basis, cut into the
+  signature's blocks: an ordering that keeps every weight eigenspace in one
+  block is an isolated flag, and one that splits exactly one plane and
+  nothing else lies on a pencil;
 - tangent weights and sphere ends of the Lagrangian locus come from the
   library's earlier route: the Gram matrix reindexed to the fixed point,
   and the linearized isotropy equations of the chart solved exactly, one
@@ -911,6 +915,42 @@ def census_oracle(max_rank: int) -> list[FlagVarietyDescriptor]:
                     if flag_dim(d) == 3:
                         found.append(d)
     return found
+
+
+# ---------------------------------------------------------------------------
+# fixed flags, by cutting every ordering of the basis
+
+
+def fixed_flags_oracle(
+    basis: WeightedBasis, dims: Sequence[int], partner: dict[str, str] | None = None
+) -> tuple[set, set]:
+    """The isolated fixed flags, as (levels, completion) pairs, and the
+    pencils, as (anchored set, plane) pairs, of signature ``dims``.
+
+    Every ordering of the labels is cut into blocks at ``dims``, each block
+    sorted by basis position.  An ordering that keeps every weight eigenspace
+    inside one block is an isolated flag; with ``partner`` it is kept only
+    when its top level holds no label together with its partner.  An
+    ordering that splits exactly one eigenspace, a plane, lies on the pencil
+    of that plane, anchored by the rest of the top level; ``partner`` does
+    not filter pencils.
+    """
+    cuts = list(zip((0, *dims), (*dims, len(basis))))
+    eigen: dict[int, set[str]] = {}
+    for label, weight in zip(basis.labels, basis.weights):
+        eigen.setdefault(weight, set()).add(label)
+    isolated, pencils = set(), set()
+    for order in itertools.permutations(basis.labels):
+        blocks = [set(order[a:b]) for a, b in cuts]
+        split = [space for space in eigen.values() if not any(space <= b for b in blocks)]
+        top = set(order[: dims[-1]])
+        if not split:
+            if partner is None or not any(partner[label] in top for label in top):
+                levels = tuple(tuple(sorted(b, key=basis.index_of)) for b in blocks)
+                isolated.add((levels[:-1], levels[-1]))
+        elif len(split) == 1 and len(split[0]) == 2:
+            pencils.add((frozenset(top - split[0]), tuple(sorted(split[0], key=basis.index_of))))
+    return isolated, pencils
 
 
 # ---------------------------------------------------------------------------

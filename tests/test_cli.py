@@ -902,6 +902,15 @@ def _fuzz_argv(entry_point: str, path: str, folder: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("entry_point", sorted(FUZZED_FILES))
+def test_json_nested_past_the_recursion_limit_exits_2(entry_point, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    done = run_child("-m", "flagfibers.cli", *_fuzz_argv(entry_point, str(path), tmp_path))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry_point", sorted(FUZZED_FILES))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_json_entry_points_answer_or_exit_2(entry_point, data):

@@ -268,10 +268,46 @@ def test_fixed_flags_parity_error():
         fixed_flags(basis, Signature((1, 2), 3), CircleGroup.PSO2)
 
 
-def test_fixed_flags_big_locus_out_of_scope():
-    basis = so2_weight_basis(Partition((1, 1, 1)))
-    with pytest.raises(NotImplementedError):
-        fixed_flags(basis, Signature((1,), 3), CircleGroup.SO2)
+@pytest.mark.parametrize(
+    "parts, dims, message",
+    [
+        ((1, 1, 1), (1,), "beyond isolated flags and line pencils"),
+        ((2, 2), (2,), "more than one pencil factor"),
+        ((3, 1), (1, 2), "coincident fixed-surface families"),
+    ],
+    ids=["big-eigenspace", "two-pencils", "coincident"],
+)
+def test_fixed_flags_big_locus_out_of_scope(parts, dims, message):
+    basis = so2_weight_basis(Partition(parts))
+    with pytest.raises(NotImplementedError, match=message):
+        fixed_flags(basis, Signature(dims, len(basis)), CircleGroup.SO2)
+
+
+def test_fixed_flags_match_the_permutation_oracle():
+    answered = 0
+    for n in range(2, 7):
+        for p in partitions_of(n):
+            basis = so2_weight_basis(p)
+            partner = None
+            if n % 2 == 0 and admits_symplectic_form(p):
+                partner = form_partners(basis, invariant_symplectic_form(p))
+            for size in range(1, n):
+                for dims in itertools.combinations(range(1, n), size):
+                    sig = Signature(dims, n)
+                    try:
+                        locus = fixed_flags(basis, sig, CircleGroup.SO2)
+                    except NotImplementedError:
+                        continue
+                    isolated, pencils = oracles.fixed_flags_oracle(basis, dims)
+                    assert len(locus.isolated) == len(isolated), (p.parts, dims)
+                    assert {(f.levels, f.completion) for f in locus.isolated} == isolated
+                    assert {(frozenset(s.anchored), s.pencil) for s in locus.surfaces} == pencils
+                    if partner is not None:
+                        kept = fixed_flags(basis, sig, CircleGroup.SO2, partner).isolated
+                        isolated, _ = oracles.fixed_flags_oracle(basis, dims, partner)
+                        assert {(f.levels, f.completion) for f in kept} == isolated
+                    answered += 1
+    assert answered == 122
 
 
 def test_fixed_flags_ambient_mismatch():
