@@ -86,26 +86,20 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    path = _resolve_out(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _resolve_out(name: str) -> Path:
-    path = Path(name)
+    path = Path(out)
     base = os.environ.get("FLAGFIBERS_OUT")
     if base and not path.is_absolute():
-        return Path(base) / path
-    return path
+        path = Path(base) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers; the empty string is the empty tuple."""
     try:
-        values = tuple(int(chunk) for chunk in text.split(",")) if text else ()
+        return tuple(int(chunk) for chunk in text.split(",")) if text else ()
     except ValueError:
         raise UsageError(f"{what} must be comma-separated integers: {text!r}")
-    return values
 
 
 def _load_json(path: str):
@@ -126,11 +120,6 @@ def _first_divergence(got: str, want: str) -> str:
     return "texts are identical"
 
 
-def _form_from_json(data) -> SymplecticForm:
-    (gram,) = json_fields(data, "form", ("gram",))
-    return SymplecticForm(matrix_from_json(gram))
-
-
 # ---------------------------------------------------------------------------
 # poset plumbing shared by hasse and ideals
 
@@ -139,16 +128,17 @@ def _sign_label(signs: tuple[int, ...]) -> str:
     return "(" + ",".join("+" if s > 0 else "-" for s in signs) + ")"
 
 
-def _poset_and_labels(family: Family, rank: int, eta, signs: bool):
-    system = RootSystem(family, rank)
+def _poset_and_labels(family: str, rank: int, eta: str | None, signs: bool):
+    chosen = None if eta is None else frozenset(_parse_ints(eta, "--eta"))
+    system = RootSystem(Family[family], rank)
     check_group_order(system)  # before any work that grows with the rank
     full = frozenset(system.simple_indices)
-    eta_set = frozenset(eta) if eta is not None else full
-    if not eta_set <= set(system.simple_indices):
+    eta_set = full if chosen is None else chosen
+    if not eta_set <= full:
         raise UsageError(f"eta {sorted(eta_set)} outside 1..{rank}")
     poset = double_cosets(system, full, eta_set)
     if signs:
-        if family is not Family.C:
+        if family != "C":
             raise UsageError("--signs makes sense for family C only")
         labels = [_sign_label(sign_vector(dc.min_rep)) for dc in poset.cosets]
         if len(set(labels)) != len(labels):
@@ -158,19 +148,15 @@ def _poset_and_labels(family: Family, rank: int, eta, signs: bool):
     return poset, labels
 
 
-def _hasse_dot(labels: list[str], covers) -> str:
+def _hasse_text(family: str, rank: int, eta: str | None, signs: bool) -> str:
+    poset, labels = _poset_and_labels(family, rank, eta, signs)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
     lines.extend(f'  "{label}";' for label in labels)
     lines.extend(
-        f'  "{labels[i]}" -> "{labels[j]}" [arrowhead=none];' for i, j in covers
+        f'  "{labels[i]}" -> "{labels[j]}" [arrowhead=none];' for i, j in poset.covers()
     )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _hasse_text(family: Family, rank: int, eta, signs: bool) -> str:
-    poset, labels = _poset_and_labels(family, rank, eta, signs)
-    return _hasse_dot(labels, poset.covers())
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +164,12 @@ def _hasse_text(family: Family, rank: int, eta, signs: bool) -> str:
 
 
 def _cmd_hasse(args) -> int:
-    eta = _parse_ints(args.eta, "--eta") if args.eta is not None else None
-    _emit(_hasse_text(Family[args.family], args.rank, eta, args.signs), args.out)
+    _emit(_hasse_text(args.family, args.rank, args.eta, args.signs), args.out)
     return EXIT_OK
 
 
 def _cmd_ideals(args) -> int:
-    eta = _parse_ints(args.eta, "--eta") if args.eta is not None else None
-    poset, labels = _poset_and_labels(Family[args.family], args.rank, eta, args.signs)
-    balanced = enumerate_balanced_ideals(poset)
+    poset, labels = _poset_and_labels(args.family, args.rank, args.eta, args.signs)
     payload = {
         "family": args.family,
         "rank": args.rank,
@@ -197,7 +180,7 @@ def _cmd_ideals(args) -> int:
                 "members": sorted(labels[i] for i in ideal.members),
                 "minimal_anosov_type": sorted(minimal_anosov_type(ideal)),
             }
-            for ideal in balanced
+            for ideal in enumerate_balanced_ideals(poset)
         ],
     }
     _emit(_json_text(payload), args.out)
@@ -217,7 +200,8 @@ def _cmd_position(args) -> int:
     first = _read_position_flag(args.flag, bool(args.symplectic))
     second = _read_position_flag(args.other, bool(args.symplectic))
     if args.symplectic:
-        omega = _form_from_json(_load_json(args.symplectic))
+        (gram,) = json_fields(_load_json(args.symplectic), "form", ("gram",))
+        omega = SymplecticForm(matrix_from_json(gram))
         w = relative_position_symplectic(first, second, omega)
     else:
         w = relative_position_full(first, second)
@@ -266,57 +250,47 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _census_rows(max_rank: int) -> list[dict]:
+def _census_text(max_rank: int, as_json: bool) -> str:
     found = enumerate_3dim_flag_varieties(max_rank)
-    return [
-        {
-            "group": group,
-            "varieties": [d.to_json_dict() for d in members],
-        }
-        for group, members in (
-            (key, list(chunk))
-            for key, chunk in itertools.groupby(found, key=lambda d: d.group_label)
-        )
+    rows = [
+        {"group": group, "varieties": [d.to_json_dict() for d in members]}
+        for group, members in itertools.groupby(found, key=lambda d: d.group_label)
     ]
+    if as_json:
+        return _json_text({"rows": rows})
+    lines = [
+        row["group"] + ": " + ", ".join(v["symbol"] for v in row["varieties"])
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _census_json_text(max_rank: int) -> str:
-    return _json_text({"rows": _census_rows(max_rank)})
-
-
-def _fullcases_json_text() -> str:
-    return _json_text({"rows": [row.to_json_dict() for row in fullcases_table()]})
+def _cases_text(as_json: bool) -> str:
+    rows = fullcases_table()
+    if as_json:
+        return _json_text({"rows": [row.to_json_dict() for row in rows]})
+    lines = [
+        f"{' = '.join(row.groups)} | {row.variety} | "
+        + ", ".join(str(p) for p in row.partitions)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_census(args) -> int:
     if args.cases:
-        if args.json:
-            _emit(_fullcases_json_text(), args.out)
-        else:
-            lines = [
-                f"{' = '.join(row.groups)} | {row.variety} | "
-                + ", ".join(str(p) for p in row.partitions)
-                for row in fullcases_table()
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    if args.json:
-        _emit(_census_json_text(args.max_rank), args.out)
-        return EXIT_OK
-    lines = [
-        row["group"] + ": " + ", ".join(v["symbol"] for v in row["varieties"])
-        for row in _census_rows(args.max_rank)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+        _emit(_cases_text(args.json), args.out)
+    else:
+        _emit(_census_text(args.max_rank, args.json), args.out)
     return EXIT_OK
 
 
 def _artifacts() -> dict[str, str]:
     files = {
-        "hasse_a2_full.dot": _hasse_text(Family.A, 2, None, signs=False),
-        "hasse_c2_eta2.dot": _hasse_text(Family.C, 2, (2,), signs=True),
-        "census.json": _census_json_text(6),
-        "fullcases.json": _fullcases_json_text(),
+        "hasse_a2_full.dot": _hasse_text("A", 2, None, signs=False),
+        "hasse_c2_eta2.dot": _hasse_text("C", 2, "2", signs=True),
+        "census.json": _census_text(6, as_json=True),
+        "fullcases.json": _cases_text(as_json=True),
     }
     for parts, kind, group in CASES:
         name = f"twg_{kind}_{'-'.join(str(d) for d in parts)}.json"
@@ -370,23 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flagfibers", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    hasse = subs.add_parser("hasse", help="Bruhat poset of positions as DOT")
-    hasse.add_argument("--family", choices=["A", "C"], required=True)
-    hasse.add_argument("--rank", type=int, required=True)
-    hasse.add_argument("--eta", help="comma-separated type, default: all")
-    hasse.add_argument(
-        "--signs", action="store_true", help="label type C cosets by sign vectors"
-    )
-    _add_output_option(hasse)
-    hasse.set_defaults(handler=_cmd_hasse)
-
-    ideals = subs.add_parser("ideals", help="balanced ideals of a position poset")
-    ideals.add_argument("--family", choices=["A", "C"], required=True)
-    ideals.add_argument("--rank", type=int, required=True)
-    ideals.add_argument("--eta", help="comma-separated type, default: all")
-    ideals.add_argument("--signs", action="store_true")
-    _add_output_option(ideals)
-    ideals.set_defaults(handler=_cmd_ideals)
+    for name, handler, summary in (
+        ("hasse", _cmd_hasse, "Bruhat poset of positions as DOT"),
+        ("ideals", _cmd_ideals, "balanced ideals of a position poset"),
+    ):
+        poset = subs.add_parser(name, help=summary)
+        poset.add_argument("--family", choices=["A", "C"], required=True)
+        poset.add_argument("--rank", type=int, required=True)
+        poset.add_argument("--eta", help="comma-separated type, default: all")
+        poset.add_argument(
+            "--signs", action="store_true", help="label type C cosets by sign vectors"
+        )
+        _add_output_option(poset)
+        poset.set_defaults(handler=handler)
 
     position = subs.add_parser("position", help="relative position of two flags")
     position.add_argument("flag", help="JSON file with the reference flag")

@@ -167,32 +167,22 @@ def so2_weight_basis(p: Partition) -> WeightedBasis:
     >>> so2_weight_basis(Partition((2, 1, 1))).labels
     ('f1', 'f-1', 'X2', 'Y2')
     """
-    all_weights = partition_weights(p)
-    distinct = len(set(all_weights)) == len(all_weights)
-    big = [d for d in p.parts if d >= 2]
-    if len(big) == 1:
-        letters = ["f"]
-    else:
-        letters = [chr(ord("e") + i) for i in range(len(big))]
+    weights = tuple(w for d in p.parts for w in irreducible_weights(d))
+    distinct = len(set(weights)) == len(weights)
+    big = sum(d >= 2 for d in p.parts)
+    big_letters = iter(["f"] if big == 1 else [chr(ord("e") + i) for i in range(big)])
 
     labels: list[str] = []
-    weights: list[int] = []
-    big_seen = 0
     singles_seen = 0
     for d in p.parts:
         if distinct or d >= 2:
-            letter = "f" if distinct else letters[big_seen]
-            if d >= 2:
-                big_seen += 1
-            for w in irreducible_weights(d):
-                labels.append(f"{letter}{w}")
-                weights.append(w)
+            letter = "f" if distinct else next(big_letters)
+            labels.extend(f"{letter}{w}" for w in irreducible_weights(d))
         else:
-            pair_index = len(big) + singles_seen // 2 + 1
+            pair_index = big + singles_seen // 2 + 1
             labels.append(("X" if singles_seen % 2 == 0 else "Y") + str(pair_index))
-            weights.append(0)
             singles_seen += 1
-    return WeightedBasis(tuple(labels), tuple(weights))
+    return WeightedBasis(tuple(labels), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +231,6 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
     if not admits_symplectic_form(p):
         raise ValueError("representation admits no invariant symplectic form")
     n = p.total
-    offsets = []
-    position = 0
-    for d in p.parts:
-        offsets.append(position)
-        position += d
-
     gram = [[0] * n for _ in range(n)]
 
     def fill_block(rows: int, cols: int, d: int) -> None:
@@ -254,15 +238,19 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
             gram[rows + k][cols + d - 1 - k] = value
             gram[cols + d - 1 - k][rows + k] = -value
 
-    waiting_odd: dict[int, int] = {}
-    for index, d in enumerate(p.parts):
+    # Parts never increase, so equal odd parts are adjacent and pair in turn.
+    offset = 0
+    pending = None
+    for d in p.parts:
         if d % 2 == 0:
-            fill_block(offsets[index], offsets[index], d)
-        elif d in waiting_odd:
-            fill_block(offsets[waiting_odd.pop(d)], offsets[index], d)
+            fill_block(offset, offset, d)
+        elif pending is None:
+            pending = offset
         else:
-            waiting_odd[d] = index
-    if waiting_odd:
+            fill_block(pending, offset, d)
+            pending = None
+        offset += d
+    if pending is not None:
         raise AssertionError("odd parts failed to pair despite parity check")
     return SymplecticForm(ExactMatrix(gram))
 

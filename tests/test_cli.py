@@ -771,6 +771,32 @@ def test_census_huge_rank_answers_at_once():
 
 
 # ---------------------------------------------------------------------------
+# -o writes what stdout would
+
+OUTPUT_ARGVS = {
+    "hasse": ["hasse", "--family", "C", "--rank", "2", "--eta", "2", "--signs"],
+    "ideals": ["ideals", "--family", "A", "--rank", "3", "--eta", "1,3"],
+    "reps": ["reps", "--partition", "3,3,2"],
+    "twg": ["twg", "--partition", "2,1,1", "--flag", "lag", "--group", "so2", "--dot"],
+    "classify": ["classify", str(GOLDEN / "twg_proj_4.json")],
+    "census": ["census", "--max-rank", "3"],
+    "census --json": ["census", "--json"],
+    "census --cases": ["census", "--cases"],
+    "census --cases --json": ["census", "--cases", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_ARGVS))
+def test_out_file_holds_what_stdout_would(name, capsys, tmp_path, monkeypatch):
+    argv = OUTPUT_ARGVS[name]
+    code, printed, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and printed
+    monkeypatch.setenv("FLAGFIBERS_OUT", str(tmp_path))
+    assert run(capsys, *argv, "-o", "sub/result") == (0, "", "")
+    assert (tmp_path / "sub" / "result").read_text() == printed
+
+
+# ---------------------------------------------------------------------------
 # the golden artifacts
 
 
@@ -926,3 +952,54 @@ def test_json_entry_points_answer_or_exit_2(entry_point, data):
     else:
         assert code == 2
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the argv contract: every command line ends in an answer, or in exit 1 or 2
+# with one line on stderr
+
+ARGV_INTS = st.integers(0, 7) | st.integers(-(10**30), -1) | st.integers(8, 10**30)
+# Ranks and parts from 1 to 3 most of the time, so that many draws answer.
+NUMBERS = (st.integers(1, 3) | ARGV_INTS).map(str)
+COMMA_LISTS = st.lists(
+    st.sampled_from(["", " "]) | st.integers(1, 3).map(" {} ".format) | NUMBERS,
+    max_size=4,
+).map(",".join)
+PARTITIONS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda parts: ",".join(str(d) for d in sorted(parts, reverse=True))
+)
+
+
+@st.composite
+def command_lines(draw, command: str) -> list[str]:
+    if command in ("hasse", "ideals"):
+        argv = [command, "--family", draw(st.sampled_from("AC")), "--rank", draw(NUMBERS)]
+        if draw(st.booleans()):
+            argv += ["--eta", draw(COMMA_LISTS)]
+        if draw(st.booleans()):
+            argv.append("--signs")
+        return argv
+    if command == "census":
+        options = draw(st.lists(st.sampled_from(["--json", "--cases"]), unique=True))
+        return ["census", "--max-rank", draw(NUMBERS), *options]
+    argv = [command, "--partition", draw(COMMA_LISTS | PARTITIONS)]
+    if command == "twg":
+        argv += ["--flag", draw(st.sampled_from(["full", "proj", "lag"]))]
+        argv += ["--group", draw(st.sampled_from(["so2", "pso2"]))]
+        argv += draw(st.lists(st.sampled_from(["--ambient", "--dot"]), unique=True))
+    return argv
+
+
+@pytest.mark.parametrize("command", ["census", "hasse", "ideals", "reps", "twg"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_argv_answers_or_exits_1_or_2_with_one_line(command, data):
+    argv = data.draw(command_lines(command))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2)
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
