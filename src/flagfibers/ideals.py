@@ -14,6 +14,9 @@ decides every coset is a balanced ideal.  The search visits at most
 ``IDEAL_SEARCH_LIMIT`` states and is refused with a ``ValueError`` beyond
 that, since the number of balanced ideals itself grows quickly: full-type
 A4 has 4608 of them (9298 states), and full-type C4 and A5 pass the limit.
+Found masks become ideals unchecked.  With a full left type, s_i pairs
+cosets c < d = [s_i w_c], and an ideal holding d holds c, so s_i moves I iff
+popcount(I & low_i) != popcount(I & high_i) (``PositionPoset.left_masks``).
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ class Ideal:
 
     poset: PositionPoset
     members: frozenset[int] = field(default_factory=frozenset)
+    _mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.members = frozenset(self.members)
         n = len(self.poset)
         if any(i < 0 or i >= n for i in self.members):
             raise ValueError("ideal members must be coset indices of the poset")
-        mask = sum(1 << j for j in self.members)
+        self._mask = mask = sum(1 << j for j in self.members)
         for j in self.members:
             missing = self.poset.down[j] & ~mask
             if missing:
@@ -55,6 +59,12 @@ class Ideal:
                 raise ValueError(
                     f"not downward closed: contains {j} but not {i} below it"
                 )
+
+    @classmethod
+    def _closed(cls, poset: PositionPoset, mask: int, members: list[int]) -> "Ideal":
+        ideal = object.__new__(cls)
+        ideal.poset, ideal.members, ideal._mask = poset, frozenset(members), mask
+        return ideal
 
     def labels(self) -> frozenset[str]:
         return frozenset(self.poset.cosets[i].label() for i in self.members)
@@ -79,15 +89,15 @@ class Ideal:
 
 
 def principal_ideal(poset: PositionPoset, index: int) -> frozenset[int]:
-    return _members(poset.down[index])
+    return frozenset(_bits(poset.down[index]))
 
 
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _members(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+def _bits(mask: int) -> list[int]:
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def all_ideals(poset: PositionPoset, max_size: int | None = None) -> list[frozenset[int]]:
@@ -155,8 +165,8 @@ def enumerate_balanced_ideals(poset: PositionPoset) -> list[Ideal]:
         for more_in, more_out in ((down[x], up[w0[x]]), (down[w0[x]], up[x])):
             if not (inside | more_in) & (outside | more_out):
                 stack.append((inside | more_in, outside | more_out))
-    rows = sorted(sorted(_members(mask)) for mask in found)
-    return [Ideal(poset, frozenset(row)) for row in rows]
+    rows = sorted((_bits(mask), mask) for mask in found)
+    return [Ideal._closed(poset, mask, members) for members, mask in rows]
 
 
 def minimal_anosov_type(ideal: Ideal) -> frozenset[int]:
@@ -173,8 +183,8 @@ def minimal_anosov_type(ideal: Ideal) -> frozenset[int]:
         raise ValueError("minimal type needs a poset with full left type")
     return frozenset(
         i
-        for i, image in zip(system.simple_indices, poset.left_action)
-        if frozenset(map(image.__getitem__, ideal.members)) != ideal.members
+        for i, (low, high) in zip(system.simple_indices, poset.left_masks)
+        if (ideal._mask & low).bit_count() != (ideal._mask & high).bit_count()
     )
 
 

@@ -37,9 +37,13 @@ W_eta double cosets, and any element reaches its coset's by stripping
 descents (Bjoerner-Brenti, Sec. 2.4-2.5).  Strictly Bruhat-smaller minimal
 representatives are strictly shorter, so coset index order is a linear
 extension of the poset.  By the counting criterion (Bjoerner-Brenti,
-Thm. 2.1.5) u <= w iff every Bruhat count of u is at most the same count
-of w, so the up-set of a coset is the AND, over the count fields, of the
-bitset of cosets whose count in that field is at least its own.
+Thm. 2.1.5) u <= w iff every count r(i, k) = #{p <= i : u(p) >= k} of u is at
+most that of w.  Members of W^eta descend only after slots i-1, i in eta (and
+mirrors); on an ascending run d < i <= d', r(i, k) = max(r(d, k), r(d', k) -
+d' + i), and r(N-1, k) = N-k, so those slots suffice.  In type C, r(2n-1-i, k)
+= 2n-k-i + r(i-1, 2n-k) drops the mirrors.  For w in W^eta, w0 w w0_eta is the
+representative of [w0 w] (Bjoerner-Brenti, Sec. 2.5), and s_i w is in W^eta or
+is w s_j, s_j in W_eta (Deodhar, Invent. Math. 39, 1977), so s_i w is looked up.
 
 ``group_elements`` and ``parabolic_elements`` are the only memoised group
 data; everything else is built per call.  A module-level table of windows
@@ -53,6 +57,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 
 __all__ = [
     "Family",
@@ -327,7 +332,7 @@ def _s_times(window: tuple[int, ...], i: int) -> tuple[int, ...]:
         swap = {i: -i, -i: i}
     else:
         swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
-    return tuple(swap.get(j, j) for j in window)
+    return tuple(map(swap.get, window, window))
 
 
 def _descends(window: tuple[int, ...], i: int) -> bool:
@@ -356,15 +361,15 @@ def _slots(w: WeylElement) -> list[int]:
     return [j - 1 if j > 0 else 2 * n + j for j in images]
 
 
-def _bruhat_counts(w: WeylElement) -> tuple[int, ...]:
-    """#{p <= i : w(p) >= k} for 0 <= i < N-1 and 1 <= k < N, with w on slots."""
+def _bruhat_counts(w: WeylElement, slots: list[int] | None = None) -> tuple[int, ...]:
+    """#{p <= i : w(p) >= k} for i in ``slots`` (default 0..N-2) and 1 <= k < N, w on slots."""
     perm = _slots(w)
-    counts = []
-    for k in range(1, len(perm)):
-        count = 0
-        for image in perm[:-1]:
-            count += image >= k
-            counts.append(count)
+    seen = [0] * len(perm)
+    counts: list[int] = []
+    for i in range(len(perm) - 1) if slots is None else slots:
+        for image in perm[: i + 1]:
+            seen[image] = 1
+        counts += accumulate(seen[:0:-1])
     return tuple(counts)
 
 
@@ -480,7 +485,8 @@ class PositionPoset:
         return self._index_of(w.window)
 
     def _index_of(self, window: tuple[int, ...]) -> int:
-        return self._index_of_window[_min_rep(window, *self._gens)]
+        index = self._index_of_window
+        return index[window] if window in index else index[_min_rep(window, *self._gens)]
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -506,10 +512,19 @@ class PositionPoset:
             for i in self.system.simple_indices
         )
 
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover relations (i, j) with coset i covered by coset j, sorted.
+    @cached_property
+    def left_masks(self) -> tuple[tuple[int, int], ...]:
+        """Row i-1 holds the bitsets (low, high) of the pairs c < d = [s_i * w_c]."""
+        pairs = [[(c, d) for c, d in enumerate(row) if c < d] for row in self.left_action]
+        return tuple((sum(1 << c for c, _ in p), sum(1 << d for _, d in p)) for p in pairs)
 
-        The covers of i are the minimal members of its strict up-set.  Index
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover relations (i, j) with coset i covered by coset j, sorted."""
+        return self._covers
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
+        """The covers of i are the minimal members of its strict up-set.  Index
         order extends the poset order, so the lowest member left is minimal;
         taking it and dropping its up-set leaves the members not above it.
         """
@@ -555,14 +570,24 @@ def _min_rep(window: tuple[int, ...], left: list[int], right: list[int]) -> tupl
     return window
 
 
+def _subgroup_order(system: RootSystem, gens: list[int]) -> int:
+    """|<s_i : i in gens>|: (k+1)! per run of k adjacent gens, 2^k k! if it ends at s_n of C."""
+    order = run = 1
+    for i in system.simple_indices:
+        run = run + 1 if i in gens else 1
+        order *= 2 ** (run - 1) if system.family is Family.C and i == system.rank else run
+    return order
+
+
 def double_cosets(system: RootSystem, theta: frozenset[int], eta: frozenset[int]) -> PositionPoset:
     """Partition W into W_theta \\ W / W_eta double cosets.
 
-    The cosets are named by their minimal representatives: the members of
-    W^eta with no left descent s_i (i not in theta), in the (length, window)
-    order the closure of W^eta gives.  For each Bruhat count field,
-    ``at_least[v]`` is the bitset of cosets whose count there is at least v,
-    and ``up[i]`` is the AND of ``at_least[count(i)]`` over the fields.
+    The cosets are named by their minimal representatives, in (length,
+    window) order: the members of W^eta with no left descent s_i (i not in
+    theta), or, if ^theta W (the inverses of W^theta) is smaller, its members
+    with no right descent s_i (i not in eta).  For each Bruhat count field at
+    a slot of eta, ``at_least[v]`` is the bitset of cosets whose count there
+    is at least v, and ``up[i]`` is the AND of ``at_least[count(i)]`` over them.
     Distinct cosets have distinct counts, and a coset lies strictly below
     only longer ones, so that AND holds coset i and later cosets only.
 
@@ -575,11 +600,17 @@ def double_cosets(system: RootSystem, theta: frozenset[int], eta: frozenset[int]
     theta = _simple_subset(system, theta)
     eta = _simple_subset(system, eta)
     left, right = _generators(system, theta), _generators(system, eta)
-    quotient = _closure(system, _generators(system, frozenset()), right)
-    reps = [w for w in quotient if _coset_step(w, left, []) is None]
+    every = list(system.simple_indices)
+    if _subgroup_order(system, left) > _subgroup_order(system, right):
+        inverses = [_inverse(w) for w in _closure(system, every, left)]
+        kept = [u for u in inverses if _coset_step(u, [], right) is None]
+        reps = sorted(kept, key=lambda u: (WeylElement(system, u).length(), u))
+    else:
+        reps = [w for w in _closure(system, every, right) if _coset_step(w, left, []) is None]
     cosets = tuple(DoubleCoset(system, theta, eta, WeylElement(system, w)) for w in reps)
     up = [(1 << len(cosets)) - 1] * len(cosets)
-    for field in zip(*(_bruhat_counts(dc.min_rep) for dc in cosets)):
+    slots = sorted(i - 1 for i in eta)
+    for field in zip(*(_bruhat_counts(dc.min_rep, slots) for dc in cosets)):
         at_least = [0] * (system.ambient_dim + 1)
         for j, count in enumerate(field):
             at_least[count] |= 1 << j
@@ -589,8 +620,11 @@ def double_cosets(system: RootSystem, theta: frozenset[int], eta: frozenset[int]
     index = {w: k for k, w in enumerate(reps)}
     w0_action: tuple[int, ...] | None = None
     if opposition_involution(system, theta) == theta:
-        w0 = longest_element(system).window
-        w0_action = tuple(index[_min_rep(_compose(w0, w), left, right)] for w in reps)
+        w0, w0_eta = longest_element(system).window, identity(system).window
+        while ascent := [i for i in right if not _descends(w0_eta, i)]:
+            w0_eta = _times_s(w0_eta, ascent[0])
+        flipped = (_compose(_compose(w0, w), w0_eta) for w in reps)
+        w0_action = tuple(index[_min_rep(w, left, right)] for w in flipped)
     return PositionPoset(system, theta, eta, cosets, tuple(up), w0_action, index, (left, right))
 
 

@@ -15,6 +15,9 @@ Everything here deliberately avoids the library's own code paths:
   element's representative by descent stripping with products, the Bruhat
   table from the fieldwise counting criterion on every later pair, and
   covers and down-sets from scans over every pair of cosets;
+- up-sets also come from the library's earlier loop over every Bruhat count
+  field, and the w0- and left actions from stripping every product to its
+  representative;
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination,
   and from the library's earlier route: the jump pattern of those dimensions,
@@ -92,6 +95,9 @@ from flagfibers.weyl import (
     RootSystem,
     WeylElement,
     _bruhat_counts,
+    _compose,
+    _min_rep,
+    _s_times,
     _slots,
     identity,
     longest_element,
@@ -324,6 +330,42 @@ def double_cosets_oracle(
         tuple(coset_index[(s * dc.min_rep).window] for dc in cosets) for s in gens
     )
     return OraclePoset(tuple(cosets), coset_index, up, down, covers, w0_action, left_action)
+
+
+def up_sets_all_fields_oracle(cosets: Sequence[DoubleCoset]) -> tuple[int, ...]:
+    """Up-sets from every Bruhat count field, the library's earlier loop.
+
+    For each field, ``at_least[v]`` is the bitset of cosets whose count is
+    at least v, and a coset's up-set is the AND of ``at_least[its count]``.
+    """
+    dim = len(_slots(cosets[0].min_rep))
+    up = [(1 << len(cosets)) - 1] * len(cosets)
+    for field in zip(*(_bruhat_counts(dc.min_rep) for dc in cosets)):
+        at_least = [0] * (dim + 1)
+        for j, count in enumerate(field):
+            at_least[count] |= 1 << j
+        for count in range(dim - 1, -1, -1):
+            at_least[count] |= at_least[count + 1]
+        up = [u & at_least[count] for u, count in zip(up, field)]
+    return tuple(up)
+
+
+def _stripped_index(poset: PositionPoset, window: Window) -> int:
+    return poset._index_of_window[_min_rep(window, *poset._gens)]
+
+
+def w0_action_min_rep_oracle(poset: PositionPoset) -> tuple[int, ...]:
+    """[w0 * w_c] for each coset c, w0 * w_c stripped to its representative."""
+    w0 = longest_element(poset.system).window
+    return tuple(_stripped_index(poset, _compose(w0, dc.min_rep.window)) for dc in poset.cosets)
+
+
+def left_action_min_rep_oracle(poset: PositionPoset) -> tuple[tuple[int, ...], ...]:
+    """[s_i * w_c] for each i and coset c, every product stripped."""
+    return tuple(
+        tuple(_stripped_index(poset, _s_times(dc.min_rep.window, i)) for dc in poset.cosets)
+        for i in poset.system.simple_indices
+    )
 
 
 # ---------------------------------------------------------------------------

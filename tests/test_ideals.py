@@ -9,6 +9,7 @@ from flagfibers.ideals import (
     all_ideals,
     enumerate_balanced_ideals,
     minimal_anosov_type,
+    principal_ideal,
     thickening_membership,
 )
 from flagfibers.weyl import (
@@ -215,6 +216,37 @@ def test_minimal_type_full_flags_sl3():
     poset = poset_of(A2, {1, 2})
     [ideal] = enumerate_balanced_ideals(poset)
     assert minimal_anosov_type(ideal) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize(
+    "system",
+    [RootSystem(Family.A, r) for r in range(1, 7)] + [RootSystem(Family.C, r) for r in range(1, 6)],
+    ids=lambda system: f"{system.family.value}{system.rank}",
+)
+def test_minimal_types_by_popcount_match_product_oracle(system):
+    # Every eta of A1-A6 and C1-C5 with at most 720 cosets: the principal
+    # ideals of the eight lowest cosets, and the balanced ideals of the
+    # posets of at most 24 cosets.
+    full = frozenset(system.simple_indices)
+    for size in range(system.rank + 1):
+        for eta in itertools.combinations(system.simple_indices, size):
+            if system.order() // len(parabolic_elements(system, frozenset(eta))) > 720:
+                continue
+            poset = double_cosets(system, full, frozenset(eta))
+            ideals = [Ideal(poset, principal_ideal(poset, c)) for c in range(min(8, len(poset)))]
+            if len(poset) <= 24:
+                ideals += enumerate_balanced_ideals(poset)
+            for ideal in ideals:
+                assert minimal_anosov_type(ideal) == oracles.minimal_anosov_type_oracle(ideal)
+
+
+@pytest.mark.parametrize("case", SMALL_CASES, ids=case_id)
+def test_checked_and_searched_ideals_get_the_same_minimal_type(case):
+    system, eta = case
+    poset = double_cosets(system, frozenset(system.simple_indices), eta)
+    for searched in enumerate_balanced_ideals(poset):
+        checked = Ideal(poset, searched.members)
+        assert minimal_anosov_type(checked) == minimal_anosov_type(searched)
 
 
 def test_minimal_type_needs_full_left_type():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagfibers import weyl
 from flagfibers.weyl import (
     GROUP_ORDER_LIMIT,
     DoubleCoset,
@@ -316,6 +317,75 @@ def test_full_type_poset_matches_oracle(system):
     assert poset.up == want.up
     assert poset.down == want.down
     assert poset.covers() == want.covers
+
+
+EVERY_SYSTEM = [RootSystem(Family.A, rank) for rank in range(1, 7)] + [
+    RootSystem(Family.C, rank) for rank in range(1, 6)
+]
+
+
+def system_id(system):
+    return f"{system.family.value}{system.rank}"
+
+
+def every_eta(system):
+    for size in range(system.rank + 1):
+        for eta in itertools.combinations(system.simple_indices, size):
+            yield frozenset(eta)
+
+
+@pytest.mark.parametrize("system", EVERY_SYSTEM, ids=system_id)
+def test_descent_slot_fields_and_left_actions_match_earlier_routes(system):
+    # Every eta of the full left type, but the full-type posets of A6 and
+    # C5 (covered by the pairwise oracle up to A5 and C4), to keep the time
+    # budget: descent-slot up-sets against every count field, w0_action and
+    # left_action against stripping each product to its representative.
+    full = frozenset(system.simple_indices)
+    for eta in every_eta(system):
+        if system.order() > 1000 and eta == full:
+            continue
+        poset = double_cosets(system, full, eta)
+        assert poset.up == oracles.up_sets_all_fields_oracle(poset.cosets)
+        assert poset.w0_action == oracles.w0_action_min_rep_oracle(poset)
+        assert poset.left_action == oracles.left_action_min_rep_oracle(poset)
+
+
+@pytest.mark.parametrize("system", [A4, C3], ids=system_id)
+def test_full_left_type_cosets_strip_no_descent(system, monkeypatch):
+    # w0 * w * w0_eta is the representative of [w0 * w] when w is.
+    strips = []
+
+    def counted(*args):
+        shorter = coset_step(*args)
+        strips.append(shorter is not None)
+        return shorter
+
+    coset_step = weyl._coset_step
+    monkeypatch.setattr(weyl, "_coset_step", counted)
+    for eta in every_eta(system):
+        double_cosets(system, frozenset(system.simple_indices), eta)
+    assert strips and not any(strips)
+
+
+@pytest.mark.parametrize("system", [A4, C3, RootSystem(Family.A, 6)], ids=system_id)
+def test_double_cosets_grow_the_smaller_quotient(system, monkeypatch):
+    orders = {eta: len(parabolic_elements(system, eta)) for eta in every_eta(system)}
+    grown = []
+
+    def counted(*args):
+        windows = closure(*args)
+        grown.append(len(windows))
+        return windows
+
+    closure = weyl._closure
+    monkeypatch.setattr(weyl, "_closure", counted)
+    pairs = itertools.product(orders, repeat=2)
+    if system.rank == 6:  # one coset, from a left quotient of one element
+        pairs = [(frozenset(), frozenset(system.simple_indices))]
+    for theta, eta in pairs:
+        grown.clear()
+        double_cosets(system, theta, eta)
+        assert sum(grown) <= system.order() // max(orders[theta], orders[eta])
 
 
 def test_group_order_limit():
