@@ -13,6 +13,10 @@ its input, 3 when ``reproduce`` finds an artifact that no longer matches.
 All JSON output is deterministic: keys are sorted and rationals are written
 as exact strings.  Relative output paths are resolved against the directory
 named by the ``FLAGFIBERS_OUT`` environment variable when it is set.
+
+Each handler imports the library modules it uses, after its arguments are
+parsed, so a cold start loads no layer its subcommand does not run and a
+usage error loads none.
 """
 
 from __future__ import annotations
@@ -24,44 +28,18 @@ import os
 import sys
 from pathlib import Path
 
-from .dims import enumerate_3dim_flag_varieties, fullcases_table
-from .flags import (
-    ExactFlag,
-    SymplecticForm,
-    check_position_signature,
-    flag_from_json,
-    json_fields,
-    matrix_from_json,
-    matrix_to_json,
-    relative_position_full,
-    relative_position_symplectic,
-    signature_from_json,
-)
-from .ideals import enumerate_balanced_ideals, minimal_anosov_type
-from .sl2reps import (
-    Partition,
-    admits_symplectic_form,
-    anosov_type,
-    check_partition_total,
-    invariant_symplectic_form,
-    partition_weights,
-    so2_weight_basis,
-)
-from .twg import CircleGroup, WeightGraph, analyze_action, classify_fiber
-from .weyl import Family, RootSystem, check_group_order, double_cosets, identity, sign_vector
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_MISMATCH = 3
 
 CASES = [
-    ((3,), "full", CircleGroup.PSO2),
-    ((2, 1), "full", CircleGroup.SO2),
-    ((4,), "proj", CircleGroup.PSO2),
-    ((2, 2), "proj", CircleGroup.PSO2),
-    ((4,), "lag", CircleGroup.PSO2),
-    ((2, 1, 1), "lag", CircleGroup.SO2),
+    ((3,), "full", "PSO2"),
+    ((2, 1), "full", "SO2"),
+    ((4,), "proj", "PSO2"),
+    ((2, 2), "proj", "PSO2"),
+    ((4,), "lag", "PSO2"),
+    ((2, 1, 1), "lag", "SO2"),
 ]
 
 
@@ -128,12 +106,17 @@ def _sign_label(signs: tuple[int, ...]) -> str:
     return "(" + ",".join("+" if s > 0 else "-" for s in signs) + ")"
 
 
-def _poset_and_labels(family: str, rank: int, eta: str | None, signs: bool):
-    chosen = None if eta is None else frozenset(_parse_ints(eta, "--eta"))
+def _eta(args) -> tuple[int, ...] | None:
+    return None if args.eta is None else _parse_ints(args.eta, "--eta")
+
+
+def _poset_and_labels(family: str, rank: int, eta: tuple[int, ...] | None, signs: bool):
+    from .weyl import Family, RootSystem, check_group_order, double_cosets, sign_vector
+
     system = RootSystem(Family[family], rank)
     check_group_order(system)  # before any work that grows with the rank
     full = frozenset(system.simple_indices)
-    eta_set = full if chosen is None else chosen
+    eta_set = full if eta is None else frozenset(eta)
     if not eta_set <= full:
         raise UsageError(f"eta {sorted(eta_set)} outside 1..{rank}")
     poset = double_cosets(system, full, eta_set)
@@ -148,7 +131,7 @@ def _poset_and_labels(family: str, rank: int, eta: str | None, signs: bool):
     return poset, labels
 
 
-def _hasse_text(family: str, rank: int, eta: str | None, signs: bool) -> str:
+def _hasse_text(family: str, rank: int, eta: tuple[int, ...] | None, signs: bool) -> str:
     poset, labels = _poset_and_labels(family, rank, eta, signs)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
     lines.extend(f'  "{label}";' for label in labels)
@@ -164,12 +147,15 @@ def _hasse_text(family: str, rank: int, eta: str | None, signs: bool) -> str:
 
 
 def _cmd_hasse(args) -> int:
-    _emit(_hasse_text(args.family, args.rank, args.eta, args.signs), args.out)
+    _emit(_hasse_text(args.family, args.rank, _eta(args), args.signs), args.out)
     return EXIT_OK
 
 
 def _cmd_ideals(args) -> int:
-    poset, labels = _poset_and_labels(args.family, args.rank, args.eta, args.signs)
+    eta = _eta(args)
+    from .ideals import enumerate_balanced_ideals, minimal_anosov_type
+
+    poset, labels = _poset_and_labels(args.family, args.rank, eta, args.signs)
     payload = {
         "family": args.family,
         "rank": args.rank,
@@ -187,16 +173,27 @@ def _cmd_ideals(args) -> int:
     return EXIT_OK
 
 
-def _read_position_flag(path: str, symplectic: bool) -> ExactFlag:
+def _read_position_flag(path: str, symplectic: bool):
     """A flag of the signature the question takes.  Any other is refused
     before its basis is completed, which for leading columns in C^n costs
     time and memory of order n^2 whatever the columns are."""
+    from .flags import check_position_signature, flag_from_json, signature_from_json
+
     data = _load_json(path)
     check_position_signature(signature_from_json(data), symplectic)
     return flag_from_json(data)
 
 
 def _cmd_position(args) -> int:
+    from .flags import (
+        SymplecticForm,
+        json_fields,
+        matrix_from_json,
+        relative_position_full,
+        relative_position_symplectic,
+    )
+    from .weyl import identity
+
     first = _read_position_flag(args.flag, bool(args.symplectic))
     second = _read_position_flag(args.other, bool(args.symplectic))
     if args.symplectic:
@@ -210,33 +207,52 @@ def _cmd_position(args) -> int:
 
 
 def _cmd_reps(args) -> int:
-    p = Partition(_parse_ints(args.partition, "--partition"))
+    parts = _parse_ints(args.partition, "--partition")
+    from .sl2reps import (
+        Partition,
+        admits_symplectic_form,
+        anosov_type,
+        check_partition_total,
+        invariant_symplectic_form,
+        partition_weights,
+        so2_weight_basis,
+    )
+
+    p = Partition(parts)
     check_partition_total(p)  # before any work that grows with the total
     basis = so2_weight_basis(p)
     symplectic = p.total % 2 == 0 and admits_symplectic_form(p)
+    form = None
+    if symplectic:
+        from .flags import matrix_to_json
+
+        form = matrix_to_json(invariant_symplectic_form(p).gram)
     payload = {
         "partition": str(p),
         "weights": list(partition_weights(p)),
         "anosov_type": sorted(anosov_type(p)),
         "admits_symplectic_form": symplectic,
         "basis": {"labels": list(basis.labels), "weights": list(basis.weights)},
-        "invariant_form": (
-            matrix_to_json(invariant_symplectic_form(p).gram) if symplectic else None
-        ),
+        "invariant_form": form,
     }
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
 def _cmd_twg(args) -> int:
-    p = Partition(_parse_ints(args.partition, "--partition"))
-    analysis = analyze_action(p, args.flag, CircleGroup[args.group.upper()])
+    parts = _parse_ints(args.partition, "--partition")
+    from .sl2reps import Partition
+    from .twg import CircleGroup, analyze_action
+
+    analysis = analyze_action(Partition(parts), args.flag, CircleGroup[args.group.upper()])
     graph = analysis.ambient_graph if args.ambient else analysis.fiber_graph
     _emit(graph.to_dot() if args.dot else graph.to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    from .twg import WeightGraph, classify_fiber
+
     graph = WeightGraph.from_json(Path(args.graph).read_text())
     record = classify_fiber(graph)
     payload = {
@@ -251,6 +267,8 @@ def _cmd_classify(args) -> int:
 
 
 def _census_text(max_rank: int, as_json: bool) -> str:
+    from .dims import enumerate_3dim_flag_varieties
+
     found = enumerate_3dim_flag_varieties(max_rank)
     rows = [
         {"group": group, "varieties": [d.to_json_dict() for d in members]}
@@ -266,6 +284,8 @@ def _census_text(max_rank: int, as_json: bool) -> str:
 
 
 def _cases_text(as_json: bool) -> str:
+    from .dims import fullcases_table
+
     rows = fullcases_table()
     if as_json:
         return _json_text({"rows": [row.to_json_dict() for row in rows]})
@@ -286,15 +306,18 @@ def _cmd_census(args) -> int:
 
 
 def _artifacts() -> dict[str, str]:
+    from .sl2reps import Partition
+    from .twg import CircleGroup, analyze_action
+
     files = {
         "hasse_a2_full.dot": _hasse_text("A", 2, None, signs=False),
-        "hasse_c2_eta2.dot": _hasse_text("C", 2, "2", signs=True),
+        "hasse_c2_eta2.dot": _hasse_text("C", 2, (2,), signs=True),
         "census.json": _census_text(6, as_json=True),
         "fullcases.json": _cases_text(as_json=True),
     }
     for parts, kind, group in CASES:
         name = f"twg_{kind}_{'-'.join(str(d) for d in parts)}.json"
-        graph = analyze_action(Partition(parts), kind, group).fiber_graph
+        graph = analyze_action(Partition(parts), kind, CircleGroup[group]).fiber_graph
         files[name] = graph.to_json()
     return files
 

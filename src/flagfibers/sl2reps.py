@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .flags import ExactMatrix, SymplecticForm
+if TYPE_CHECKING:
+    from .flags import SymplecticForm
 
 # The invariant form of the irreducible partition (n) has n^2 entries of
 # about n bits each, so ``reps`` answers partitions of this total at most.
@@ -228,6 +229,8 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
     >>> [str(gram.entry(k, 3 - k)) for k in range(4)]
     ['-3', '1', '-1', '3']
     """
+    from .flags import ExactMatrix, SymplecticForm
+
     if not admits_symplectic_form(p):
         raise ValueError("representation admits no invariant symplectic form")
     n = p.total

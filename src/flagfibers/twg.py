@@ -43,7 +43,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .flags import (
     Signature,
@@ -629,6 +629,31 @@ def _hirzebruch_ring(q: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int
     return (s1, -s1, s4, -s4), (abs(a), abs(b), abs(a + q * b), abs(b))
 
 
+def _orders(items: Sequence) -> Iterator[tuple]:
+    """Each distinct order of a multiset of items, once, least first.
+
+    Each step swaps the last ascent with the last item after it that is
+    larger, then reverses the tail (the next permutation in lexicographic
+    order), so equal items are never reordered among themselves.
+
+    >>> list(_orders("aba"))
+    [('a', 'a', 'b'), ('a', 'b', 'a'), ('b', 'a', 'a')]
+    """
+    order = sorted(items)
+    while True:
+        yield tuple(order)
+        k = len(order) - 2
+        while k >= 0 and order[k] >= order[k + 1]:
+            k -= 1
+        if k < 0:
+            return
+        j = len(order) - 1
+        while order[j] <= order[k]:
+            j -= 1
+        order[k], order[j] = order[j], order[k]
+        order[k + 1 :] = order[:k:-1]
+
+
 def _rings(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every (signs, weights) ring whose edges of weight >= 2 are exactly ``g``'s.
 
@@ -642,7 +667,7 @@ def _rings(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return walks if len(walks) == 1 else []
     (lead_signs, lead_weights), *rest = walks
     rings = []
-    for order in set(itertools.permutations(rest)):
+    for order in _orders(rest):
         for paths in itertools.product(*({p, (p[0][::-1], p[1][::-1])} for p in order)):
             signs, weights = lead_signs, lead_weights + (1,)
             for more_signs, more_weights in paths:

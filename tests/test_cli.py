@@ -234,6 +234,70 @@ def test_package_runs_without_numpy():
     assert done.stdout.splitlines()[1].startswith("10 artifacts match")
 
 
+def loaded_layers(*argv) -> tuple[int, set[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the
+    ``flagfibers.*`` modules loaded by then besides ``flagfibers.cli``."""
+    script = (
+        "import sys\nfrom flagfibers.cli import main\n"
+        "try:\n    code = main(sys.argv[1:])\n"
+        "except SystemExit as exit_:\n    code = exit_.code\n"
+        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    done = run_child("-c", script, *argv)
+    code, *modules = done.stderr.splitlines()[-1].split()
+    names = {m.removeprefix("flagfibers.") for m in modules if m.startswith("flagfibers.")}
+    assert "flagfibers" in modules and "cli" in names, done.stderr
+    return int(code), names - {"cli"}
+
+
+def test_cli_import_loads_no_library_module():
+    script = "import sys, flagfibers.cli; print(*sorted(m for m in sys.modules if 'flagfibers' in m))"
+    assert run_child("-c", script).stdout == "flagfibers flagfibers.cli\n"
+
+
+TWG_LAYERS = {"twg", "flags", "sl2reps", "weyl"}
+
+
+def test_each_subcommand_loads_only_the_layers_it_uses(tmp_path):
+    std = write_flag_file(tmp_path / "f.json", ExactFlag.standard(full_signature(3)))
+    iso = write_flag_file(tmp_path / "i.json", ExactFlag.standard(isotropic_signature(2)))
+    form = write_form_file(tmp_path / "w.json", SymplecticForm.standard(2))
+    table = [
+        (["hasse", "--family", "A", "--rank", "2"], {"weyl"}),
+        (["ideals", "--family", "C", "--rank", "2", "--eta", "2"], {"weyl", "ideals"}),
+        (["position", std, std], {"flags", "weyl"}),
+        (["position", iso, iso, "--symplectic", form], {"flags", "weyl"}),
+        (["reps", "--partition", "2,1"], {"sl2reps"}),
+        (["reps", "--partition", "2,2"], {"sl2reps", "flags", "weyl"}),
+        (["twg", "--partition", "2,1", "--flag", "full", "--group", "so2"], TWG_LAYERS),
+        (["classify", str(GOLDEN / "twg_full_3.json")], TWG_LAYERS),
+        (["census", "--json"], {"dims", "sl2reps"}),
+        (["census", "--cases"], {"dims", "sl2reps"}),
+        (["reproduce"], TWG_LAYERS | {"dims"}),
+    ]
+    for argv, layers in table:
+        assert loaded_layers(*argv) == (0, layers), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *(([command, "--help"], 0) for command in (
+            "hasse", "ideals", "position", "reps", "twg", "classify", "census", "reproduce"
+        )),
+        (["--help"], 0),
+        (["reps", "--partition", "2,x"], 1),
+        (["twg", "--partition", "x", "--flag", "full", "--group", "so2"], 1),
+        (["hasse", "--family", "A", "--rank", "2", "--eta", "1,x"], 1),
+        (["ideals", "--family", "A", "--rank", "2", "--eta", "x"], 1),
+        (["hasse", "--family", "B", "--rank", "2"], 1),
+        ([], 1),
+    ],
+)
+def test_help_and_usage_errors_load_no_library_module(argv, code):
+    assert loaded_layers(*argv) == (code, set())
+
+
 # ---------------------------------------------------------------------------
 # hasse
 

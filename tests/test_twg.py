@@ -755,6 +755,10 @@ def test_rings_match_the_cyclic_order_oracle():
         assert got == expected, g
         kinds.add((len(got) > 0, len(g.edges) == len(g.rounds)))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    # The paper's (2, 1) full SO2 fiber is six lone points, three of each
+    # sign: after the lead, 5!/(2! 3!) = 10 orders, each built once.
+    edgeless = fiber_weight_graph(Partition((2, 1)), "full", CircleGroup.SO2)
+    assert len(_rings(edgeless)) == len(set(_rings(edgeless))) == 10
 
 
 # ---------------------------------------------------------------------------
