@@ -81,7 +81,9 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    from .flags import json_int
+
+    return json.loads(Path(path).read_text(), parse_int=json_int)
 
 
 def _first_divergence(got: str, want: str) -> str:

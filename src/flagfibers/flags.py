@@ -3,7 +3,7 @@
 A flag in C^n is stored as an invertible matrix whose leading columns span
 the flag subspaces, together with a signature recording which prefix
 dimensions carry meaning.  Matrices store Gaussian-integer columns over one
-common denominator; ranks, kernels and intersection dimensions come from one
+common denominator; ranks, flag completions and Bruhat cells come from one
 fraction-free elimination kernel over Z[i] (Bareiss, Math. Comp. 22, 1968) fed
 those columns, each step from the pivot on, so they are exact even where
 positions degenerate.  Single entries go in and out as :class:`GaussianRational`.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -121,10 +122,8 @@ class ExactMatrix:
     :class:`GaussianRational` values on demand.
 
     >>> m = ExactMatrix([[1, 1, 0], [0, 1, 1]])
-    >>> m.rank()
-    2
-    >>> m.nullspace().cols
-    1
+    >>> m.rank(), m.hstack(m).rank()
+    (2, 2)
     """
 
     __slots__ = ("_rows", "_columns", "_den")
@@ -214,24 +213,6 @@ class ExactMatrix:
     def rank(self) -> int:
         echelon: dict[int, _Row] = {}
         return sum(_reduce_into(echelon, c) is not None for c in self._columns)
-
-    def nullspace(self) -> "ExactMatrix":
-        """A matrix whose columns form an exact basis of the kernel.
-
-        Column j is reduced stacked over a tag e_j, both times the common
-        denominator; when the column part vanishes, the tag is a kernel vector.
-
-        >>> print(ExactMatrix([[Fraction(1, 2), Fraction(1, 3), 1]]).nullspace())
-        ExactMatrix(3x2: -2 0; 3 3; 0 -1)
-        """
-        echelon: dict[int, _Row] = {}
-        kernel = []
-        for j, column in enumerate(self._columns):
-            tag = [(self._den if k == j else 0, 0) for k in range(self.cols)]
-            reduced = _reduce_into(echelon, [*column, *tag])
-            if not any(a or b for a, b in reduced[: self.rows]):
-                kernel.append(reduced[self.rows :])
-        return ExactMatrix._make(self.cols, kernel, 1)
 
     def is_zero(self) -> bool:
         return not any(a or b for col in self._columns for a, b in col)
@@ -398,19 +379,6 @@ class SymplecticForm:
         return cls(ExactMatrix(g))
 
 
-def intersection_dim(U: ExactMatrix, V: ExactMatrix) -> int:
-    """Exact dimension of the intersection of two column spans.
-
-    >>> U = ExactMatrix.from_columns([[1, 0, 0], [1, 1, 0]])
-    >>> V = ExactMatrix.from_columns([[0, 1, 0], [0, 0, 1]])
-    >>> intersection_dim(U, V)
-    1
-    """
-    if U.rows != V.rows:
-        raise ValueError("ambient dimension mismatch")
-    return U.rank() + V.rank() - U.hstack(V).rank()
-
-
 def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:
     """The permutation w of the Bruhat cell B w B that holds F^-1 H.
 
@@ -549,28 +517,6 @@ def relative_position_partial(
     return double_coset_of(w.system, theta, eta, w)
 
 
-def is_isotropic(F: ExactFlag, omega: SymplecticForm) -> bool:
-    """Whether the form vanishes identically on the flag's top subspace."""
-    if F.signature.ambient != omega.ambient:
-        raise ValueError("dimension mismatch")
-    top = F.subspace(F.signature.top)
-    return (top.transpose() @ omega.gram @ top).is_zero()
-
-
-def omega_perp(U: ExactMatrix, omega: SymplecticForm) -> ExactMatrix:
-    """Columns spanning the symplectic orthogonal of a column span.
-
-    >>> omega = SymplecticForm.standard(2)
-    >>> line = ExactMatrix.from_columns([[1, 0, 0, 0]])
-    >>> perp = omega_perp(line, omega)
-    >>> perp.cols, intersection_dim(perp, ExactMatrix.identity(4).prefix_columns(2))
-    (3, 2)
-    """
-    if U.rows != omega.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return (U.transpose() @ omega.gram).nullspace()
-
-
 def matrix_to_json(matrix: ExactMatrix) -> list[list[list[str]]]:
     """Rows of ``[real, imag]`` pairs of exact strings."""
     return [
@@ -601,7 +547,7 @@ def matrix_from_json(rows) -> ExactMatrix:
 
 def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:
     if not isinstance(entry, list) or len(entry) != 2:
-        raise ValueError(f"matrix entries must be [real, imag] pairs, got {entry!r}")
+        raise ValueError(f"matrix entries must be [real, imag] pairs, got {brief_repr(entry)}")
     real, imag = entry
     real_plain = _PLAIN_RATIO.fullmatch(real) if isinstance(real, str) else None
     imag_plain = _PLAIN_RATIO.fullmatch(imag) if isinstance(imag, str) else None
@@ -609,11 +555,13 @@ def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:
         not plain and isinstance(part, str) and "e" in part.lower()
         for part, plain in ((real, real_plain), (imag, imag_plain))
     ):
-        raise ValueError(f'matrix entry parts must read "p" or "p/q", not use an exponent: {entry!r}')
+        raise ValueError(
+            f'matrix entry parts must read "p" or "p/q", not use an exponent: {brief_repr(entry)}'
+        )
     try:
         return _ratio_from_json(real, real_plain), _ratio_from_json(imag, imag_plain)
     except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(f"matrix entry is not a pair of rationals: {entry!r}") from None
+        raise ValueError(f"matrix entry is not a pair of rationals: {brief_repr(entry)}") from None
 
 
 _PLAIN_RATIO = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
@@ -658,6 +606,26 @@ def flag_from_json(data) -> ExactFlag:
     if matrix.cols == signature.top:
         return ExactFlag.from_columns(signature, matrix)
     raise ValueError("matrix must supply the full basis or the leading columns")
+
+
+def json_int(digits: str) -> int:
+    """``parse_int`` for ``json.loads``: past the interpreter's limit on integer digits,
+    a plain ``ValueError`` rather than advice to raise the limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a JSON number has more than {limit} digits") from None
+
+
+def brief_repr(value) -> str:
+    """``repr(value)`` for an error line: at most its first 60 characters, and then its length.
+
+    >>> brief_repr("7" * 10**6)[55:]
+    '77777... (1000002 characters)'
+    """
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def json_fields(data, what: str, keys: Sequence[str]) -> tuple:

@@ -28,7 +28,6 @@ from .weyl import DoubleCoset, PositionPoset, WeylElement
 __all__ = [
     "Ideal",
     "principal_ideal",
-    "all_ideals",
     "enumerate_balanced_ideals",
     "minimal_anosov_type",
     "thickening_membership",
@@ -98,31 +97,6 @@ def _lowest(mask: int) -> int:
 
 def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
-def all_ideals(poset: PositionPoset, max_size: int | None = None) -> list[frozenset[int]]:
-    """All downward-closed subsets, optionally pruned to at most ``max_size``.
-
-    Ideals are in bijection with antichains (of their maximal elements), so
-    we grow antichains over increasing indices and take downward closures;
-    closures only grow along a branch, which makes the size prune sound.
-    """
-    n = len(poset)
-    closures = [principal_ideal(poset, i) for i in range(n)]
-    found: list[frozenset[int]] = []
-
-    def grow(start: int, chosen: frozenset[int], closure: frozenset[int]) -> None:
-        found.append(closure)
-        for nxt in range(start, n):
-            if nxt in closure or chosen & closures[nxt]:
-                continue  # comparable to a chosen element: not an antichain
-            bigger = closure | closures[nxt]
-            if max_size is not None and len(bigger) > max_size:
-                continue
-            grow(nxt + 1, chosen | {nxt}, bigger)
-
-    grow(0, frozenset(), frozenset())
-    return found
 
 
 def enumerate_balanced_ideals(poset: PositionPoset) -> list[Ideal]:

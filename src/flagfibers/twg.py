@@ -48,8 +48,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .flags import (
     Signature,
     SymplecticForm,
+    brief_repr,
     full_signature,
     json_fields,
+    json_int,
 )
 from .sl2reps import (
     Partition,
@@ -344,7 +346,7 @@ def _validate_sign(sign: int) -> int:
 
 def _json_text(value, what: str) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"{what} are strings, got {value!r}")
+        raise ValueError(f"{what} are strings, got {brief_repr(value)}")
     return value
 
 
@@ -495,7 +497,7 @@ class WeightGraph:
     def from_json(text: str) -> "WeightGraph":
         """Read a graph; a document of the wrong shape raises ``ValueError``."""
         keys = ("round", "squares", "edges")
-        lists = json_fields(json.loads(text), "weight graph", keys)
+        lists = json_fields(json.loads(text, parse_int=json_int), "weight graph", keys)
         for key, value in zip(keys, lists):
             if not isinstance(value, list):
                 raise ValueError(f'weight graph JSON "{key}" must be a list')
@@ -503,21 +505,21 @@ class WeightGraph:
         for v in lists[0]:
             i, sign = json_fields(v, "round vertex", ("id", "sign"))
             if sign not in ("+", "-"):
-                raise ValueError(f'round vertex signs are "+" or "-", got {sign!r}')
+                raise ValueError(f'round vertex signs are "+" or "-", got {brief_repr(sign)}')
             rounds.append((_json_text(i, "round vertex ids"), 1 if sign == "+" else -1))
         squares = []
         for v in lists[1]:
             i, euler = json_fields(v, "square vertex", ("id", "euler"))
             if type(euler) is not int:
-                raise ValueError(f"square vertex Euler numbers are integers, got {euler!r}")
+                raise ValueError(f"square vertex Euler numbers are integers, got {brief_repr(euler)}")
             squares.append((_json_text(i, "square vertex ids"), euler))
         edges = []
         for e in lists[2]:
             ends, weight = json_fields(e, "edge", ("ends", "weight"))
             if not isinstance(ends, list) or len(ends) != 2:
-                raise ValueError(f"an edge has exactly two ends, got {ends!r}")
+                raise ValueError(f"an edge has exactly two ends, got {brief_repr(ends)}")
             if type(weight) is not int:
-                raise ValueError(f"edge weights are integers, got {weight!r}")
+                raise ValueError(f"edge weights are integers, got {brief_repr(weight)}")
             edges.append((*(_json_text(end, "edge ends") for end in ends), weight))
         return WeightGraph(rounds=tuple(rounds), squares=tuple(squares), edges=tuple(edges))
 

@@ -70,7 +70,6 @@ __all__ = [
     "check_group_order",
     "group_elements",
     "opposition_involution",
-    "reduced_word",
     "bruhat_leq",
     "parabolic_elements",
     "DoubleCoset",
@@ -279,25 +278,6 @@ def opposition_involution(system: RootSystem, subset: frozenset[int]) -> frozens
     if system.family is Family.A:
         return frozenset(system.rank + 1 - j for j in subset)
     return subset
-
-
-def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """A reduced word for ``w``, produced by greedy descent peeling.
-
-    Repeatedly strips the smallest right descent, so the result is
-    deterministic.
-
-    >>> s = RootSystem(Family.A, 2)
-    >>> reduced_word(WeylElement(s, (3, 2, 1)))
-    (1, 2, 1)
-    """
-    window, one = w.window, identity(w.system).window
-    letters: list[int] = []
-    while window != one:
-        i = next(i for i in w.system.simple_indices if _descends(window, i))
-        letters.append(i)
-        window = _times_s(window, i)
-    return tuple(reversed(letters))
 
 
 def _compose(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,13 +22,16 @@ Everything here deliberately avoids the library's own code paths:
   intersection dimensions, computed by fraction-exact Gaussian elimination,
   and from the library's earlier route: the jump pattern of those dimensions,
   one elimination of the F basis per level of H, with isotropic flags extended
-  to full ones through ``omega_perp`` and an adapted basis of the perps;
+  to full ones through an adapted basis of the perps, each the kernel of
+  U^T G solved over Q(i) (``omega_perp`` on ``gq_nullspace``);
 - the fraction-free elimination step is the library's earlier kernel, which
   works every step over the whole vector;
-- linear systems are solved by plain Gauss-Jordan elimination over Q(i);
+- linear systems are solved, and kernels found, by plain Gauss-Jordan
+  elimination over Q(i), and isotropy is u^T G v multiplied out there;
+- reduced words come from peeling the smallest right descent;
 - balanced ideals come from filtering all 2^n subsets of a poset, and, for
   larger posets, from the antichain route: every ideal of at most half the
-  poset (``ideals.all_ideals``), kept when w0 maps it onto its complement;
+  poset (``all_ideals``), kept when w0 maps it onto its complement;
 - downward closure is the scan over every pair of a poset's order relation;
 - minimal Anosov types come from one Weyl-group product per member and
   simple reflection;
@@ -58,7 +61,7 @@ Everything here deliberately avoids the library's own code paths:
 - tangent weights and sphere ends of the Lagrangian locus come from the
   library's earlier route: the Gram matrix reindexed to the fixed point,
   and the linearized isotropy equations of the chart solved exactly, one
-  weight class at a time, with ``ExactMatrix.nullspace``.
+  weight class at a time, with ``gq_nullspace``.
 """
 
 from __future__ import annotations
@@ -71,14 +74,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
-from flagfibers.flags import (
-    ExactFlag,
-    ExactMatrix,
-    GaussianRational,
-    SymplecticForm,
-    omega_perp,
-)
-from flagfibers.ideals import Ideal, all_ideals
+from flagfibers.flags import ExactFlag, ExactMatrix, GaussianRational, SymplecticForm
+from flagfibers.ideals import Ideal, principal_ideal
 from flagfibers.sl2reps import WeightedBasis
 from flagfibers.twg import (
     CircleGroup,
@@ -96,9 +93,11 @@ from flagfibers.weyl import (
     WeylElement,
     _bruhat_counts,
     _compose,
+    _descends,
     _min_rep,
     _s_times,
     _slots,
+    _times_s,
     identity,
     longest_element,
     opposition_involution,
@@ -224,6 +223,25 @@ def bruhat_order_oracle(family: str, rank: int) -> dict[tuple[Window, Window], b
         for w in succ:
             closure[(start, w)] = w in seen
     return closure
+
+
+def reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """A reduced word for ``w``, produced by greedy descent peeling.
+
+    Repeatedly strips the smallest right descent, so the result is
+    deterministic.
+
+    >>> from flagfibers.weyl import Family
+    >>> reduced_word(WeylElement(RootSystem(Family.A, 2), (3, 2, 1)))
+    (1, 2, 1)
+    """
+    window, one = w.window, identity(w.system).window
+    letters: list[int] = []
+    while window != one:
+        i = next(i for i in w.system.simple_indices if _descends(window, i))
+        letters.append(i)
+        window = _times_s(window, i)
+    return tuple(reversed(letters))
 
 
 def double_coset_min_oracle(
@@ -427,26 +445,127 @@ def gq_rank(rows: list[list[GQ]]) -> int:
     return rank
 
 
+def gq_row_reduce(rows: list[list[GQ]], width: int) -> tuple[list[list[GQ]], list[int]]:
+    """Gauss-Jordan over Q(i) on the first ``width`` columns: the reduced rows,
+    each pivot scaled to 1 and cleared from every other row, and the pivot
+    columns in order."""
+    zero = gq()
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((k for k in range(r, len(rows)) if rows[k][col] != zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inverse = gq_div(gq(1), rows[r][col])
+        rows[r] = [gq_mul(inverse, x) for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != zero:
+                factor = rows[k][col]
+                rows[k] = [gq_sub(x, gq_mul(factor, y)) for x, y in zip(rows[k], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def gq_solve(square: list[list[GQ]], targets: list[list[GQ]]) -> list[list[GQ]]:
     """Rows of X with square @ X = targets, by Gauss-Jordan over Q(i).
 
     Both matrices are given as rows; ``square`` must be invertible.
     """
     n = len(square)
-    zero = gq()
-    rows = [list(a) + list(b) for a, b in zip(square, targets)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != zero), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inverse = gq_div(gq(1), rows[col][col])
-        rows[col] = [gq_mul(inverse, x) for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != zero:
-                factor = rows[r][col]
-                rows[r] = [gq_sub(x, gq_mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    rows, pivots = gq_row_reduce([list(a) + list(b) for a, b in zip(square, targets)], n)
+    if len(pivots) != n:
+        raise ValueError("singular matrix")
     return [row[n:] for row in rows]
+
+
+def gq_nullspace(columns: list[list[GQ]]) -> list[list[GQ]]:
+    """A basis of the relations among ``columns``, the vectors x with
+    sum_j x_j c_j = 0: one vector per free column of the reduced rows.
+
+    >>> [[str(re) for re, _ in x] for x in gq_nullspace([[gq("1/2")], [gq("1/3")], [gq(1)]])]
+    [['-2/3', '1', '0'], ['-2', '0', '1']]
+    """
+    zero = gq()
+    height = len(columns[0]) if columns else 0
+    rows, pivots = gq_row_reduce([[col[i] for col in columns] for i in range(height)], len(columns))
+    kernel = []
+    for free in (c for c in range(len(columns)) if c not in pivots):
+        vector = [zero] * len(columns)
+        vector[free] = gq(1)
+        for r, p in enumerate(pivots):
+            vector[p] = gq_sub(zero, rows[r][free])
+        kernel.append(vector)
+    return kernel
+
+
+def gq_dot(u: Sequence[GQ], v: Sequence[GQ]) -> GQ:
+    """sum_r u_r v_r, skipping the terms with a zero factor."""
+    total = gq()
+    for a, b in zip(u, v):
+        if any(a) and any(b):
+            total = gq_add(total, gq_mul(a, b))
+    return total
+
+
+def gq_columns(matrix: ExactMatrix) -> list[list[GQ]]:
+    """The columns of an exact matrix as ``gq`` tuples, read entry by entry."""
+    return [[(e.real, e.imag) for e in matrix.column(j)] for j in range(matrix.cols)]
+
+
+def exact_matrix(columns: list[list[GQ]], rows: int) -> ExactMatrix:
+    """The exact matrix with these ``gq`` columns, each of height ``rows``."""
+    return ExactMatrix.from_columns(
+        [[GaussianRational(*x) for x in col] for col in columns], rows=rows
+    )
+
+
+def intersection_dim(U: ExactMatrix, V: ExactMatrix) -> int:
+    """Exact dimension of the intersection of two column spans,
+    rank U + rank V - rank [U | V] by ``gq_rank``.
+
+    >>> U = ExactMatrix.from_columns([[1, 0, 0], [1, 1, 0]])
+    >>> V = ExactMatrix.from_columns([[0, 1, 0], [0, 0, 1]])
+    >>> intersection_dim(U, V)
+    1
+    """
+    if U.rows != V.rows:
+        raise ValueError("ambient dimension mismatch")
+    u, v = gq_columns(U), gq_columns(V)
+    return gq_rank(u) + gq_rank(v) - gq_rank(u + v)
+
+
+def omega_perp(U: ExactMatrix, omega: SymplecticForm) -> ExactMatrix:
+    """Columns spanning the symplectic orthogonal of a column span: the
+    kernel of U^T G, multiplied out and solved with ``gq_nullspace``.
+
+    >>> omega = SymplecticForm.standard(2)
+    >>> line = ExactMatrix.from_columns([[1, 0, 0, 0]])
+    >>> perp = omega_perp(line, omega)
+    >>> perp.cols, intersection_dim(perp, ExactMatrix.identity(4).prefix_columns(2))
+    (3, 2)
+    """
+    if U.rows != omega.ambient:
+        raise ValueError("ambient dimension mismatch")
+    return exact_matrix(gq_perp(gq_columns(U), gq_columns(omega.gram)), U.rows)
+
+
+def gq_perp(spanning: list[list[GQ]], gram: list[list[GQ]]) -> list[list[GQ]]:
+    """A basis of the vectors v with u^T G v = 0 for each spanning u, G given by
+    its columns: the relations among the columns of U^T G."""
+    return gq_nullspace([[gq_dot(u, g) for u in spanning] for g in gram])
+
+
+def is_isotropic(F: ExactFlag, omega: SymplecticForm) -> bool:
+    """Whether omega(u, v) = u^T G v vanishes on every pair of spanning
+    vectors of the flag's top subspace, multiplied out over Q(i)."""
+    if F.signature.ambient != omega.ambient:
+        raise ValueError("dimension mismatch")
+    gram = gq_columns(omega.gram)
+    top = gq_columns(F.subspace(F.signature.top))
+    paired = [[gq_dot(u, g) for g in gram] for u in top]  # the rows u^T G
+    return all(gq_dot(row, v) == gq() for row in paired for v in top)
 
 
 def intersection_dim_oracle(
@@ -559,16 +678,19 @@ def _jump_permutation(f_basis, h_basis) -> Window:
 
 
 def _extended_basis(flag: ExactFlag, omega: SymplecticForm) -> list:
-    """A basis adapted to F^1, ..., F^n, then F^{n+k} = ``omega_perp`` of F^{n-k}:
-    the first n basis vectors, extended by each perp's columns that are
-    independent of everything before them."""
+    """A basis adapted to F^1, ..., F^n, then F^{n+k} = ``gq_perp`` of F^{n-k}:
+    the first n basis vectors, extended by each perp's vectors, cleared of
+    denominators, that are independent of everything before them."""
     n = omega.ambient // 2
+    gram, spanning = gq_columns(omega.gram), gq_columns(flag.subspace(n))
     echelon: dict = {}
     basis = list(flag.basis._columns[:n])
     for vector in basis:
         reduce_into_oracle(echelon, vector)
     for size in range(n + 1, 2 * n + 1):
-        for column in omega_perp(flag.subspace(2 * n - size), omega)._columns:
+        for vector in gq_perp(spanning[: 2 * n - size], gram):
+            den = math.lcm(*(x.denominator for pair in vector for x in pair))
+            column = [(int(a * den), int(b * den)) for a, b in vector]
             inserted = reduce_into_oracle(echelon, column)
             if inserted is not None:
                 basis.append(inserted)
@@ -609,6 +731,31 @@ def balanced_ideals_oracle(
         if frozenset(w0_perm[i] for i in members) == universe - members:
             out.append(members)
     return out
+
+
+def all_ideals(poset: PositionPoset, max_size: int | None = None) -> list[frozenset[int]]:
+    """All downward-closed subsets, optionally pruned to at most ``max_size``.
+
+    Ideals are in bijection with antichains (of their maximal elements), so
+    we grow antichains over increasing indices and take downward closures;
+    closures only grow along a branch, which makes the size prune sound.
+    """
+    n = len(poset)
+    closures = [principal_ideal(poset, i) for i in range(n)]
+    found: list[frozenset[int]] = []
+
+    def grow(start: int, chosen: frozenset[int], closure: frozenset[int]) -> None:
+        found.append(closure)
+        for nxt in range(start, n):
+            if nxt in closure or chosen & closures[nxt]:
+                continue  # comparable to a chosen element: not an antichain
+            bigger = closure | closures[nxt]
+            if max_size is not None and len(bigger) > max_size:
+                continue
+            grow(nxt + 1, chosen | {nxt}, bigger)
+
+    grow(0, frozenset(), frozenset())
+    return found
 
 
 def balanced_ideals_antichain_oracle(poset: PositionPoset) -> list[frozenset[int]]:
@@ -1017,19 +1164,19 @@ def lagrangian_chart_oracle(
     sphere (every spanning vector swapped with the one the solution's support
     pairs it with), or None when the class has more than one solution.
     """
+    zero = gq()
     positions = [basis.index_of(label) for label in order]
-    gram = ExactMatrix(
-        [[omega.gram.entry(r, c) for c in positions] for r in positions]
-    )
+    columns = gq_columns(omega.gram)
+    gram = [[columns[c][r] for c in positions] for r in positions]
     weights = [basis.weight_of(label) for label in order]
     size = len(order)
-    if size % 2 or gram.rows != size:
+    if size % 2:
         raise ValueError("a Lagrangian chart needs an even ambient dimension")
     n = size // 2
     group.check_weights(weights)
     for a in range(n):
         for b in range(n):
-            if gram.entry(a, b):
+            if gram[a][b] != zero:
                 raise ValueError("flag is not Lagrangian for the given form")
 
     coords = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -1038,13 +1185,12 @@ def lagrangian_chart_oracle(
         classes.setdefault(group.scaled(weights[n + i - 1] - weights[j - 1]), []).append((i, j))
     # For j < k the keys (i, k) and (i, j) never collide, so each coefficient
     # is a single Gram entry or its negation.
-    negated = -gram
     rows = []
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            row = {(i, k): gram.entry(j - 1, n + i - 1) for i in range(1, n + 1)}
-            row |= {(i, j): negated.entry(k - 1, n + i - 1) for i in range(1, n + 1)}
-            row = {c: v for c, v in row.items() if v}
+            row = {(i, k): gram[j - 1][n + i - 1] for i in range(1, n + 1)}
+            row |= {(i, j): gq_sub(zero, gram[k - 1][n + i - 1]) for i in range(1, n + 1)}
+            row = {c: v for c, v in row.items() if v != zero}
             if row:
                 rows.append(row)
 
@@ -1062,20 +1208,16 @@ def lagrangian_chart_oracle(
                         "the form does not respect the weights"
                     )
                 relevant.append(row)
-        if relevant:
-            matrix = ExactMatrix([[row.get(c, 0) for c in members] for row in relevant])
-            kernel = matrix.nullspace()
-        else:
-            kernel = ExactMatrix.identity(len(members))
-        tangent.extend([w] * kernel.cols)
-        if abs(w) < 2 or kernel.cols == 0:
+        kernel = gq_nullspace([[row.get(c, zero) for row in relevant] for c in members])
+        tangent.extend([w] * len(kernel))
+        if abs(w) < 2 or not kernel:
             continue
-        if kernel.cols != 1:
+        if len(kernel) != 1:
             spheres[w] = None
             continue
         swapped = list(order)
         touched: set[int] = set()
-        for i, j in (members[r] for r in range(kernel.rows) if kernel.entry(r, 0)):
+        for i, j in (members[r] for r, x in enumerate(kernel[0]) if x != zero):
             a, b = j - 1, n + i - 1
             if a in touched or b in touched:
                 raise NotImplementedError("sphere support is not a disjoint swap")

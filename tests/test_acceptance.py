@@ -11,7 +11,6 @@ import time
 from flagfibers.dims import enumerate_3dim_flag_varieties, fullcases_table
 from flagfibers.flags import (
     SymplecticForm,
-    intersection_dim,
     relative_position_full,
     relative_position_symplectic,
 )
@@ -33,6 +32,7 @@ from flagfibers.twg import (
 from flagfibers.weyl import Family, RootSystem, double_cosets, sign_vector
 
 import oracles
+from oracles import intersection_dim
 from test_flags import gq_columns, random_full_flag, random_isotropic_flag
 
 A2 = RootSystem(Family.A, 2)

@@ -579,6 +579,37 @@ def test_malformed_matrix_entries_are_computation_errors(capsys, tmp_path, entry
     assert err.startswith("error: matrix entr") and err.count("\n") == 1
 
 
+# An error line names what is wrong and echoes at most 60 characters of the value.
+MAX_ERROR_LINE = 160
+
+STANDARD_FLAG_TEXT = (
+    '{"ambient": 2, "signature": [1], "matrix": [[%s, ["0", "0"]], [["0", "0"], ["1", "0"]]]}'
+)
+ONE_ROUND_GRAPH_TEXT = '{"round": [{"id": "a", "sign": %s}], "squares": [], "edges": []}'
+HUGE_NUMBER = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("position", STANDARD_FLAG_TEXT % json.dumps("7" * 2**20), "matrix entries must be"),
+        ("position", STANDARD_FLAG_TEXT % json.dumps(["7" * 2**20, "0"]), "not a pair of"),
+        ("classify", ONE_ROUND_GRAPH_TEXT % json.dumps("+" * 3000), "round vertex signs"),
+        ("position", STANDARD_FLAG_TEXT % f"[{HUGE_NUMBER}, 0]", "more than 4300 digits"),
+        ("classify", ONE_ROUND_GRAPH_TEXT % HUGE_NUMBER, "more than 4300 digits"),
+    ],
+    ids=["1MB-entry", "1MB-part", "long-sign", "5001-digit-entry", "5001-digit-sign"],
+)
+def test_huge_values_exit_2_with_one_short_line(tmp_path, command, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    files = [str(path)] * (2 if command == "position" else 1)
+    done = run_child("-m", "flagfibers.cli", command, *files)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr[:200]
+    assert done.stderr.count("\n") == 1 and len(done.stderr) < MAX_ERROR_LINE, done.stderr[:200]
+    assert message in done.stderr and "set_int_max_str_digits" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # reps
 

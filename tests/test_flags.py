@@ -17,15 +17,14 @@ from flagfibers.flags import (
     flag_from_json,
     flag_to_json,
     full_signature,
-    intersection_dim,
-    is_isotropic,
     isotropic_signature,
     matrix_from_json,
-    omega_perp,
     relative_position_full,
     relative_position_partial,
     relative_position_symplectic,
 )
+from flagfibers.sl2reps import Partition, invariant_symplectic_form, so2_weight_basis
+from flagfibers.twg import CircleGroup
 from flagfibers.weyl import (
     Family,
     RootSystem,
@@ -38,17 +37,11 @@ from flagfibers.weyl import (
 )
 
 import oracles
+from oracles import gq_columns, intersection_dim, is_isotropic, omega_perp
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def gq_columns(matrix: ExactMatrix) -> list[list[tuple[Fraction, Fraction]]]:
-    """Convert to the plain-tuple column format the oracles understand."""
-    return [
-        [(e.real, e.imag) for e in matrix.column(j)] for j in range(matrix.cols)
-    ]
 
 
 def random_matrix(
@@ -349,7 +342,7 @@ def test_nullspace_is_exact_kernel():
             m = random_matrix(
                 rng, rng.randint(1, 4), rng.randint(1, 5), span=2, rational=rational
             )
-            kernel = m.nullspace()
+            kernel = oracles.exact_matrix(oracles.gq_nullspace(gq_columns(m)), m.cols)
             assert kernel.cols == m.cols - m.rank()
             if kernel.cols:
                 assert (m @ kernel).is_zero()
@@ -358,7 +351,8 @@ def test_nullspace_is_exact_kernel():
 
 def test_nullspace_of_empty_pairing_is_everything():
     empty = ExactMatrix.zeros(0, 5)
-    assert empty.nullspace() == ExactMatrix.identity(5)
+    kernel = oracles.exact_matrix(oracles.gq_nullspace(gq_columns(empty)), empty.cols)
+    assert kernel == ExactMatrix.identity(5)
 
 
 def test_matmul_and_transpose_interact():
@@ -753,6 +747,34 @@ def test_symplectic_sign_matches_lagrangian_containment():
         window = relative_position_symplectic(F, H, OMEGA).window
         contained = intersection_dim(F.subspace(1), H.subspace(2)) == 1
         assert (1 in window) == contained
+
+
+def test_oracles_do_not_run_the_elimination_kernel(monkeypatch):
+    """The reference routes return their answers with ``flags._reduce_into``
+    patched to raise; their inputs are built before the patch."""
+    rng = random.Random(421)
+    F, H = random_full_flag(rng, 4), random_full_flag(rng, 4)
+    I, J = random_isotropic_flag(rng, OMEGA), random_isotropic_flag(rng, OMEGA)
+    m = random_matrix(rng, 3, 5, rational=True)
+    basis = so2_weight_basis(Partition((4,)))
+    form = invariant_symplectic_form(Partition((4,)))
+    group = CircleGroup.SO2
+
+    def refuse(echelon, vector):
+        raise AssertionError("an oracle ran the library's elimination kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flags, "_reduce_into", refuse)
+        full = oracles.relative_position_full_oracle(F, H)
+        signed = oracles.relative_position_symplectic_oracle(I, J, OMEGA)
+        chart, _ = oracles.lagrangian_chart_oracle(basis, form, basis.labels, group)
+        kernel = oracles.gq_nullspace(gq_columns(m))
+        perp = omega_perp(I.subspace(1), OMEGA)
+    assert full == relative_position_full(F, H).window
+    assert signed == relative_position_symplectic(I, J, OMEGA).window
+    assert chart == tuple(-group.scaled(w) for w in (2, 4, 6))
+    assert len(kernel) == m.cols - m.rank()
+    assert perp.rank() == 3 and intersection_dim(perp, I.subspace(2)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from flagfibers.flags import (
     GaussianRational,
     Signature,
     SymplecticForm,
-    is_isotropic,
 )
 from flagfibers.sl2reps import (
     Partition,
@@ -65,6 +64,7 @@ from flagfibers.twg import (
 from flagfibers import weyl
 
 import oracles
+from oracles import is_isotropic
 
 
 SIX_CASES = [

@@ -20,13 +20,13 @@ from flagfibers.weyl import (
     longest_element,
     opposition_involution,
     parabolic_elements,
-    reduced_word,
     sign_vector,
     simple_reflection,
     simple_reflections,
 )
 
 import oracles
+from oracles import reduced_word
 
 A2 = RootSystem(Family.A, 2)
 A3 = RootSystem(Family.A, 3)
