@@ -27,7 +27,6 @@ from .weyl import DoubleCoset, PositionPoset, WeylElement
 
 __all__ = [
     "Ideal",
-    "principal_ideal",
     "enumerate_balanced_ideals",
     "minimal_anosov_type",
     "thickening_membership",
@@ -85,10 +84,6 @@ class Ideal:
 
     def is_balanced(self) -> bool:
         return self.w0_image() == frozenset(range(len(self.poset))) - self.members
-
-
-def principal_ideal(poset: PositionPoset, index: int) -> frozenset[int]:
-    return frozenset(_bits(poset.down[index]))
 
 
 def _lowest(mask: int) -> int:

@@ -29,8 +29,11 @@ layer: a parabolic subgroup, or the quotient W^eta of minimal left coset
 representatives.  Both are closed under dropping the first letter of a
 reduced word (Bjoerner-Brenti, Sec. 2.4), so the closure grows inverses u:
 u -> u s_i swaps two window entries (or negates the last), and lengthens u
-exactly when s_i is not a right descent of u.  A subgroup is its own set
-of inverses, so only a quotient inverts.  Each layer sorted by window gives
+exactly when s_i is not a right descent of u.  For w = u^-1 in W^eta, a
+longer s_i w is in W^eta or is w s_k, s_k in W_eta (Deodhar, Invent. Math.
+39, 1977), and u s_i = s_k u exactly when the swapped entries are the values
+k, k+1 (or -k-1, -k), or s_n negates the letter n: membership is read off u,
+and a quotient inverts each member once.  Each layer sorted by window gives
 the (length, window) order.  The members of W^eta with no left descent s_i
 (i not in theta) are the minimal representatives of the W_theta \\ W /
 W_eta double cosets, and any element reaches its coset's by stripping
@@ -42,8 +45,9 @@ most that of w.  Members of W^eta descend only after slots i-1, i in eta (and
 mirrors); on an ascending run d < i <= d', r(i, k) = max(r(d, k), r(d', k) -
 d' + i), and r(N-1, k) = N-k, so those slots suffice.  In type C, r(2n-1-i, k)
 = 2n-k-i + r(i-1, 2n-k) drops the mirrors.  For w in W^eta, w0 w w0_eta is the
-representative of [w0 w] (Bjoerner-Brenti, Sec. 2.5), and s_i w is in W^eta or
-is w s_j, s_j in W_eta (Deodhar, Invent. Math. 39, 1977), so s_i w is looked up.
+representative of [w0 w] (Bjoerner-Brenti, Sec. 2.5).  With a full left type,
+by the same lemma, s_i w for s_i not a left descent of w is a later
+representative or lies in [w], so left masks come from left descents.
 
 ``group_elements`` and ``parabolic_elements`` are the only memoised group
 data; everything else is built per call.  A module-level table of windows
@@ -306,6 +310,11 @@ def _times_s(window: tuple[int, ...], i: int) -> tuple[int, ...]:
     return window[: i - 1] + (window[i], window[i - 1]) + window[i + 1 :]
 
 
+def _letter_table(window: tuple[int, ...]) -> list[int]:
+    """A list t with t[v] = w(v) for every letter v, negative v indexing from the end."""
+    return [0, *window, *(-j for j in reversed(window))]
+
+
 def _s_times(window: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Window of s_i * w: swap the values +-i and +-(i+1), or negate +-n."""
     if i == len(window):
@@ -346,9 +355,11 @@ def _bruhat_counts(w: WeylElement, slots: list[int] | None = None) -> tuple[int,
     perm = _slots(w)
     seen = [0] * len(perm)
     counts: list[int] = []
+    walked = 0
     for i in range(len(perm) - 1) if slots is None else slots:
-        for image in perm[: i + 1]:
+        for image in perm[walked : i + 1]:
             seen[image] = 1
+        walked = i + 1
         counts += accumulate(seen[:0:-1])
     return tuple(counts)
 
@@ -391,19 +402,28 @@ def check_group_order(system: RootSystem) -> None:
 
 def _closure(system: RootSystem, gens: list[int], right: list[int]) -> list[tuple[int, ...]]:
     """Windows of <s_i : i in gens> with no right descent among ``right``, in (length,
-    window) order; ``right`` is empty (a subgroup) or ``gens`` is every index."""
+    window) order; ``right`` is empty (a subgroup) or ``gens`` is every index.
+
+    It grows the members' inverses u by u s_i at ascents, kept unless u s_i = s_k u, k in ``right``.
+    """
     layer = {identity(system).window}
     ordered: list[tuple[int, ...]] = []
     while layer:
-        if right:
-            inverses = {_inverse(u): u for u in layer}
-            kept = sorted(w for w in inverses if not any(_descends(w, i) for i in right))
-            layer = [inverses[w] for w in kept]
-        else:
-            kept = layer = sorted(layer)
-        ordered.extend(kept)
-        layer = {_times_s(u, i) for u in layer for i in gens if not _descends(u, i)}
+        ordered += sorted(map(_inverse, layer) if right else layer)
+        layer = {
+            _times_s(u, i)
+            for u in layer
+            for i in gens
+            if not _descends(u, i) and not _commutes_into(u, i, right)
+        }
     return ordered
+
+
+def _commutes_into(u: tuple[int, ...], i: int, right: list[int]) -> bool:
+    """Whether u s_i = s_k u for some k in ``right``, s_i an ascent of u."""
+    if i == len(u):
+        return u[-1] == i and i in right
+    return u[i] == u[i - 1] + 1 and min(abs(u[i - 1]), abs(u[i])) in right
 
 
 @cache
@@ -481,22 +501,24 @@ class PositionPoset:
         return tuple(down)
 
     @cached_property
-    def left_action(self) -> tuple[tuple[int, ...], ...]:
-        """Row i-1 maps each coset index c to the index of [s_i * w_c].
-
-        This is an action of W only when the left type is full, so that the
-        cosets are left cosets w W_eta.
-        """
-        return tuple(
-            tuple(self._index_of(_s_times(dc.min_rep.window, i)) for dc in self.cosets)
-            for i in self.system.simple_indices
-        )
-
-    @cached_property
     def left_masks(self) -> tuple[tuple[int, int], ...]:
-        """Row i-1 holds the bitsets (low, high) of the pairs c < d = [s_i * w_c]."""
-        pairs = [[(c, d) for c, d in enumerate(row) if c < d] for row in self.left_action]
-        return tuple((sum(1 << c for c, _ in p), sum(1 << d for _, d in p)) for p in pairs)
+        """Row i-1 holds the bitsets (low, high) of the pairs c < d = [s_i * w_c].
+
+        s_i w_c is shorter when s_i is a left descent of w_c, so [s_i w_c]
+        comes before c.  Otherwise s_i w_c is the representative of a later
+        coset d or lies in [w_c] (Deodhar's lemma), and a miss pairs nothing.
+        """
+        index = self._index_of_window
+        tables = [_letter_table(s.window).__getitem__ for s in simple_reflections(self.system)]
+        low, high = [0] * len(tables), [0] * len(tables)
+        for c, dc in enumerate(self.cosets):
+            w = dc.min_rep.window
+            inverse = _inverse(w)
+            for i, s_i in enumerate(tables, start=1):
+                if not _descends(inverse, i) and (d := index.get(tuple(map(s_i, w)))) is not None:
+                    low[i - 1] |= 1 << c
+                    high[i - 1] |= 1 << d
+        return tuple(zip(low, high))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relations (i, j) with coset i covered by coset j, sorted."""
@@ -603,8 +625,13 @@ def double_cosets(system: RootSystem, theta: frozenset[int], eta: frozenset[int]
         w0, w0_eta = longest_element(system).window, identity(system).window
         while ascent := [i for i in right if not _descends(w0_eta, i)]:
             w0_eta = _times_s(w0_eta, ascent[0])
-        flipped = (_compose(_compose(w0, w), w0_eta) for w in reps)
-        w0_action = tuple(index[_min_rep(w, left, right)] for w in flipped)
+        w0_of = _letter_table(w0)
+        flipped = [
+            tuple([w0_of[w[j - 1]] if j > 0 else w0_of[-w[-j - 1]] for j in w0_eta]) for w in reps
+        ]
+        if left:
+            flipped = [_min_rep(w, left, right) for w in flipped]
+        w0_action = tuple(map(index.__getitem__, flipped))
     return PositionPoset(system, theta, eta, cosets, tuple(up), w0_action, index, (left, right))
 
 

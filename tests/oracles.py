@@ -17,7 +17,9 @@ Everything here deliberately avoids the library's own code paths:
   covers and down-sets from scans over every pair of cosets;
 - up-sets also come from the library's earlier loop over every Bruhat count
   field, and the w0- and left actions from stripping every product to its
-  representative;
+  representative, the left masks from the pairs c < d of that left action;
+- quotients W^eta also come from the library's earlier closure: every
+  layer inverted whole and filtered by the right descents of each inverse;
 - flag positions come from exhaustive permutation search against the table of
   intersection dimensions, computed by fraction-exact Gaussian elimination,
   and from the library's earlier route: the jump pattern of those dimensions,
@@ -32,7 +34,8 @@ Everything here deliberately avoids the library's own code paths:
 - balanced ideals come from filtering all 2^n subsets of a poset, and, for
   larger posets, from the antichain route: every ideal of at most half the
   poset (``all_ideals``), kept when w0 maps it onto its complement;
-- downward closure is the scan over every pair of a poset's order relation;
+- downward closure is the scan over every pair of a poset's order relation,
+  and a principal ideal is read off the down-set bitset one bit at a time;
 - minimal Anosov types come from one Weyl-group product per member and
   simple reflection;
 - weight-graph isomorphism comes from backtracking over vertex matchings
@@ -75,7 +78,7 @@ from typing import Sequence
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
 from flagfibers.flags import ExactFlag, ExactMatrix, GaussianRational, SymplecticForm
-from flagfibers.ideals import Ideal, principal_ideal
+from flagfibers.ideals import Ideal
 from flagfibers.sl2reps import WeightedBasis
 from flagfibers.twg import (
     CircleGroup,
@@ -94,6 +97,7 @@ from flagfibers.weyl import (
     _bruhat_counts,
     _compose,
     _descends,
+    _inverse,
     _min_rep,
     _s_times,
     _slots,
@@ -384,6 +388,31 @@ def left_action_min_rep_oracle(poset: PositionPoset) -> tuple[tuple[int, ...], .
         tuple(_stripped_index(poset, _s_times(dc.min_rep.window, i)) for dc in poset.cosets)
         for i in poset.system.simple_indices
     )
+
+
+def left_masks_oracle(left_action: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """Bitsets (low, high) of the pairs c < d = row[c] of each left-action row."""
+    pairs = [[(c, d) for c, d in enumerate(row) if c < d] for row in left_action]
+    return tuple((sum(1 << c for c, _ in p), sum(1 << d for _, d in p)) for p in pairs)
+
+
+def quotient_closure_filter_oracle(
+    system: RootSystem, gens: list[int], right: list[int]
+) -> list[Window]:
+    """The library's earlier closure: each layer inverted whole, and each
+    inverse kept when none of ``right`` is a right descent of it."""
+    layer = {identity(system).window}
+    ordered: list[tuple[int, ...]] = []
+    while layer:
+        if right:
+            inverses = {_inverse(u): u for u in layer}
+            kept = sorted(w for w in inverses if not any(_descends(w, i) for i in right))
+            layer = [inverses[w] for w in kept]
+        else:
+            kept = layer = sorted(layer)
+        ordered.extend(kept)
+        layer = {_times_s(u, i) for u in layer for i in gens if not _descends(u, i)}
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +760,11 @@ def balanced_ideals_oracle(
         if frozenset(w0_perm[i] for i in members) == universe - members:
             out.append(members)
     return out
+
+
+def principal_ideal(poset: PositionPoset, index: int) -> frozenset[int]:
+    """The cosets at or below coset ``index``."""
+    return frozenset(i for i in range(len(poset)) if poset.down[index] >> i & 1)
 
 
 def all_ideals(poset: PositionPoset, max_size: int | None = None) -> list[frozenset[int]]:

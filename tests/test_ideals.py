@@ -8,7 +8,6 @@ from flagfibers.ideals import (
     Ideal,
     enumerate_balanced_ideals,
     minimal_anosov_type,
-    principal_ideal,
     thickening_membership,
 )
 from flagfibers.weyl import (
@@ -21,7 +20,7 @@ from flagfibers.weyl import (
 )
 
 import oracles
-from oracles import all_ideals
+from oracles import all_ideals, principal_ideal
 
 A2 = RootSystem(Family.A, 2)
 A3 = RootSystem(Family.A, 3)

@@ -302,7 +302,7 @@ def test_double_cosets_match_product_and_scan_oracle(system):
         assert poset.down == want.down
         assert poset.covers() == want.covers
         assert poset.w0_action == want.w0_action
-        assert poset.left_action == want.left_action
+        assert poset.left_masks == oracles.left_masks_oracle(want.left_action)
 
 
 @pytest.mark.parametrize(
@@ -339,7 +339,7 @@ def test_descent_slot_fields_and_left_actions_match_earlier_routes(system):
     # Every eta of the full left type, but the full-type posets of A6 and
     # C5 (covered by the pairwise oracle up to A5 and C4), to keep the time
     # budget: descent-slot up-sets against every count field, w0_action and
-    # left_action against stripping each product to its representative.
+    # left_masks against stripping each product to its representative.
     full = frozenset(system.simple_indices)
     for eta in every_eta(system):
         if system.order() > 1000 and eta == full:
@@ -347,7 +347,18 @@ def test_descent_slot_fields_and_left_actions_match_earlier_routes(system):
         poset = double_cosets(system, full, eta)
         assert poset.up == oracles.up_sets_all_fields_oracle(poset.cosets)
         assert poset.w0_action == oracles.w0_action_min_rep_oracle(poset)
-        assert poset.left_action == oracles.left_action_min_rep_oracle(poset)
+        table = oracles.left_action_min_rep_oracle(poset)
+        assert poset.left_masks == oracles.left_masks_oracle(table)
+
+
+@pytest.mark.parametrize("system", EVERY_SYSTEM, ids=system_id)
+def test_quotient_closure_matches_inverse_and_filter_oracle(system):
+    # Every eta, so type C checks the s_n rule both with s_n in W_eta and not.
+    every = list(system.simple_indices)
+    for eta in every_eta(system):
+        right = [i for i in every if i not in eta]
+        want = oracles.quotient_closure_filter_oracle(system, every, right)
+        assert weyl._closure(system, every, right) == want
 
 
 @pytest.mark.parametrize("system", [A4, C3], ids=system_id)

@@ -7,8 +7,8 @@ on every (family, rank, eta, --signs) case of A2-A6 and C2-C5: every subset
 eta of the simple indices, ``--eta ""`` included, with and without
 ``--signs``, 368 cases in all.  A command's answer is its exit code, the
 SHA-256 of its standard output and its standard error, so refusals count
-too.  The script prints the number of cases, commands and differences and
-exits 1 on any difference.
+too.  The script prints the number of cases, commands and differences, and
+the wall time of each tree's child, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 
 
 def cases():
@@ -48,12 +49,14 @@ def answers() -> None:
             print(" ".join(argv), code, digest, repr(err.getvalue()), flush=True)
 
 
-def run(src: str) -> list[str]:
+def run(src: str) -> tuple[list[str], float]:
+    """The tree's answers, one line per command, and its child's wall time in seconds."""
     env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
     out = subprocess.run(
         [sys.executable, __file__, "--answers"], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.splitlines()
+    return out.stdout.splitlines(), time.perf_counter() - start
 
 
 def main(argv: list[str]) -> int:
@@ -63,9 +66,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    old, new = (run(src) for src in argv)
+    (old, old_s), (new, new_s) = (run(src) for src in argv)
     differences = sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
-    print(f"{len(list(cases()))} cases, {len(new)} commands, {differences} differences")
+    print(
+        f"{len(list(cases()))} cases, {len(new)} commands, {differences} differences; "
+        f"child wall time {old_s:.2f} s (old), {new_s:.2f} s (new)"
+    )
     return 1 if differences else 0
 
 
