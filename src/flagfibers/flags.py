@@ -2,11 +2,12 @@
 
 A flag in C^n is stored as an invertible matrix whose leading columns span
 the flag subspaces, together with a signature recording which prefix
-dimensions carry meaning.  Matrices store Gaussian-integer columns over one
-common denominator; ranks, flag completions and Bruhat cells come from one
-fraction-free elimination kernel over Z[i] (Bareiss, Math. Comp. 22, 1968) fed
-those columns, each step from the pivot on, so they are exact even where
-positions degenerate.  Single entries go in and out as :class:`GaussianRational`.
+dimensions carry meaning.  Matrices store each column as a primitive
+Gaussian-integer vector times its own positive rational scale; ranks, flag
+completions and Bruhat cells come from one fraction-free elimination kernel
+over Z[i] (Bareiss, Math. Comp. 22, 1968) fed those primitive columns, each
+step from the pivot on, so they are exact even where positions degenerate.
+Single entries go in and out as :class:`GaussianRational`.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
 full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
@@ -94,16 +95,20 @@ def _parts(x: Scalar) -> tuple[_Ratio, _Ratio]:
     return (value.numerator, value.denominator), (0, 1)
 
 
-def _over_common_denominator(
+def _scaled_columns(
     rows: list[list[tuple[_Ratio, _Ratio]]], cols: int | None
-) -> tuple[int, list[list[tuple[int, int]]], int]:
-    """Rows of ``(re, im)`` ratio pairs as (height, int-pair columns, denominator)."""
+) -> tuple[int, list[list[tuple[int, int]]], list[_Ratio]]:
+    """Rows of ``(re, im)`` ratio pairs as (height, int-pair columns, scales), each
+    column put over the lcm of its own denominators."""
     width = len(rows[0]) if rows else cols or 0
     if any(len(row) != width for row in rows):
         raise ValueError("rows must all have the same length")
-    den = math.lcm(*[q for row in rows for pair in row for _, q in pair])
-    columns = [[(a * (den // b), c * (den // d)) for (a, b), (c, d) in col] for col in zip(*rows)]
-    return len(rows), columns or [()] * width, den
+    columns, scales = [], []
+    for col in zip(*rows):
+        den = math.lcm(*[q for pair in col for _, q in pair])
+        columns.append([(a * (den // b), c * (den // d)) for (a, b), (c, d) in col])
+        scales.append((1, den))
+    return len(rows), columns or [()] * width, scales or [(1, 1)] * width
 
 
 def _dot(u: _Row, v: _Row) -> tuple[int, int]:
@@ -116,38 +121,62 @@ def _dot(u: _Row, v: _Row) -> tuple[int, int]:
 
 
 class ExactMatrix:
-    """An immutable matrix over Q(i), stored by column as ``(re, im)`` int pairs over
-    one positive common denominator in lowest terms, so equal matrices compare and
-    hash equal however they were built.  ``entry``, ``row`` and ``column`` build
-    :class:`GaussianRational` values on demand.
+    """An immutable matrix over Q(i), stored by column: each column a primitive
+    vector of ``(re, im)`` int pairs (integer content 1) times its own scale
+    ``(num, den)``, a positive rational in lowest terms (a zero column is zeros
+    times ``(0, 1)``).  The form is canonical, so equal matrices compare and hash
+    equal however they were built, and every elimination is fed primitive
+    columns.  ``entry``, ``row`` and ``column`` build :class:`GaussianRational`
+    values on demand.
 
     >>> m = ExactMatrix([[1, 1, 0], [0, 1, 1]])
     >>> m.rank(), m.hstack(m).rank()
     (2, 2)
+    >>> m = ExactMatrix([["1/2", 3], [-1, "3/4"]])
+    >>> m._columns, m._scales
+    ((((1, 0), (-2, 0)), ((4, 0), (1, 0))), ((1, 2), (3, 4)))
     """
 
-    __slots__ = ("_rows", "_columns", "_den")
+    __slots__ = ("_rows", "_columns", "_scales")
 
     def __new__(cls, entries: Iterable[Iterable[Scalar]] = (), *, cols: int | None = None):
-        return cls._make(*_over_common_denominator([list(map(_parts, row)) for row in entries], cols))
+        return cls._make(*_scaled_columns([list(map(_parts, row)) for row in entries], cols))
 
     @classmethod
-    def _make(cls, rows: int, columns: Sequence[_Row], den: int) -> "ExactMatrix":
-        """The one constructor: int-pair columns over ``den`` > 0, put in lowest terms."""
-        common = math.gcd(den, *[t for col in columns for pair in col for t in pair])
-        if common > 1:
-            columns = [[(a // common, b // common) for a, b in col] for col in columns]
+    def _make(cls, rows: int, columns: Sequence[_Row], scales: Sequence[_Ratio]) -> "ExactMatrix":
+        """The one normalising constructor: column j times ``scales[j]`` (any sign,
+        denominator > 0), stored primitive with a positive scale in lowest terms."""
+        stored, kept = [], []
+        for col, (num, den) in zip(columns, scales):
+            content = math.gcd(*[t for pair in col for t in pair]) if num else 0
+            if content > 1:
+                col = [(a // content, b // content) for a, b in col]
+            elif not content:  # a zero column: gcd(0, den) = den makes its scale (0, 1)
+                col = [(0, 0)] * len(col)
+            num *= content
+            common = math.gcd(num, den)
+            num, den = num // common, den // common
+            if num < 0:
+                col, num = [(-a, -b) for a, b in col], -num
+            stored.append(tuple(col))
+            kept.append((num, den))
+        return cls._stored(rows, tuple(stored), tuple(kept))
+
+    @classmethod
+    def _stored(cls, rows: int, columns: tuple, scales: tuple) -> "ExactMatrix":
+        """A matrix from columns and scales already in the stored form."""
         matrix = object.__new__(cls)
-        matrix._rows, matrix._columns, matrix._den = rows, tuple(map(tuple, columns)), den // common
+        matrix._rows, matrix._columns, matrix._scales = rows, columns, scales
         return matrix
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        units = tuple(tuple((int(i == j), 0) for i in range(n)) for j in range(n))
+        return cls._stored(n, units, ((1, 1),) * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._stored(rows, (((0, 0),) * rows,) * cols, ((0, 1),) * cols)
 
     @classmethod
     def from_columns(
@@ -170,7 +199,8 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> GaussianRational:
         re, im = self._columns[j][i]
-        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
+        num, den = self._scales[j]
+        return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -182,40 +212,42 @@ class ExactMatrix:
         """The submatrix of the first ``k`` columns."""
         if not 0 <= k <= self.cols:
             raise ValueError(f"no prefix of {k} columns in a matrix with {self.cols}")
-        return ExactMatrix._make(self.rows, self._columns[:k], self._den)
+        return ExactMatrix._stored(self.rows, self._columns[:k], self._scales[:k])
+
+    def _scaled_rows(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(D, rows): D the common denominator of the scales, rows those of D times the matrix."""
+        den = math.lcm(*[q for _, q in self._scales])
+        factors = [p * (den // q) for p, q in self._scales]
+        scaled = [[(a * f, b * f) for a, b in col] for col, f in zip(self._columns, factors)]
+        return den, list(zip(*scaled)) if scaled else [()] * self.rows
 
     def transpose(self) -> "ExactMatrix":
-        columns = [tuple(col[i] for col in self._columns) for i in range(self.rows)]
-        return ExactMatrix._make(self.cols, columns, self._den)
+        den, rows = self._scaled_rows()
+        return ExactMatrix._make(self.cols, rows, [(1, den)] * self.rows)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        den = math.lcm(self._den, other._den)
-        columns = [
-            [(a * (den // m._den), b * (den // m._den)) for a, b in col]
-            for m in (self, other)
-            for col in m._columns
-        ]
-        return ExactMatrix._make(self.rows, columns, den)
+        return ExactMatrix._stored(
+            self.rows, self._columns + other._columns, self._scales + other._scales
+        )
 
     def __neg__(self) -> "ExactMatrix":
-        columns = [[(-a, -b) for a, b in col] for col in self._columns]
-        return ExactMatrix._make(self.rows, columns, self._den)
+        return ExactMatrix._make(self.rows, self._columns, [(-p, q) for p, q in self._scales])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        rows = self.transpose()._columns
+        den, rows = self._scaled_rows()
         columns = [[_dot(row, col) for row in rows] for col in other._columns]
-        return ExactMatrix._make(self.rows, columns, self._den * other._den)
+        return ExactMatrix._make(self.rows, columns, [(p, q * den) for p, q in other._scales])
 
     def rank(self) -> int:
         echelon: dict[int, _Row] = {}
         return sum(_reduce_into(echelon, c) is not None for c in self._columns)
 
     def is_zero(self) -> bool:
-        return not any(a or b for col in self._columns for a, b in col)
+        return not any(p for p, _ in self._scales)
 
     def nonzero_positions(self) -> list[tuple[int, int]]:
         """The (row, column) indices of the nonzero entries, column by column."""
@@ -224,10 +256,12 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self._rows, self._den, self._columns) == (other._rows, other._den, other._columns)
+        return (self._rows, self._scales, self._columns) == (
+            other._rows, other._scales, other._columns
+        )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._den, self._columns))
+        return hash((self._rows, self._scales, self._columns))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
@@ -334,15 +368,12 @@ class ExactFlag:
         if any(_reduce_into(echelon, c) is None for c in columns._columns):
             raise ValueError("leading columns are linearly dependent")
         units = ExactMatrix.identity(n)._columns
-        completion = [e for e in units if _reduce_into(echelon, e) is not None]
+        completion = tuple(e for e in units if _reduce_into(echelon, e) is not None)
         flag = object.__new__(cls)
         object.__setattr__(flag, "signature", signature)
-        object.__setattr__(flag, "basis", columns.hstack(ExactMatrix._make(n, completion, 1)))
+        completed = ExactMatrix._stored(n, completion, ((1, 1),) * len(completion))
+        object.__setattr__(flag, "basis", columns.hstack(completed))
         return flag
-
-    def subspace(self, k: int) -> ExactMatrix:
-        """Columns spanning the ``k``-dimensional flag subspace."""
-        return self.basis.prefix_columns(k)
 
 
 @dataclass(frozen=True)
@@ -355,7 +386,8 @@ class SymplecticForm:
         g = self.gram
         if g.rows != g.cols:
             raise ValueError("Gram matrix must be square")
-        if g.transpose() != -g:
+        _, rows = g._scaled_rows()
+        if any(rows[j][i] != (-a, -b) for i, r in enumerate(rows) for j, (a, b) in enumerate(r)):
             raise ValueError("Gram matrix must be antisymmetric")
         if g.rank() != g.rows:
             raise ValueError("form is degenerate")
@@ -474,24 +506,31 @@ def relative_position_symplectic(
 
 def _perp_extension(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
     """f_1, ..., f_n, g_n, ..., g_1: a basis adapted to F^1, ..., F^n, then
-    F^{n+k} = perp of F^{n-k}, from one Gram product with the given form.
+    F^{n+k} = perp of F^{n-k}, from the stored integer columns b_j of the basis.
 
-    Its first n columns vanish exactly when F^n is isotropic; the rest pair
-    F^n with the completion.  Eliminated over tags, they leave under pivot j
-    a combination g_j of the completion with omega(f_i, g_j) = 0 for i < j.
+    Column j of the pairing holds omega(f_i, b_j) up to a nonzero factor per
+    row i and per column j: integer dot products with D G f_i = -(f_i^T D G)^T,
+    D the common denominator of the antisymmetric Gram matrix G, taken through
+    the rows of D G.  Its first n columns vanish exactly when F^n is
+    isotropic.  The rest, eliminated over tags, leave under pivot j the
+    coefficients of a combination g_j of the completion with
+    omega(f_i, g_j) = 0 for i < j.
     """
     check_position_signature(flag.signature, symplectic=True, ambient=omega.ambient)
     n = omega.ambient // 2
-    basis = flag.basis
-    pairing = basis.prefix_columns(n).transpose() @ omega.gram @ basis
-    if not pairing.prefix_columns(n).is_zero():
+    basis = flag.basis._columns
+    _, gram = omega.gram._scaled_rows()
+    rows = [[_dot(g, f) for g in gram] for f in basis[:n]]
+    pairing = [[_dot(row, b) for row in rows] for b in basis]
+    if any(a or b for column in pairing[:n] for a, b in column):
         raise ValueError("flag is not isotropic for the given form")
     echelon: dict[int, _Row] = {}
-    for c, column in enumerate(pairing._columns[n:]):
+    for c, column in enumerate(pairing[n:]):
         _reduce_into(echelon, [*column, *((int(k == c), 0) for k in range(n))])
     # F^n is Lagrangian, so the pairing is invertible and every pivot j < n is taken.
-    lifts = [[(0, 0)] * n + echelon[j][n:] for j in reversed(range(n))]
-    return [*basis._columns[:n], *(basis @ ExactMatrix._make(2 * n, lifts, 1))._columns]
+    completion = list(zip(*basis[n:]))
+    lifts = [[_dot(row, echelon[j][n:]) for row in completion] for j in reversed(range(n))]
+    return [*basis[:n], *lifts]
 
 
 def relative_position_partial(
@@ -542,7 +581,7 @@ def matrix_from_json(rows) -> ExactMatrix:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("a matrix must be a list of rows")
     parts = [[_entry_from_json(entry) for entry in row] for row in rows]
-    return ExactMatrix._make(*_over_common_denominator(parts, None))
+    return ExactMatrix._make(*_scaled_columns(parts, None))
 
 
 def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:

@@ -592,7 +592,7 @@ def is_isotropic(F: ExactFlag, omega: SymplecticForm) -> bool:
     if F.signature.ambient != omega.ambient:
         raise ValueError("dimension mismatch")
     gram = gq_columns(omega.gram)
-    top = gq_columns(F.subspace(F.signature.top))
+    top = gq_columns(F.basis.prefix_columns(F.signature.top))
     paired = [[gq_dot(u, g) for g in gram] for u in top]  # the rows u^T G
     return all(gq_dot(row, v) == gq() for row in paired for v in top)
 
@@ -711,7 +711,7 @@ def _extended_basis(flag: ExactFlag, omega: SymplecticForm) -> list:
     the first n basis vectors, extended by each perp's vectors, cleared of
     denominators, that are independent of everything before them."""
     n = omega.ambient // 2
-    gram, spanning = gq_columns(omega.gram), gq_columns(flag.subspace(n))
+    gram, spanning = gq_columns(omega.gram), gq_columns(flag.basis.prefix_columns(n))
     echelon: dict = {}
     basis = list(flag.basis._columns[:n])
     for vector in basis:

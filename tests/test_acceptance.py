@@ -147,7 +147,7 @@ def test_criterion_05_symplectic_positions_and_signs():
         w = relative_position_symplectic(F, H, omega)
         assert sorted(abs(j) for j in w.window) == [1, 2]
         first_sign = 1 if 1 in w.window else -1
-        contained = intersection_dim(F.subspace(1), H.subspace(2)) == 1
+        contained = intersection_dim(F.basis.prefix_columns(1), H.basis.prefix_columns(2)) == 1
         assert (first_sign == 1) == contained
         checked += 1
     assert checked >= 200

@@ -409,6 +409,118 @@ def test_equal_matrices_from_different_routes_compare_and_hash_equal():
     assert ExactMatrix([[1, Fraction(1, 3)]]).prefix_columns(1) == ExactMatrix([[1]])
     assert ExactMatrix.zeros(2, 0) != ExactMatrix.zeros(3, 0)
 
+def stored_form_holds(m: ExactMatrix) -> bool:
+    """Each stored column is primitive with a positive scale in lowest terms, or
+    zeros with scale (0, 1)."""
+    for column, (num, den) in zip(m._columns, m._scales):
+        content = math.gcd(*[t for pair in column for t in pair])
+        if (content, num, den) != (0, 0, 1) and not (
+            content == 1 and num > 0 and den > 0 and math.gcd(num, den) == 1
+        ):
+            return False
+    return len(m._columns) == len(m._scales) and all(len(c) == m.rows for c in m._columns)
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    values=st.lists(st.tuples(small_rationals, small_rationals), min_size=16, max_size=16),
+    zero_columns=st.lists(st.booleans(), min_size=4, max_size=4),
+    unreduce=st.lists(st.integers(1, 30), min_size=4, max_size=4),
+    cut=st.integers(0, 4),
+)
+def test_equal_matrices_share_one_stored_form(shape, values, zero_columns, unreduce, cut):
+    """However a Q(i) matrix is built, it is stored as primitive columns with
+    positive scales, compares and hashes equal, and hands its entries back."""
+    rows, cols = shape
+    zero = (Fraction(0), Fraction(0))
+    grid = [
+        [zero if zero_columns[j] else values[4 * i + j] for j in range(cols)] for i in range(rows)
+    ]
+    columns = [[row[j] for row in grid] for j in range(cols)]
+
+    def scalar(re, im):  # an int, a Fraction or a GaussianRational, as narrow as it goes
+        if im:
+            return GaussianRational(re, im)
+        return int(re) if re.denominator == 1 else re
+
+    def unreduced(x: Fraction, k: int) -> str:
+        return f"{x.numerator * k}/{x.denominator * k}"
+
+    def columns_of(sign: int) -> list[list]:
+        return [[scalar(sign * re, sign * im) for re, im in col] for col in columns]
+
+    k = min(cut, cols)
+    routes = [
+        ExactMatrix([[GaussianRational(re, im) for re, im in row] for row in grid], cols=cols),
+        ExactMatrix([[scalar(re, im) for re, im in row] for row in grid], cols=cols),
+        ExactMatrix.from_columns(columns_of(1), rows=rows),
+        -ExactMatrix.from_columns(columns_of(-1), rows=rows),
+        ExactMatrix.from_columns(columns_of(1) + [[1] * rows], rows=rows)
+        .prefix_columns(k)
+        .hstack(ExactMatrix.from_columns(columns_of(1)[k:], rows=rows)),
+    ]
+    if rows:
+        routes.append(
+            matrix_from_json(
+                [
+                    [
+                        [unreduced(re, unreduce[(i + j) % 4]), unreduced(im, unreduce[j])]
+                        for j, (re, im) in enumerate(row)
+                    ]
+                    for i, row in enumerate(grid)
+                ]
+            )
+        )
+    first = routes[0]
+    for m in routes:
+        assert (m.rows, m.cols) == (rows, cols)
+        assert stored_form_holds(m)
+        assert m == first and hash(m) == hash(first)
+    assert stored_form_holds(first.transpose()) and first.transpose().transpose() == first
+    for i, row in enumerate(grid):
+        for j, (re, im) in enumerate(row):
+            assert first.entry(i, j) == GaussianRational(re, im)
+
+
+def test_column_rescaling_keeps_the_stored_columns_and_every_position():
+    """F and H times a diagonal of signed rationals: the same stored columns up
+    to the sign of each factor, and the same full, symplectic and partial positions."""
+    rng = random.Random(433)
+
+    def rescale(flag: ExactFlag) -> ExactFlag:
+        ratios = [
+            Fraction(rng.choice((1, -1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))
+            for _ in range(flag.basis.cols)
+        ]
+        moved = ExactFlag(flag.signature, flag.basis @ diagonal(ratios))
+        for column, again, ratio in zip(flag.basis._columns, moved.basis._columns, ratios):
+            assert again == (column if ratio > 0 else tuple((-a, -b) for a, b in column))
+        return moved
+
+    for n in (3, 4):
+        system = RootSystem(Family.A, n - 1)
+        for w in seeded_windows("A", n, 8):
+            F, H = a_pair(rng, w, rng.choice(tuple(PAIR_HEIGHTS)))
+            F2, H2 = rescale(F), rescale(H)
+            assert relative_position_full(F2, H2).window == w
+            theta, eta = (frozenset(rng.sample(range(1, n), rng.randint(1, n - 1))) for _ in "ab")
+            left, right = (
+                ExactFlag(Signature(tuple(sorted(t)), n), X.basis)
+                for X, t in ((F2, theta), (H2, eta))
+            )
+            expected = double_coset_of(system, theta, eta, WeylElement(system, w))
+            assert relative_position_partial(left, right, theta, eta) == expected
+    for n in (2, 3):
+        omega = SymplecticForm.standard(n)
+        for w in seeded_windows("C", n, 12):
+            F, H = c_pair(rng, w, rng.choice(tuple(PAIR_HEIGHTS)))
+            F2, H2 = rescale(F), rescale(H)
+            assert relative_position_symplectic(F2, H2, omega).window == w
+
 
 def kernel_sequence(rng: random.Random, span: int, tagged: bool) -> list:
     """Z[i] vectors for one echelon: runs of leading zeros, integer common
@@ -745,7 +857,7 @@ def test_symplectic_sign_matches_lagrangian_containment():
         F = random_isotropic_flag(rng, OMEGA)
         H = random_isotropic_flag(rng, OMEGA)
         window = relative_position_symplectic(F, H, OMEGA).window
-        contained = intersection_dim(F.subspace(1), H.subspace(2)) == 1
+        contained = intersection_dim(F.basis.prefix_columns(1), H.basis.prefix_columns(2)) == 1
         assert (1 in window) == contained
 
 
@@ -769,12 +881,12 @@ def test_oracles_do_not_run_the_elimination_kernel(monkeypatch):
         signed = oracles.relative_position_symplectic_oracle(I, J, OMEGA)
         chart, _ = oracles.lagrangian_chart_oracle(basis, form, basis.labels, group)
         kernel = oracles.gq_nullspace(gq_columns(m))
-        perp = omega_perp(I.subspace(1), OMEGA)
+        perp = omega_perp(I.basis.prefix_columns(1), OMEGA)
     assert full == relative_position_full(F, H).window
     assert signed == relative_position_symplectic(I, J, OMEGA).window
     assert chart == tuple(-group.scaled(w) for w in (2, 4, 6))
     assert len(kernel) == m.cols - m.rank()
-    assert perp.rank() == 3 and intersection_dim(perp, I.subspace(2)) == 2
+    assert perp.rank() == 3 and intersection_dim(perp, I.basis.prefix_columns(2)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +926,22 @@ def test_symplectic_position_matches_jump_pattern_oracle(n, sample):
             assert relative_position_symplectic(F, H, omega).window == w
             assert oracles.relative_position_symplectic_oracle(F, H, omega) == w
 
+@pytest.mark.parametrize("n", [2, 3], ids=["C2", "C3"])
+def test_symplectic_position_of_leading_columns_matches_oracle(n):
+    """Isotropic flags given by their first n columns and completed by unit
+    vectors, so the pairing columns of the completion carry different integer
+    contents and the perp elimination combines them."""
+    rng = random.Random(443 + n)
+    omega = SymplecticForm.standard(n)
+    for w in weyl_windows("C", n):
+        for height in PAIR_HEIGHTS:
+            F, H = (
+                ExactFlag.from_columns(isotropic_signature(n), X.basis.prefix_columns(n))
+                for X in c_pair(rng, w, height)
+            )
+            assert relative_position_symplectic(F, H, omega).window == w
+            assert oracles.relative_position_symplectic_oracle(F, H, omega) == w
+
 
 def test_positions_of_degenerate_pairs_match_oracle():
     """F = H, and pairs that share the level F^k (and in type C all below it)."""
@@ -837,7 +965,7 @@ def test_positions_of_degenerate_pairs_match_oracle():
         for k in range(n + 1):
             w = tuple(range(1, k + 1)) + tuple(range(-n, -k))
             F, H = c_pair(rng, w, "high")
-            assert intersection_dim(F.subspace(k), H.subspace(k)) == k
+            assert intersection_dim(F.basis.prefix_columns(k), H.basis.prefix_columns(k)) == k
             assert relative_position_symplectic(F, F, omega).is_identity()
             assert relative_position_symplectic(F, H, omega).window == w
             assert oracles.relative_position_symplectic_oracle(F, H, omega) == w
@@ -862,6 +990,26 @@ def test_symplectic_position_uses_the_given_form():
         assert oracles.relative_position_symplectic_oracle(moved_F, moved_H, moved_form) == w
         with pytest.raises(ValueError, match="^flag is not isotropic for the given form$"):
             relative_position_symplectic(moved_F, moved_H, omega)
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, 16)], ids=["C2", "C3"])
+def test_symplectic_position_under_a_rescaled_form_matches_oracle(n, sample):
+    """The form D^T omega D, D a diagonal of distinct rationals, so each Gram
+    column carries its own scale; D^-1 F and D^-1 H are isotropic for it and
+    keep the position of F and H."""
+    rng = random.Random(439 + n)
+    distinct = sorted({Fraction(p, q) for p in range(-9, 10) if p for q in (1, 2, 5, 7)})
+    ratios = rng.sample(distinct, 2 * n)
+    d = diagonal(ratios)
+    d_inverse = diagonal([1 / r for r in ratios])
+    omega = SymplecticForm(d.transpose() @ SymplecticForm.standard(n).gram @ d)
+    assert len(set(omega.gram._scales)) > 1
+    for w in seeded_windows("C", n, sample):
+        for height in PAIR_HEIGHTS:
+            F, H = c_pair(rng, w, height)
+            moved_F = ExactFlag(F.signature, d_inverse @ F.basis)
+            moved_H = ExactFlag(H.signature, d_inverse @ H.basis)
+            assert relative_position_symplectic(moved_F, moved_H, omega).window == w
+            assert oracles.relative_position_symplectic_oracle(moved_F, moved_H, omega) == w
 
 
 def test_position_errors_keep_their_messages():
