@@ -22,10 +22,10 @@ that carry a hyperbolic-circle analysis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from . import _Record
 from .sl2reps import Partition, admits_symplectic_form, anosov_type
 
 
@@ -37,8 +37,7 @@ class GroupFamily(enum.Enum):
     Sp = "Sp"
 
 
-@dataclass(frozen=True)
-class FlagVarietyDescriptor:
+class FlagVarietyDescriptor(_Record):
     """A flag variety of a classical group.
 
     ``n`` is the ambient parameter: subspaces live in C^n for SL and SO and
@@ -49,34 +48,26 @@ class FlagVarietyDescriptor:
     orthogonal space; it is empty everywhere else.
     """
 
-    family: GroupFamily
-    n: int
-    indices: tuple[int, ...]
-    tag: str = ""
+    __slots__ = ("family", "n", "indices", "tag")
 
-    def __post_init__(self) -> None:
+    def __init__(self, family: GroupFamily, n: int, indices: tuple[int, ...], tag: str = ""):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "tag", tag)
         minimum = {GroupFamily.SL: 2, GroupFamily.SO: 3, GroupFamily.Sp: 1}
-        if self.n < minimum[self.family]:
-            raise ValueError(
-                f"ambient parameter {self.n} too small for {self.family.value}"
-            )
-        if not self.indices:
+        if n < minimum[family]:
+            raise ValueError(f"ambient parameter {n} too small for {family.value}")
+        if not indices:
             raise ValueError("no subspace dimensions given")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError(f"indices must strictly increase: {self.indices}")
-        if self.indices[0] < 1 or self.indices[-1] > self._max_index():
-            raise ValueError(
-                f"indices {self.indices} out of range for "
-                f"{self.family.value} with n={self.n}"
-            )
-        if self.tag:
-            splits = (
-                self.family is GroupFamily.SO
-                and self.n % 2 == 0
-                and self.indices[-1] == self.n // 2
-            )
-            if self.tag not in ("+", "-") or not splits:
-                raise ValueError(f"tag {self.tag!r} not meaningful here")
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ValueError(f"indices must strictly increase: {indices}")
+        if indices[0] < 1 or indices[-1] > self._max_index():
+            raise ValueError(f"indices {indices} out of range for {family.value} with n={n}")
+        if tag:
+            splits = family is GroupFamily.SO and n % 2 == 0 and indices[-1] == n // 2
+            if tag not in ("+", "-") or not splits:
+                raise ValueError(f"tag {tag!r} not meaningful here")
 
     def _max_index(self) -> int:
         if self.family is GroupFamily.SL:
@@ -225,14 +216,18 @@ def enumerate_3dim_flag_varieties(max_rank: int) -> list[FlagVarietyDescriptor]:
     return found
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(_Record):
     """One row of the case table: which groups act, on which variety, and
     which weighted-line decompositions are compatible with it."""
 
-    groups: tuple[str, ...]
-    variety: str
-    partitions: tuple[Partition, Partition]
+    __slots__ = ("groups", "variety", "partitions")
+
+    def __init__(
+        self, groups: tuple[str, ...], variety: str, partitions: tuple[Partition, Partition]
+    ):
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "partitions", partitions)
 
     def to_json_dict(self) -> dict:
         return {

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from . import _Record
 from .weyl import DoubleCoset, Family, RootSystem, WeylElement, double_coset_of
 
 Scalar = Union[int, str, Fraction, "GaussianRational"]
@@ -37,8 +37,7 @@ _Ratio = tuple[int, int]  # a rational as (numerator, denominator > 0), maybe un
 _Row = Sequence[tuple[int, int]]  # a vector over Z[i], entries as (re, im) pairs
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(_Record):
     """An exact complex number ``real + imag*i`` with rational parts: the boundary
     scalar that :class:`ExactMatrix` takes entries in and hands them out as.  Its
     field operations serve callers that compute on entries (``perfbench``'s form
@@ -49,12 +48,11 @@ class GaussianRational:
     5+5i 1+2i -4-i
     """
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    __slots__ = ("real", "imag")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(self, "imag", Fraction(self.imag))
+    def __init__(self, real: Fraction = Fraction(0), imag: Fraction = Fraction(0)):
+        object.__setattr__(self, "real", Fraction(real))
+        object.__setattr__(self, "imag", Fraction(imag))
 
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
@@ -126,8 +124,8 @@ class ExactMatrix:
     ``(num, den)``, a positive rational in lowest terms (a zero column is zeros
     times ``(0, 1)``).  The form is canonical, so equal matrices compare and hash
     equal however they were built, and every elimination is fed primitive
-    columns.  ``entry``, ``row`` and ``column`` build :class:`GaussianRational`
-    values on demand.
+    columns.  ``entry`` and ``row`` build :class:`GaussianRational` values on
+    demand.
 
     >>> m = ExactMatrix([[1, 1, 0], [0, 1, 1]])
     >>> m.rank(), m.hstack(m).rank()
@@ -174,21 +172,6 @@ class ExactMatrix:
         units = tuple(tuple((int(i == j), 0) for i in range(n)) for j in range(n))
         return cls._stored(n, units, ((1, 1),) * n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls._stored(rows, (((0, 0),) * rows,) * cols, ((0, 1),) * cols)
-
-    @classmethod
-    def from_columns(
-        cls, columns: Sequence[Sequence[Scalar]], *, rows: int | None = None
-    ) -> "ExactMatrix":
-        """The matrix with these columns, whose heights must agree (and equal ``rows``)."""
-        heights = {len(col) for col in columns} | ({rows} if rows is not None else set())
-        if len(heights) > 1:
-            raise ValueError(f"column heights differ: {sorted(heights)}")
-        height = heights.pop() if heights else 0
-        return cls([[col[i] for col in columns] for i in range(height)], cols=len(columns))
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -205,9 +188,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return tuple(self.entry(i, j) for j in range(self.cols))
 
-    def column(self, j: int) -> tuple[GaussianRational, ...]:
-        return tuple(self.entry(i, j) for i in range(self.rows))
-
     def prefix_columns(self, k: int) -> "ExactMatrix":
         """The submatrix of the first ``k`` columns."""
         if not 0 <= k <= self.cols:
@@ -221,10 +201,6 @@ class ExactMatrix:
         scaled = [[(a * f, b * f) for a, b in col] for col, f in zip(self._columns, factors)]
         return den, list(zip(*scaled)) if scaled else [()] * self.rows
 
-    def transpose(self) -> "ExactMatrix":
-        den, rows = self._scaled_rows()
-        return ExactMatrix._make(self.cols, rows, [(1, den)] * self.rows)
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
@@ -232,22 +208,9 @@ class ExactMatrix:
             self.rows, self._columns + other._columns, self._scales + other._scales
         )
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._make(self.rows, self._columns, [(-p, q) for p, q in self._scales])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        den, rows = self._scaled_rows()
-        columns = [[_dot(row, col) for row in rows] for col in other._columns]
-        return ExactMatrix._make(self.rows, columns, [(p, q * den) for p, q in other._scales])
-
     def rank(self) -> int:
         echelon: dict[int, _Row] = {}
         return sum(_reduce_into(echelon, c) is not None for c in self._columns)
-
-    def is_zero(self) -> bool:
-        return not any(p for p, _ in self._scales)
 
     def nonzero_positions(self) -> list[tuple[int, int]]:
         """The (row, column) indices of the nonzero entries, column by column."""
@@ -268,23 +231,23 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Record):
     """Strictly increasing subspace dimensions ``d_1 < ... < d_l`` inside C^n."""
 
-    dims: tuple[int, ...]
-    ambient: int
+    __slots__ = ("dims", "ambient")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.ambient < 1:
+    def __init__(self, dims: tuple[int, ...], ambient: int):
+        dims = tuple(int(d) for d in dims)
+        if ambient < 1:
             raise ValueError("ambient dimension must be positive")
-        if any(d <= 0 for d in self.dims):
+        if any(d <= 0 for d in dims):
             raise ValueError("subspace dimensions must be positive")
-        if any(a >= b for a, b in zip(self.dims, self.dims[1:])):
+        if any(a >= b for a, b in zip(dims, dims[1:])):
             raise ValueError("subspace dimensions must strictly increase")
-        if self.dims and self.dims[-1] >= self.ambient:
+        if dims and dims[-1] >= ambient:
             raise ValueError("subspace dimensions must stay below the ambient one")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "ambient", ambient)
 
     @property
     def top(self) -> int:
@@ -329,8 +292,7 @@ def check_position_signature(
         raise ValueError("expected a full flag (signature 1..n-1)")
 
 
-@dataclass(frozen=True)
-class ExactFlag:
+class ExactFlag(_Record):
     """A flag given by an invertible basis matrix and a signature.
 
     The first ``d`` columns of ``basis`` span the ``d``-dimensional flag
@@ -339,15 +301,16 @@ class ExactFlag:
     depend on them (positions of partial flags are lift-independent).
     """
 
-    signature: Signature
-    basis: ExactMatrix
+    __slots__ = ("signature", "basis")
 
-    def __post_init__(self) -> None:
-        n = self.signature.ambient
-        if self.basis.rows != n or self.basis.cols != n:
+    def __init__(self, signature: Signature, basis: ExactMatrix):
+        n = signature.ambient
+        if basis.rows != n or basis.cols != n:
             raise ValueError("flag basis must be square of ambient size")
-        if self.basis.rank() != n:
+        if basis.rank() != n:
             raise ValueError("flag basis must be invertible")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def standard(cls, signature: Signature) -> "ExactFlag":
@@ -376,21 +339,20 @@ class ExactFlag:
         return flag
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(_Record):
     """A nondegenerate antisymmetric bilinear form, stored as its Gram matrix."""
 
-    gram: ExactMatrix
+    __slots__ = ("gram",)
 
-    def __post_init__(self) -> None:
-        g = self.gram
-        if g.rows != g.cols:
+    def __init__(self, gram: ExactMatrix):
+        if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
-        _, rows = g._scaled_rows()
+        _, rows = gram._scaled_rows()
         if any(rows[j][i] != (-a, -b) for i, r in enumerate(rows) for j, (a, b) in enumerate(r)):
             raise ValueError("Gram matrix must be antisymmetric")
-        if g.rank() != g.rows:
+        if gram.rank() != gram.rows:
             raise ValueError("form is degenerate")
+        object.__setattr__(self, "gram", gram)
 
     @property
     def ambient(self) -> int:

@@ -21,8 +21,6 @@ popcount(I & low_i) != popcount(I & high_i) (``PositionPoset.left_masks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .weyl import DoubleCoset, PositionPoset, WeylElement
 
 __all__ = [
@@ -36,22 +34,17 @@ __all__ = [
 IDEAL_SEARCH_LIMIT = 100_000
 
 
-@dataclass(eq=False)
 class Ideal:
     """A downward-closed set of coset indices in a position poset."""
 
-    poset: PositionPoset
-    members: frozenset[int] = field(default_factory=frozenset)
-    _mask: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.members = frozenset(self.members)
-        n = len(self.poset)
+    def __init__(self, poset: PositionPoset, members: frozenset[int] = frozenset()):
+        self.poset, self.members = poset, frozenset(members)
+        n = len(poset)
         if any(i < 0 or i >= n for i in self.members):
             raise ValueError("ideal members must be coset indices of the poset")
         self._mask = mask = sum(1 << j for j in self.members)
         for j in self.members:
-            missing = self.poset.down[j] & ~mask
+            missing = poset.down[j] & ~mask
             if missing:
                 i = _lowest(missing)
                 raise ValueError(

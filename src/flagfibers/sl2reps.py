@@ -21,10 +21,11 @@ a one-sided Jacobi SVD in plain floats, guarded by a reconstruction tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
+
+from . import _Record
 
 if TYPE_CHECKING:
     from .flags import SymplecticForm
@@ -34,18 +35,18 @@ if TYPE_CHECKING:
 PARTITION_TOTAL_LIMIT = 128
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A non-increasing tuple of positive integer parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(d) for d in self.parts))
-        if any(d < 1 for d in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(d) for d in parts)
+        if any(d < 1 for d in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be non-increasing")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def total(self) -> int:
@@ -124,18 +125,18 @@ def admits_symplectic_form(p: Partition) -> bool:
     return all(odd_parts.count(d) % 2 == 0 for d in set(odd_parts))
 
 
-@dataclass(frozen=True)
-class WeightedBasis:
+class WeightedBasis(_Record):
     """Named basis vectors with their integer circle weights."""
 
-    labels: tuple[str, ...]
-    weights: tuple[int, ...]
+    __slots__ = ("labels", "weights")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.weights):
+    def __init__(self, labels: tuple[str, ...], weights: tuple[int, ...]):
+        if len(labels) != len(weights):
             raise ValueError("labels and weights must pair up")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return len(self.labels)

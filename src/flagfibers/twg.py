@@ -41,10 +41,10 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import _Record
 from .flags import (
     Signature,
     SymplecticForm,
@@ -110,12 +110,14 @@ def chart_index_set(sig: Signature) -> tuple[tuple[int, int], ...]:
 # fixed loci
 
 
-@dataclass(frozen=True)
-class IsolatedFixedFlag:
+class IsolatedFixedFlag(_Record):
     """A rigid invariant flag: each level adds a group of weight vectors."""
 
-    levels: tuple[tuple[str, ...], ...]
-    completion: tuple[str, ...]
+    __slots__ = ("levels", "completion")
+
+    def __init__(self, levels: tuple[tuple[str, ...], ...], completion: tuple[str, ...]):
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "completion", completion)
 
     @property
     def id(self) -> str:
@@ -128,12 +130,14 @@ class IsolatedFixedFlag:
         ) + self.completion
 
 
-@dataclass(frozen=True)
-class FixedSurface:
+class FixedSurface(_Record):
     """A projective line of invariant flags: a pencil inside a weight plane."""
 
-    anchored: tuple[str, ...]
-    pencil: tuple[str, str]
+    __slots__ = ("anchored", "pencil")
+
+    def __init__(self, anchored: tuple[str, ...], pencil: tuple[str, str]):
+        object.__setattr__(self, "anchored", anchored)
+        object.__setattr__(self, "pencil", pencil)
 
     @property
     def id(self) -> str:
@@ -143,10 +147,12 @@ class FixedSurface:
         return f"C({inner})"
 
 
-@dataclass(frozen=True)
-class FixedLocus:
-    isolated: tuple[IsolatedFixedFlag, ...]
-    surfaces: tuple[FixedSurface, ...]
+class FixedLocus(_Record):
+    __slots__ = ("isolated", "surfaces")
+
+    def __init__(self, isolated: tuple[IsolatedFixedFlag, ...], surfaces: tuple[FixedSurface, ...]):
+        object.__setattr__(self, "isolated", isolated)
+        object.__setattr__(self, "surfaces", surfaces)
 
 
 def form_partners(basis: WeightedBasis, omega: SymplecticForm) -> dict[str, str]:
@@ -422,28 +428,20 @@ def _walks(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return walks
 
 
-@dataclass(frozen=True)
-class WeightGraph:
+class WeightGraph(_Record):
     """Signed fixed points, Euler-labeled fixed surfaces, weighted spheres."""
 
-    rounds: tuple[tuple[str, int], ...] = ()
-    squares: tuple[tuple[str, int], ...] = ()
-    edges: tuple[tuple[str, str, int], ...] = ()
+    __slots__ = ("rounds", "squares", "edges")
 
-    def __post_init__(self) -> None:
-        rounds = tuple(sorted((str(i), _validate_sign(s)) for i, s in self.rounds))
-        squares = tuple(sorted((str(i), int(e)) for i, e in self.squares))
-        edges = []
-        for a, b, w in self.edges:
-            a, b = str(a), str(b)
-            if a > b:
-                a, b = b, a
-            edges.append((a, b, int(w)))
-        edges = tuple(sorted(edges))
-        object.__setattr__(self, "rounds", rounds)
-        object.__setattr__(self, "squares", squares)
-        object.__setattr__(self, "edges", edges)
-
+    def __init__(
+        self,
+        rounds: tuple[tuple[str, int], ...] = (),
+        squares: tuple[tuple[str, int], ...] = (),
+        edges: tuple[tuple[str, str, int], ...] = (),
+    ):
+        rounds = tuple(sorted((str(i), _validate_sign(s)) for i, s in rounds))
+        squares = tuple(sorted((str(i), int(e)) for i, e in squares))
+        edges = tuple(sorted((*sorted((str(a), str(b))), int(w)) for a, b, w in edges))
         ids = [i for i, _ in rounds] + [i for i, _ in squares]
         if len(set(ids)) != len(ids):
             raise ValueError("vertex ids must be distinct")
@@ -460,6 +458,9 @@ class WeightGraph:
             degree[b] += 1
         if degree and max(degree.values()) > 2:
             raise ValueError("at most two edges meet a round vertex")
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "squares", squares)
+        object.__setattr__(self, "edges", edges)
 
     def sign_of(self, vertex: str) -> int:
         for i, s in self.rounds:
@@ -781,13 +782,15 @@ def graphs_isomorphic(g1: WeightGraph, g2: WeightGraph) -> bool:
 # classification
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """A matched model and its diffeotype, or for no match the failed invariant."""
 
-    model: str | None
-    diffeotype: str | None
-    reason: str | None = None
+    __slots__ = ("model", "diffeotype", "reason")
+
+    def __init__(self, model: str | None, diffeotype: str | None, reason: str | None = None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "diffeotype", diffeotype)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def matched(self) -> bool:
@@ -894,19 +897,24 @@ def check_almost_complex_obstruction(signature_of_form: int, euler_char: int) ->
 # end-to-end case analysis
 
 
-@dataclass(eq=False)
 class ActionAnalysis:
     """Everything computed for one circle action on a 3-fold of flags."""
 
-    partition: Partition
-    kind: str
-    group: CircleGroup
-    basis: WeightedBasis
-    signature: Signature
-    locus: FixedLocus
-    ambient_tangents: dict[str, tuple[int, ...]]
-    ambient_graph: WeightGraph
-    fiber_graph: WeightGraph
+    def __init__(
+        self,
+        partition: Partition,
+        kind: str,
+        group: CircleGroup,
+        basis: WeightedBasis,
+        signature: Signature,
+        locus: FixedLocus,
+        ambient_tangents: dict[str, tuple[int, ...]],
+        ambient_graph: WeightGraph,
+        fiber_graph: WeightGraph,
+    ):
+        self.partition, self.kind, self.group, self.basis = partition, kind, group, basis
+        self.signature, self.locus, self.ambient_tangents = signature, locus, ambient_tangents
+        self.ambient_graph, self.fiber_graph = ambient_graph, fiber_graph
 
 
 def _order_to_id(

@@ -59,9 +59,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, total_ordering
 from itertools import accumulate
+
+from . import _Record
 
 __all__ = [
     "Family",
@@ -95,8 +96,7 @@ class Family(enum.Enum):
     C = "C"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(_Record):
     """A root system ``family``-``rank`` with its Weyl group conventions.
 
     ``degree`` is the window length n (A: rank+1 letters, C: rank signed
@@ -104,12 +104,13 @@ class RootSystem:
     realization (A: rank+1, C: 2*rank).
     """
 
-    family: Family
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __init__(self, family: Family, rank: int):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def degree(self) -> int:
@@ -136,27 +137,33 @@ class RootSystem:
         return math.factorial(n) * (1 if self.family is Family.A else 2**n)
 
 
-@dataclass(frozen=True, order=True)
-class WeylElement:
-    """A Weyl group element in window notation.
+@total_ordering
+class WeylElement(_Record):
+    """A Weyl group element in window notation, ordered as (system, window).
 
     Type A windows are permutations of 1..n; type C windows are signed
     permutations (the absolute values are a permutation of 1..n).
     """
 
-    system: RootSystem
-    window: tuple[int, ...]
+    __slots__ = ("system", "window")
 
-    def __post_init__(self) -> None:
-        n = self.system.degree
-        if len(self.window) != n:
-            raise ValueError(f"window must have length {n}, got {self.window}")
-        if self.system.family is Family.A:
-            if sorted(self.window) != list(range(1, n + 1)):
-                raise ValueError(f"not a permutation of 1..{n}: {self.window}")
+    def __init__(self, system: RootSystem, window: tuple[int, ...]):
+        n = system.degree
+        if len(window) != n:
+            raise ValueError(f"window must have length {n}, got {window}")
+        if system.family is Family.A:
+            if sorted(window) != list(range(1, n + 1)):
+                raise ValueError(f"not a permutation of 1..{n}: {window}")
         else:
-            if sorted(abs(j) for j in self.window) != list(range(1, n + 1)):
-                raise ValueError(f"not a signed permutation of 1..{n}: {self.window}")
+            if sorted(abs(j) for j in window) != list(range(1, n + 1)):
+                raise ValueError(f"not a signed permutation of 1..{n}: {window}")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "window", window)
+
+    def __lt__(self, other: "WeylElement") -> bool:
+        if other.__class__ is WeylElement:
+            return (self.system, self.window) < (other.system, other.window)
+        return NotImplemented
 
     def act(self, j: int) -> int:
         """Image of the letter ``j``; negative letters allowed in type C."""
@@ -441,20 +448,23 @@ def parabolic_elements(system: RootSystem, typeset: frozenset[int]) -> tuple[Wey
     return tuple(WeylElement(system, w) for w in ordered)
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(_Record):
     """A double coset W_left_type w W_right_type, named by its minimal element."""
 
-    system: RootSystem
-    left_type: frozenset[int]
-    right_type: frozenset[int]
-    min_rep: WeylElement
+    __slots__ = ("system", "left_type", "right_type", "min_rep")
+
+    def __init__(
+        self, system: RootSystem, left_type: frozenset, right_type: frozenset, min_rep: WeylElement
+    ):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "left_type", left_type)
+        object.__setattr__(self, "right_type", right_type)
+        object.__setattr__(self, "min_rep", min_rep)
 
     def label(self) -> str:
         return self.min_rep.window_str()
 
 
-@dataclass(eq=False)
 class PositionPoset:
     """The poset W_{theta,eta} of double cosets with induced Bruhat order.
 
@@ -465,14 +475,20 @@ class PositionPoset:
     involution, and is ``None`` otherwise.
     """
 
-    system: RootSystem
-    left_type: frozenset[int]
-    right_type: frozenset[int]
-    cosets: tuple[DoubleCoset, ...]
-    up: tuple[int, ...]
-    w0_action: tuple[int, ...] | None
-    _index_of_window: dict[tuple[int, ...], int]
-    _gens: tuple[list[int], list[int]]
+    def __init__(
+        self,
+        system: RootSystem,
+        left_type: frozenset[int],
+        right_type: frozenset[int],
+        cosets: tuple[DoubleCoset, ...],
+        up: tuple[int, ...],
+        w0_action: tuple[int, ...] | None,
+        _index_of_window: dict[tuple[int, ...], int],
+        _gens: tuple[list[int], list[int]],
+    ):
+        self.system, self.left_type, self.right_type = system, left_type, right_type
+        self.cosets, self.up, self.w0_action = cosets, up, w0_action
+        self._index_of_window, self._gens = _index_of_window, _gens
 
     def __len__(self) -> int:
         return len(self.cosets)
@@ -505,19 +521,19 @@ class PositionPoset:
         """Row i-1 holds the bitsets (low, high) of the pairs c < d = [s_i * w_c].
 
         s_i w_c is shorter when s_i is a left descent of w_c, so [s_i w_c]
-        comes before c.  Otherwise s_i w_c is the representative of a later
-        coset d or lies in [w_c] (Deodhar's lemma), and a miss pairs nothing.
+        comes before c and fails d > c.  Otherwise s_i w_c is the representative
+        of a later coset d or lies in [w_c] (Deodhar's lemma), and a miss pairs
+        nothing.
         """
         index = self._index_of_window
         tables = [_letter_table(s.window).__getitem__ for s in simple_reflections(self.system)]
         low, high = [0] * len(tables), [0] * len(tables)
         for c, dc in enumerate(self.cosets):
             w = dc.min_rep.window
-            inverse = _inverse(w)
-            for i, s_i in enumerate(tables, start=1):
-                if not _descends(inverse, i) and (d := index.get(tuple(map(s_i, w)))) is not None:
-                    low[i - 1] |= 1 << c
-                    high[i - 1] |= 1 << d
+            for i, s_i in enumerate(tables):
+                if (d := index.get(tuple(map(s_i, w)), -1)) > c:
+                    low[i] |= 1 << c
+                    high[i] |= 1 << d
         return tuple(zip(low, high))
 
     def covers(self) -> tuple[tuple[int, int], ...]:

@@ -52,6 +52,9 @@ Everything here deliberately avoids the library's own code paths:
   for connected sums (graphs are built with the library's
   ``hirzebruch_graph`` and ``connected_sum`` and compared by the
   backtracking isomorphism oracle);
+- ``zeros``, ``from_columns``, ``column``, ``transpose``, ``neg``, ``matmul``
+  and ``is_zero`` are the matrix operations only the tests need, written on
+  the library's stored column form rather than kept in it;
 - the invariant pairing on the circle basis comes from expanding each
   f_w = (X - iY)^a (X + iY)^b in monomials and multiplying out
   ``basis^T @ pairing @ basis`` with the library's exact matrices;
@@ -77,7 +80,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
-from flagfibers.flags import ExactFlag, ExactMatrix, GaussianRational, SymplecticForm
+from flagfibers.flags import ExactFlag, ExactMatrix, GaussianRational, SymplecticForm, _dot
 from flagfibers.ideals import Ideal
 from flagfibers.sl2reps import WeightedBasis
 from flagfibers.twg import (
@@ -416,6 +419,57 @@ def quotient_closure_filter_oracle(
 
 
 # ---------------------------------------------------------------------------
+# ExactMatrix operations that only the tests use, on the library's stored form
+
+
+def zeros(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix._stored(rows, (((0, 0),) * rows,) * cols, ((0, 1),) * cols)
+
+
+def from_columns(columns: Sequence[Sequence], *, rows: int | None = None) -> ExactMatrix:
+    """The matrix with these columns, whose heights must agree (and equal ``rows``).
+
+    >>> from_columns([[1, 2]]) == ExactMatrix([[1], [2]])
+    True
+    """
+    heights = {len(col) for col in columns} | ({rows} if rows is not None else set())
+    if len(heights) > 1:
+        raise ValueError(f"column heights differ: {sorted(heights)}")
+    height = heights.pop() if heights else 0
+    return ExactMatrix([[col[i] for col in columns] for i in range(height)], cols=len(columns))
+
+
+def column(matrix: ExactMatrix, j: int) -> tuple[GaussianRational, ...]:
+    return tuple(matrix.entry(i, j) for i in range(matrix.rows))
+
+
+def transpose(matrix: ExactMatrix) -> ExactMatrix:
+    den, rows = matrix._scaled_rows()
+    return ExactMatrix._make(matrix.cols, rows, [(1, den)] * matrix.rows)
+
+
+def neg(matrix: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix._make(matrix.rows, matrix._columns, [(-p, q) for p, q in matrix._scales])
+
+
+def matmul(first: ExactMatrix, *factors: ExactMatrix) -> ExactMatrix:
+    """The product of the matrices, multiplied from the left: integer dot
+    products of the rows of D times the left factor with the stored columns
+    of the right one, D the common denominator of the left factor's scales."""
+    for other in factors:
+        if first.cols != other.rows:
+            raise ValueError("inner dimensions differ")
+        den, rows = first._scaled_rows()
+        columns = [[_dot(row, col) for row in rows] for col in other._columns]
+        first = ExactMatrix._make(first.rows, columns, [(p, q * den) for p, q in other._scales])
+    return first
+
+
+def is_zero(matrix: ExactMatrix) -> bool:
+    return not any(p for p, _ in matrix._scales)
+
+
+# ---------------------------------------------------------------------------
 # exact complex-rational linear algebra (independent of the library's)
 
 GQ = tuple[Fraction, Fraction]
@@ -540,22 +594,20 @@ def gq_dot(u: Sequence[GQ], v: Sequence[GQ]) -> GQ:
 
 def gq_columns(matrix: ExactMatrix) -> list[list[GQ]]:
     """The columns of an exact matrix as ``gq`` tuples, read entry by entry."""
-    return [[(e.real, e.imag) for e in matrix.column(j)] for j in range(matrix.cols)]
+    return [[(e.real, e.imag) for e in column(matrix, j)] for j in range(matrix.cols)]
 
 
 def exact_matrix(columns: list[list[GQ]], rows: int) -> ExactMatrix:
     """The exact matrix with these ``gq`` columns, each of height ``rows``."""
-    return ExactMatrix.from_columns(
-        [[GaussianRational(*x) for x in col] for col in columns], rows=rows
-    )
+    return from_columns([[GaussianRational(*x) for x in col] for col in columns], rows=rows)
 
 
 def intersection_dim(U: ExactMatrix, V: ExactMatrix) -> int:
     """Exact dimension of the intersection of two column spans,
     rank U + rank V - rank [U | V] by ``gq_rank``.
 
-    >>> U = ExactMatrix.from_columns([[1, 0, 0], [1, 1, 0]])
-    >>> V = ExactMatrix.from_columns([[0, 1, 0], [0, 0, 1]])
+    >>> U = from_columns([[1, 0, 0], [1, 1, 0]])
+    >>> V = from_columns([[0, 1, 0], [0, 0, 1]])
     >>> intersection_dim(U, V)
     1
     """
@@ -570,7 +622,7 @@ def omega_perp(U: ExactMatrix, omega: SymplecticForm) -> ExactMatrix:
     kernel of U^T G, multiplied out and solved with ``gq_nullspace``.
 
     >>> omega = SymplecticForm.standard(2)
-    >>> line = ExactMatrix.from_columns([[1, 0, 0, 0]])
+    >>> line = from_columns([[1, 0, 0, 0]])
     >>> perp = omega_perp(line, omega)
     >>> perp.cols, intersection_dim(perp, ExactMatrix.identity(4).prefix_columns(2))
     (3, 2)
@@ -1065,7 +1117,7 @@ def circle_basis_columns(d: int) -> ExactMatrix:
                 term = gq_mul(gq(integer), i_power(s + t))
                 coeffs[s + t] = gq_add(coeffs[s + t], term)
         columns.append([GaussianRational(*c) for c in coeffs])
-    return ExactMatrix.from_columns(columns)
+    return from_columns(columns)
 
 
 def primitive_antidiagonal_oracle(d: int) -> list[Fraction]:
@@ -1074,7 +1126,7 @@ def primitive_antidiagonal_oracle(d: int) -> list[Fraction]:
     The overall scale is fixed so the outermost pairing (k = 0) is negative.
     """
     basis = circle_basis_columns(d)
-    pairing = basis.transpose() @ monomial_pairing(d) @ basis
+    pairing = matmul(transpose(basis), monomial_pairing(d), basis)
     raw = []
     for k in range(d):
         raw.append(pairing.entry(k, d - 1 - k))

@@ -234,9 +234,8 @@ def test_package_runs_without_numpy():
     assert done.stdout.splitlines()[1].startswith("10 artifacts match")
 
 
-def loaded_layers(*argv) -> tuple[int, set[str]]:
-    """Exit code of ``main(argv)`` in a fresh interpreter, and the
-    ``flagfibers.*`` modules loaded by then besides ``flagfibers.cli``."""
+def loaded_modules(*argv) -> tuple[int, set[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and every module loaded by then."""
     script = (
         "import sys\nfrom flagfibers.cli import main\n"
         "try:\n    code = main(sys.argv[1:])\n"
@@ -245,9 +244,16 @@ def loaded_layers(*argv) -> tuple[int, set[str]]:
     )
     done = run_child("-c", script, *argv)
     code, *modules = done.stderr.splitlines()[-1].split()
+    assert "flagfibers" in modules and "flagfibers.cli" in modules, done.stderr
+    return int(code), set(modules)
+
+
+def loaded_layers(*argv) -> tuple[int, set[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the
+    ``flagfibers.*`` modules loaded by then besides ``flagfibers.cli``."""
+    code, modules = loaded_modules(*argv)
     names = {m.removeprefix("flagfibers.") for m in modules if m.startswith("flagfibers.")}
-    assert "flagfibers" in modules and "cli" in names, done.stderr
-    return int(code), names - {"cli"}
+    return code, names - {"cli"}
 
 
 def test_cli_import_loads_no_library_module():
@@ -258,11 +264,12 @@ def test_cli_import_loads_no_library_module():
 TWG_LAYERS = {"twg", "flags", "sl2reps", "weyl"}
 
 
-def test_each_subcommand_loads_only_the_layers_it_uses(tmp_path):
+def subcommand_layers(tmp_path: Path) -> list[tuple[list[str], set[str]]]:
+    """An argv for each subcommand and form of input, with the layers it runs."""
     std = write_flag_file(tmp_path / "f.json", ExactFlag.standard(full_signature(3)))
     iso = write_flag_file(tmp_path / "i.json", ExactFlag.standard(isotropic_signature(2)))
     form = write_form_file(tmp_path / "w.json", SymplecticForm.standard(2))
-    table = [
+    return [
         (["hasse", "--family", "A", "--rank", "2"], {"weyl"}),
         (["ideals", "--family", "C", "--rank", "2", "--eta", "2"], {"weyl", "ideals"}),
         (["position", std, std], {"flags", "weyl"}),
@@ -275,8 +282,19 @@ def test_each_subcommand_loads_only_the_layers_it_uses(tmp_path):
         (["census", "--cases"], {"dims", "sl2reps"}),
         (["reproduce"], TWG_LAYERS | {"dims"}),
     ]
-    for argv, layers in table:
+
+
+def test_each_subcommand_loads_only_the_layers_it_uses(tmp_path):
+    for argv, layers in subcommand_layers(tmp_path):
         assert loaded_layers(*argv) == (0, layers), argv
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    # Both cost a child about 14 ms of imports, and the record types need neither.
+    _, at_help = loaded_modules("--help")
+    for argv, _ in subcommand_layers(tmp_path):
+        code, modules = loaded_modules(*argv)
+        assert code == 0 and not {"dataclasses", "inspect"} & (modules - at_help), argv
 
 
 @pytest.mark.parametrize(
@@ -402,7 +420,7 @@ def test_position_identity(capsys, tmp_path):
 def test_position_permutation(capsys, tmp_path):
     m = ExactMatrix.identity(3)
     f = write_flag_file(tmp_path / "f.json", ExactFlag.standard(full_signature(3)))
-    shuffled = ExactMatrix.from_columns([m.column(1), m.column(2), m.column(0)])
+    shuffled = oracles.from_columns([oracles.column(m, j) for j in (1, 2, 0)])
     g = write_flag_file(tmp_path / "g.json", ExactFlag(full_signature(3), shuffled))
     code, out, _ = run(capsys, "position", f, g)
     assert code == 0
@@ -416,7 +434,7 @@ def test_position_symplectic(capsys, tmp_path):
         tmp_path / "i1.json", ExactFlag.standard(isotropic_signature(2))
     )
     m = ExactMatrix.identity(4)
-    rev = ExactMatrix.from_columns([m.column(3), m.column(2)])
+    rev = oracles.from_columns([oracles.column(m, 3), oracles.column(m, 2)])
     i2 = write_flag_file(
         tmp_path / "i2.json",
         ExactFlag.from_columns(isotropic_signature(2), rev),

@@ -101,10 +101,8 @@ def solve_columns(square: ExactMatrix, targets: ExactMatrix) -> ExactMatrix:
 def action_block(d: int, g) -> ExactMatrix:
     """Matrix of the g-action on the circle basis f_{d-1}, ..., f_{1-d}."""
     degree = d - 1
-    basis = ExactMatrix.from_columns(
-        [monomial_vector(circle_poly(d, k), degree) for k in range(d)]
-    )
-    moved = ExactMatrix.from_columns(
+    basis = oracles.from_columns([monomial_vector(circle_poly(d, k), degree) for k in range(d)])
+    moved = oracles.from_columns(
         [monomial_vector(substituted(circle_poly(d, k), g), degree) for k in range(d)]
     )
     return solve_columns(basis, moved)
@@ -359,7 +357,7 @@ def test_invariant_form_against_substitution_oracle(parts):
     gram = invariant_symplectic_form(p).gram
     for g in SL2_SAMPLES:
         m = representation_matrix(p, g)
-        assert m.transpose() @ gram @ m == gram
+        assert oracles.matmul(oracles.transpose(m), gram, m) == gram
 
 
 def test_substitution_oracle_rejects_wrong_form():
@@ -371,7 +369,7 @@ def test_substitution_oracle_rejects_wrong_form():
     wrong_gram = ExactMatrix(wrong)
     g = SL2_SAMPLES[0]
     m = representation_matrix(p, g)
-    assert m.transpose() @ wrong_gram @ m != wrong_gram
+    assert oracles.matmul(oracles.transpose(m), wrong_gram, m) != wrong_gram
 
 
 def test_representation_matrix_is_exact_homomorphism():
@@ -381,7 +379,7 @@ def test_representation_matrix_is_exact_homomorphism():
     h = [[1, 0], [1, 1]]
     gh = [[2, 1], [1, 1]]
     lhs = representation_matrix(p, gh)
-    rhs = representation_matrix(p, g) @ representation_matrix(p, h)
+    rhs = oracles.matmul(representation_matrix(p, g), representation_matrix(p, h))
     assert lhs == rhs
 
 

@@ -80,6 +80,54 @@ def test_window_validation():
         WeylElement(A2, (1, 2))
 
 
+def test_records_compare_hash_and_read_back_as_their_fields():
+    # Every record type of the package, compared, hashed and shown field by field.
+    from flagfibers import _Record
+    from flagfibers.dims import CaseRow, FlagVarietyDescriptor, GroupFamily
+    from flagfibers.flags import ExactFlag, GaussianRational, Signature, SymplecticForm
+    from flagfibers.flags import full_signature
+    from flagfibers.sl2reps import Partition, WeightedBasis
+    from flagfibers.twg import Classification, FixedLocus, FixedSurface, IsolatedFixedFlag
+    from flagfibers.twg import WeightGraph
+
+    e = w(A2, 2, 1, 3)
+    samples = [
+        A2,
+        e,
+        DoubleCoset(A2, frozenset({1}), frozenset(), e),
+        GaussianRational(1, "1/2"),
+        Signature((1,), 2),
+        ExactFlag.standard(full_signature(2)),
+        SymplecticForm.standard(1),
+        Partition((2, 1)),
+        WeightedBasis(("a", "b"), (1, -1)),
+        IsolatedFixedFlag((("a",),), ("b",)),
+        FixedSurface((), ("a", "b")),
+        FixedLocus((), ()),
+        WeightGraph([("p", 1), ("q", -1)], [], [("q", "p", 2)]),
+        Classification(None, None, "no match"),
+        FlagVarietyDescriptor(GroupFamily.SL, 3, (1,)),
+        CaseRow(("SL(3,C)",), "Flag(C^3)", (Partition((3,)), Partition((2, 1)))),
+    ]
+    assert {type(record) for record in samples} == set(_Record.__subclasses__())
+    for record in samples:
+        values = tuple(getattr(record, name) for name in record.__slots__)
+        assert hash(record) == hash(values)
+        assert record == type(record)(*values) and record != values
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(record.__slots__, values))
+        assert repr(record) == f"{type(record).__name__}({shown})"
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert repr(e) == "WeylElement(system=RootSystem(family=<Family.A: 'A'>, rank=2), window=(2, 1, 3))"
+    assert repr(samples[12]) == "WeightGraph(rounds=(('p', 1), ('q', -1)), squares=(), edges=(('p', 'q', 2),))"
+    assert w(A2, 1, 2, 3) < e <= e < w(A2, 3, 1, 2) and e >= w(A2, 1, 3, 2) > w(A2, 1, 2, 3)
+    with pytest.raises(TypeError):
+        e < w(C2, 1, 2)
+
+
 def test_act_on_negative_letters():
     assert w(C2, 1, -2).act(-2) == 2
     with pytest.raises(ValueError):
@@ -362,20 +410,18 @@ def test_quotient_closure_matches_inverse_and_filter_oracle(system):
 
 
 @pytest.mark.parametrize("system", [A4, C3], ids=system_id)
-def test_full_left_type_cosets_strip_no_descent(system, monkeypatch):
-    # w0 * w * w0_eta is the representative of [w0 * w] when w is.
-    strips = []
-
-    def counted(*args):
-        shorter = coset_step(*args)
-        strips.append(shorter is not None)
-        return shorter
-
-    coset_step = weyl._coset_step
-    monkeypatch.setattr(weyl, "_coset_step", counted)
+def test_full_left_type_cosets_strip_no_descent(system):
+    # w0 * w * w0_eta is the representative of [w0 * w] when w is: it has no
+    # right descent s_i, i not in eta, to strip.
+    w0 = longest_element(system)
     for eta in every_eta(system):
-        double_cosets(system, frozenset(system.simple_indices), eta)
-    assert strips and not any(strips)
+        poset = double_cosets(system, frozenset(system.simple_indices), eta)
+        right = [i for i in system.simple_indices if i not in eta]
+        w0_eta = parabolic_elements(system, eta)[-1]
+        for c, dc in enumerate(poset.cosets):
+            flip = (w0 * dc.min_rep * w0_eta).window
+            assert not any(weyl._descends(flip, i) for i in right), (eta, dc.label())
+            assert poset.cosets[poset.w0_action[c]].min_rep.window == flip
 
 
 @pytest.mark.parametrize("system", [A4, C3, RootSystem(Family.A, 6)], ids=system_id)
