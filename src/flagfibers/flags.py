@@ -5,9 +5,9 @@ the flag subspaces, together with a signature recording which prefix
 dimensions carry meaning.  Matrices store each column as a primitive
 Gaussian-integer vector times its own positive rational scale; ranks, flag
 completions and Bruhat cells come from one fraction-free elimination kernel
-over Z[i] (Bareiss, Math. Comp. 22, 1968) fed those primitive columns, each
-step from the pivot on, so they are exact even where positions degenerate.
-Single entries go in and out as :class:`GaussianRational`.
+over Z[i] fed those primitive columns, each step p*v - v_i*row from the
+pivot on, divided by its integer content, so they are exact even where
+positions degenerate.  Single entries go in and out as :class:`GaussianRational`.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
 full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
@@ -359,18 +359,38 @@ class SymplecticForm(_Record):
         return self.gram.rows
 
     @classmethod
+    def from_pairing(cls, pairing: Sequence[tuple[int, int]]) -> "SymplecticForm":
+        """The form whose Gram matrix holds, for ``pairing[j] == (i, c)``, only the
+        int c in column j, at row i.  It is antisymmetric exactly when every
+        ``pairing[i] == (j, -c)``, so j -> i is an involution, and then nondegenerate
+        exactly when no c is 0: O(n) checks.  Column j is stored as sign(c) e_i at
+        scale |c|, the canonical form that the dense route makes.
+
+        >>> SymplecticForm.from_pairing([(1, -2), (0, 2)]).gram
+        ExactMatrix(2x2: 0 2; -2 0)
+        """
+        n, columns, scales = len(pairing), [], []
+        for j, (i, c) in enumerate(pairing):
+            if not (isinstance(i, int) and 0 <= i < n and isinstance(c, int)):
+                raise ValueError(f"a pairing entry must be (row below {n}, int): {brief_repr((i, c))}")
+            if tuple(pairing[i]) != (j, -c):
+                raise ValueError("Gram matrix must be antisymmetric")
+            columns.append(((0, 0),) * i + (((c > 0) - (c < 0), 0),) + ((0, 0),) * (n - 1 - i))
+            scales.append((abs(c), 1))
+        if (0, 1) in scales:
+            raise ValueError("form is degenerate")
+        form = object.__new__(cls)
+        object.__setattr__(form, "gram", ExactMatrix._stored(n, tuple(columns), tuple(scales)))
+        return form
+
+    @classmethod
     def standard(cls, n: int) -> "SymplecticForm":
         """The form with omega(e_j, e_{-k}) = delta_jk on C^{2n}.
 
         Basis order is e_1, ..., e_n, e_{-n}, ..., e_{-1}, so the Gram matrix
         is antidiagonal with +1 in the first n rows and -1 in the last n.
         """
-        size = 2 * n
-        g = [[0] * size for _ in range(size)]
-        for i in range(n):
-            g[i][size - 1 - i] = 1
-            g[size - 1 - i][i] = -1
-        return cls(ExactMatrix(g))
+        return cls.from_pairing([(2 * n - 1 - j, -1 if j < n else 1) for j in range(2 * n)])
 
 
 def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:

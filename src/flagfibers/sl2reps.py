@@ -30,8 +30,8 @@ from . import _Record
 if TYPE_CHECKING:
     from .flags import SymplecticForm
 
-# The invariant form of the irreducible partition (n) has n^2 entries of
-# about n bits each, so ``reps`` answers partitions of this total at most.
+# ``reps`` prints the n^2 Gram entries of a form, those of the irreducible
+# partition (n) up to about n bits, so it answers totals of this at most.
 PARTITION_TOTAL_LIMIT = 128
 
 
@@ -223,28 +223,27 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
     consecutively, with the symmetric pairing of one copy against the other
     antisymmetrized across the two blocks.  Each block is the primitive
     integer antidiagonal c_k = (-1)^(k+1) L / C(d-1, k) of the part size d,
-    L = lcm_j C(d-1, j) (see :func:`_primitive_antidiagonal`), so the Gram
-    matrix is built from plain integers with the outermost entry negative.
+    L = lcm_j C(d-1, j) (see :func:`_primitive_antidiagonal`), outermost entry
+    negative.  So each Gram column holds one integer, and the form is built,
+    with no dense grid, from that pairing by :meth:`SymplecticForm.from_pairing`.
 
     >>> gram = invariant_symplectic_form(Partition((4,))).gram
     >>> [str(gram.entry(k, 3 - k)) for k in range(4)]
     ['-3', '1', '-1', '3']
     """
-    from .flags import ExactMatrix, SymplecticForm
+    from .flags import SymplecticForm
 
     if not admits_symplectic_form(p):
         raise ValueError("representation admits no invariant symplectic form")
-    n = p.total
-    gram = [[0] * n for _ in range(n)]
+    pairing: list[tuple[int, int]] = [(0, 0)] * p.total
 
     def fill_block(rows: int, cols: int, d: int) -> None:
         for k, value in enumerate(_primitive_antidiagonal(d)):
-            gram[rows + k][cols + d - 1 - k] = value
-            gram[cols + d - 1 - k][rows + k] = -value
+            pairing[cols + d - 1 - k] = (rows + k, value)
+            pairing[rows + k] = (cols + d - 1 - k, -value)
 
     # Parts never increase, so equal odd parts are adjacent and pair in turn.
-    offset = 0
-    pending = None
+    offset, pending = 0, None
     for d in p.parts:
         if d % 2 == 0:
             fill_block(offset, offset, d)
@@ -254,9 +253,7 @@ def invariant_symplectic_form(p: Partition) -> SymplecticForm:
             fill_block(pending, offset, d)
             pending = None
         offset += d
-    if pending is not None:
-        raise AssertionError("odd parts failed to pair despite parity check")
-    return SymplecticForm(ExactMatrix(gram))
+    return SymplecticForm.from_pairing(pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -818,6 +818,60 @@ def test_form_validation():
         SymplecticForm(oracles.zeros(4, 4))
 
 
+def dense_gram(pairing) -> list[list]:
+    """The n x n Gram matrix holding c at row i of column j for ``pairing[j] == (i, c)``."""
+    gram = [[0] * len(pairing) for _ in pairing]
+    for j, (i, c) in enumerate(pairing):
+        gram[i][j] = c
+    return gram
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_standard_form_equals_dense_antidiagonal(n):
+    size = 2 * n
+    dense = [[0] * size for _ in range(size)]
+    for i in range(n):
+        dense[i][size - 1 - i] = 1
+        dense[size - 1 - i][i] = -1
+    omega = SymplecticForm.standard(n)
+    assert omega == SymplecticForm(ExactMatrix(dense))
+    assert hash(omega.gram) == hash(ExactMatrix(dense))
+
+
+@pytest.mark.parametrize(
+    "pairing, message",
+    [
+        ([(1, 2), (0, 2)], "antisymmetric"),  # a broken sign
+        ([(3, -1), (0, 1), (1, -1), (2, 1)], "antisymmetric"),  # a 4-cycle, not an involution
+        ([(2, 1), (3, 1), (0, -1), (1, 1)], "antisymmetric"),  # one sign broken of two pairs
+        ([(0, 5)], "antisymmetric"),  # a nonzero diagonal entry
+        ([(1, 0), (0, 0)], "degenerate"),  # a zero value
+        ([(1, -1), (0, 1), (3, 0), (2, 0)], "degenerate"),
+        ([(0, 0)], "degenerate"),
+        ([(1, "x"), (0, "x")], None),  # not an int, and no rational either
+        ([(1, float("nan")), (0, float("nan"))], None),
+    ],
+)
+def test_from_pairing_refuses_what_the_dense_constructor_refuses(pairing, message):
+    with pytest.raises(ValueError, match=message):
+        SymplecticForm.from_pairing(pairing)
+    with pytest.raises(ValueError, match=message):
+        SymplecticForm(ExactMatrix(dense_gram(pairing)))
+
+
+@pytest.mark.parametrize(
+    "pairing", [[(2, 1), (0, -1)], [(-1, 1), (0, -1)], [(1.0, 1), (0, -1)], [(1, 1.0), (0, -1.0)]]
+)
+def test_from_pairing_refuses_rows_out_of_range_and_non_ints(pairing):
+    with pytest.raises(ValueError, match="pairing entry"):
+        SymplecticForm.from_pairing(pairing)
+
+
+def test_from_pairing_takes_lists_and_the_empty_form():
+    assert SymplecticForm.from_pairing([[1, -3], [0, 3]]) == SymplecticForm(ExactMatrix([[0, 3], [-3, 0]]))
+    assert SymplecticForm.from_pairing([]).gram == ExactMatrix([])
+
+
 def test_symplectic_position_identity():
     F = ExactFlag.standard(isotropic_signature(2))
     assert relative_position_symplectic(F, F, OMEGA).is_identity()

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from flagfibers.flags import ExactMatrix, GaussianRational
+from flagfibers.flags import ExactMatrix, GaussianRational, SymplecticForm
 from flagfibers.sl2reps import (
     Partition,
     WeightedBasis,
@@ -296,6 +296,18 @@ def antidiagonal_of(gram: ExactMatrix) -> list[str]:
 @pytest.mark.parametrize("d", range(1, 17))
 def test_primitive_antidiagonal_matches_expansion_oracle(d):
     assert _primitive_antidiagonal(d) == oracles.primitive_antidiagonal_oracle(d)
+
+
+@pytest.mark.parametrize("total", [*range(2, 17, 2), 128])
+def test_invariant_form_equals_the_dense_route(total):
+    # The pairing route stores what ExactMatrix makes of the dense Gram, and the
+    # general constructor, with its dense checks, takes that Gram too.
+    every = partitions_of(total) if total <= 16 else [Partition((total,))]
+    for p in filter(admits_symplectic_form, every):
+        gram = invariant_symplectic_form(p).gram
+        dense = ExactMatrix([[gram.entry(i, j) for j in range(total)] for i in range(total)])
+        assert gram == dense and hash(gram) == hash(dense), p
+        assert SymplecticForm(dense).gram == gram, p
 
 
 def test_invariant_form_single_even_part():
