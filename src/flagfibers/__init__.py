@@ -15,8 +15,15 @@ Subpackages:
 - ``dims``     -- dimension formulas and the census of 3-dimensional flag
                   varieties.
 - ``cli``      -- command-line front end and golden-file reproduction.
+
+The package base holds what the layers share: :class:`_Record`, the base of
+the immutable value types, and the JSON input helpers :func:`json_fields`,
+:func:`json_int` and :func:`brief_repr`, with which ``flags``, ``twg`` and
+``cli`` read documents and word their error lines.
 """
 
+import sys
+from collections.abc import Sequence
 from operator import attrgetter
 
 __version__ = "0.1.0"
@@ -51,3 +58,33 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def json_int(digits: str) -> int:
+    """``parse_int`` for ``json.loads``: past the interpreter's limit on integer digits,
+    a plain ``ValueError`` rather than advice to raise the limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a JSON number has more than {limit} digits") from None
+
+
+def brief_repr(value) -> str:
+    """``repr(value)`` for an error line: at most its first 60 characters, and then its length.
+
+    >>> brief_repr("7" * 10**6)[55:]
+    '77777... (1000002 characters)'
+    """
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
+def json_fields(data, what: str, keys: Sequence[str]) -> tuple:
+    """The values under ``keys`` of a JSON object; ``ValueError`` names what is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks the key {key!r}")
+    return tuple(data[key] for key in keys)

@@ -28,6 +28,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import json_fields, json_int
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTE = 2
@@ -81,8 +83,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _load_json(path: str):
-    from .flags import json_int
-
     return json.loads(Path(path).read_text(), parse_int=json_int)
 
 
@@ -189,7 +189,6 @@ def _read_position_flag(path: str, symplectic: bool):
 def _cmd_position(args) -> int:
     from .flags import (
         SymplecticForm,
-        json_fields,
         matrix_from_json,
         relative_position_full,
         relative_position_symplectic,

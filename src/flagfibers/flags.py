@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from . import _Record
+from . import _Record, brief_repr, json_fields
 from .weyl import DoubleCoset, Family, RootSystem, WeylElement, double_coset_of
 
 Scalar = Union[int, str, Fraction, "GaussianRational"]
@@ -268,25 +267,18 @@ def isotropic_signature(n: int) -> Signature:
     return Signature(tuple(range(1, n + 1)), 2 * n)
 
 
-def check_position_signature(
-    signature: Signature, symplectic: bool, ambient: int | None = None
-) -> None:
+def check_position_signature(signature: Signature, symplectic: bool) -> None:
     """Refuse a flag whose signature a relative position question cannot take.
 
     The plain question takes full flags (1..n-1); the symplectic one takes
-    complete isotropic flags (1..n in C^{2n}, and C^{2n} = C^ambient if that
-    is given).  Counting the dimensions is enough, since they are positive,
-    strictly increasing and below the ambient one, so the check costs
-    O(len(dims)) whatever the ambient dimension.
+    complete isotropic flags (1..n in C^{2n}).  Counting the dimensions is
+    enough, since they are positive, strictly increasing and below the
+    ambient one, so the check costs O(len(dims)) whatever the ambient
+    dimension.
     """
     if symplectic:
         n, odd = divmod(signature.ambient, 2)
-        if (
-            odd
-            or len(signature.dims) != n
-            or signature.top != n
-            or ambient not in (None, signature.ambient)
-        ):
+        if odd or len(signature.dims) != n or signature.top != n:
             raise ValueError("expected a complete isotropic flag (signature 1..n)")
     elif not signature.is_full():
         raise ValueError("expected a full flag (signature 1..n-1)")
@@ -470,13 +462,18 @@ def relative_position_symplectic(
 ) -> WeylElement:
     """The signed permutation describing how two isotropic flags meet.
 
-    Both flags must be complete isotropic flags (signature 1..n in C^{2n}).
+    Both flags must be complete isotropic flags (signature 1..n) in the
+    form's C^{2n}.
     Each is extended to a full flag by F^{n+k} = perp of F^{n-k}, the Bruhat
     cell of the extended pair is found as in :func:`relative_position_full`,
     and levels above n are relabelled to the negative letters: level 2n+1-j
     plays the role of -j.
     """
+    check_position_signature(F.signature, symplectic=True)
+    check_position_signature(H.signature, symplectic=True)
     size = omega.ambient
+    if F.signature.ambient != size or H.signature.ambient != size:
+        raise ValueError("ambient dimension mismatch between the flags and the form")
     n = size // 2
     levels = _bruhat_window(_perp_extension(F, omega), _perp_extension(H, omega))
     labels = [p if p <= n else p - size - 1 for p in levels]
@@ -498,7 +495,6 @@ def _perp_extension(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
     coefficients of a combination g_j of the completion with
     omega(f_i, g_j) = 0 for i < j.
     """
-    check_position_signature(flag.signature, symplectic=True, ambient=omega.ambient)
     n = omega.ambient // 2
     basis = flag.basis._columns
     _, gram = omega.gram._scaled_rows()
@@ -539,9 +535,14 @@ def relative_position_partial(
 
 
 def matrix_to_json(matrix: ExactMatrix) -> list[list[list[str]]]:
-    """Rows of ``[real, imag]`` pairs of exact strings."""
+    """Rows of ``[real, imag]`` pairs of exact strings, read off the stored columns."""
+
+    def text(x: int, num: int, den: int) -> str:
+        return str(Fraction(x * num, den)) if x else "0"
+
+    columns = list(zip(matrix._columns, matrix._scales))
     return [
-        [[str(entry.real), str(entry.imag)] for entry in matrix.row(i)]
+        [[text(col[i][0], num, den), text(col[i][1], num, den)] for col, (num, den) in columns]
         for i in range(matrix.rows)
     ]
 
@@ -627,33 +628,3 @@ def flag_from_json(data) -> ExactFlag:
     if matrix.cols == signature.top:
         return ExactFlag.from_columns(signature, matrix)
     raise ValueError("matrix must supply the full basis or the leading columns")
-
-
-def json_int(digits: str) -> int:
-    """``parse_int`` for ``json.loads``: past the interpreter's limit on integer digits,
-    a plain ``ValueError`` rather than advice to raise the limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"a JSON number has more than {limit} digits") from None
-
-
-def brief_repr(value) -> str:
-    """``repr(value)`` for an error line: at most its first 60 characters, and then its length.
-
-    >>> brief_repr("7" * 10**6)[55:]
-    '77777... (1000002 characters)'
-    """
-    text = repr(value)
-    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
-
-
-def json_fields(data, what: str, keys: Sequence[str]) -> tuple:
-    """The values under ``keys`` of a JSON object; ``ValueError`` names what is wrong."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} JSON must be an object, not {type(data).__name__}")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{what} JSON lacks the key {key!r}")
-    return tuple(data[key] for key in keys)

@@ -42,23 +42,13 @@ import math
 import warnings
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from . import _Record
-from .flags import (
-    Signature,
-    SymplecticForm,
-    brief_repr,
-    full_signature,
-    json_fields,
-    json_int,
-)
-from .sl2reps import (
-    Partition,
-    WeightedBasis,
-    invariant_symplectic_form,
-    so2_weight_basis,
-)
+from . import _Record, brief_repr, json_fields, json_int
+
+if TYPE_CHECKING:
+    from .flags import Signature, SymplecticForm
+    from .sl2reps import Partition, WeightedBasis
 
 
 class CircleGroup(Enum):
@@ -94,6 +84,7 @@ def chart_index_set(sig: Signature) -> tuple[tuple[int, int], ...]:
     These index the chart directions moving the j-th flag vector toward the
     i-th; their count is the dimension of the flag variety.
 
+    >>> from flagfibers.flags import Signature
     >>> chart_index_set(Signature((1, 2), 3))
     ((2, 1), (3, 1), (3, 2))
     """
@@ -163,6 +154,7 @@ def form_partners(basis: WeightedBasis, omega: SymplecticForm) -> dict[str, str]
     coordinate span is isotropic exactly when it holds no label together
     with its partner.
 
+    >>> from flagfibers.sl2reps import Partition, invariant_symplectic_form, so2_weight_basis
     >>> p = Partition((2, 1, 1))
     >>> form_partners(so2_weight_basis(p), invariant_symplectic_form(p))
     {'f1': 'f-1', 'f-1': 'f1', 'X2': 'Y2', 'Y2': 'X2'}
@@ -303,6 +295,8 @@ def chart_directions(
     sphere directions, whose ends are not followed: that raises
     ``NotImplementedError``.
 
+    >>> from flagfibers.flags import Signature
+    >>> from flagfibers.sl2reps import Partition, so2_weight_basis
     >>> basis = so2_weight_basis(Partition((4,)))
     >>> chart_directions(basis, Signature((1,), 4), CircleGroup.PSO2)[0]
     (-1, ('f1', 'f3', 'f-1', 'f-3'))
@@ -350,7 +344,7 @@ def _validate_sign(sign: int) -> int:
     return sign
 
 
-def _json_text(value, what: str) -> str:
+def _require_string(value, what: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{what} are strings, got {brief_repr(value)}")
     return value
@@ -507,13 +501,13 @@ class WeightGraph(_Record):
             i, sign = json_fields(v, "round vertex", ("id", "sign"))
             if sign not in ("+", "-"):
                 raise ValueError(f'round vertex signs are "+" or "-", got {brief_repr(sign)}')
-            rounds.append((_json_text(i, "round vertex ids"), 1 if sign == "+" else -1))
+            rounds.append((_require_string(i, "round vertex ids"), 1 if sign == "+" else -1))
         squares = []
         for v in lists[1]:
             i, euler = json_fields(v, "square vertex", ("id", "euler"))
             if type(euler) is not int:
                 raise ValueError(f"square vertex Euler numbers are integers, got {brief_repr(euler)}")
-            squares.append((_json_text(i, "square vertex ids"), euler))
+            squares.append((_require_string(i, "square vertex ids"), euler))
         edges = []
         for e in lists[2]:
             ends, weight = json_fields(e, "edge", ("ends", "weight"))
@@ -521,7 +515,7 @@ class WeightGraph(_Record):
                 raise ValueError(f"an edge has exactly two ends, got {brief_repr(ends)}")
             if type(weight) is not int:
                 raise ValueError(f"edge weights are integers, got {brief_repr(weight)}")
-            edges.append((*(_json_text(end, "edge ends") for end in ends), weight))
+            edges.append((*(_require_string(end, "edge ends") for end in ends), weight))
         return WeightGraph(rounds=tuple(rounds), squares=tuple(squares), edges=tuple(edges))
 
     def to_dot(self) -> str:
@@ -939,6 +933,9 @@ def analyze_action(
     (complete flags, 3-dimensional ambient), "proj" (the projective space of
     lines), or "lag" (the Lagrangian Grassmannian of the invariant form).
     """
+    from .flags import Signature, full_signature
+    from .sl2reps import invariant_symplectic_form, so2_weight_basis
+
     n = partition.total
     c1_coeff = None
     if kind == "full":

@@ -277,7 +277,7 @@ def subcommand_layers(tmp_path: Path) -> list[tuple[list[str], set[str]]]:
         (["reps", "--partition", "2,1"], {"sl2reps"}),
         (["reps", "--partition", "2,2"], {"sl2reps", "flags", "weyl"}),
         (["twg", "--partition", "2,1", "--flag", "full", "--group", "so2"], TWG_LAYERS),
-        (["classify", str(GOLDEN / "twg_full_3.json")], TWG_LAYERS),
+        (["classify", str(GOLDEN / "twg_full_3.json")], {"twg"}),
         (["census", "--json"], {"dims", "sl2reps"}),
         (["census", "--cases"], {"dims", "sl2reps"}),
         (["reproduce"], TWG_LAYERS | {"dims"}),
@@ -287,6 +287,19 @@ def subcommand_layers(tmp_path: Path) -> list[tuple[list[str], set[str]]]:
 def test_each_subcommand_loads_only_the_layers_it_uses(tmp_path):
     for argv, layers in subcommand_layers(tmp_path):
         assert loaded_layers(*argv) == (0, layers), argv
+
+
+def test_classify_loads_the_weight_graph_code_alone(tmp_path):
+    # The package base reads the graph and words its error lines, so neither an
+    # answer nor a refusal loads flags, and with it weyl, fractions and decimal.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"round": [{"id": 1, "sign": "+"}], "squares": [], "edges": []}')
+    at_start = set(run_child("-c", "import sys; print(*sorted(sys.modules))").stdout.split())
+    for path, code in ((GOLDEN / "twg_full_3.json", 0), (bad, 2)):
+        got, modules = loaded_modules("classify", str(path))
+        layers = {m for m in modules if m.startswith("flagfibers.")} - {"flagfibers.cli"}
+        assert (got, layers) == (code, {"flagfibers.twg"}), path
+        assert not {"fractions", "decimal"} & (modules - at_start), path
 
 
 def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
@@ -490,6 +503,14 @@ def test_position_computation_errors(capsys, tmp_path):
         junk.write_text(text)
         code_out_err = run(capsys, "position", i, i, "--symplectic", str(junk))
         assert code_out_err == (2, "", f"error: {message}\n")
+
+
+def test_position_refuses_a_form_of_another_size_in_one_line(tmp_path):
+    iso = write_flag_file(tmp_path / "i.json", ExactFlag.standard(isotropic_signature(2)))
+    form = write_form_file(tmp_path / "w.json", SymplecticForm.standard(1))
+    done = run_child("-m", "flagfibers.cli", "position", iso, iso, "--symplectic", form)
+    message = "ambient dimension mismatch between the flags and the form"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_position_refuses_a_signature_before_completing_the_flag(tmp_path):

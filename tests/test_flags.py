@@ -1099,6 +1099,16 @@ def test_position_errors_keep_their_messages():
         oracles.from_columns([label_column(1, 2), label_column(-1, 2)]),
     )
     lagrangian = ExactFlag.standard(isotropic_signature(2))
+    for left, right, omega in (
+        (lagrangian, lagrangian, SymplecticForm.standard(1)),
+        (ExactFlag.standard(isotropic_signature(3)), lagrangian, OMEGA),
+    ):
+        cases.append(
+            (
+                functools.partial(relative_position_symplectic, left, right, omega),
+                "ambient dimension mismatch between the flags and the form",
+            )
+        )
     for left, right in ((bad, lagrangian), (lagrangian, bad)):
         cases.append(
             (
