@@ -7,7 +7,11 @@ Gaussian-integer vector times its own positive rational scale; ranks, flag
 completions and Bruhat cells come from one fraction-free elimination kernel
 over Z[i] fed those primitive columns, each step p*v - v_i*row from the
 pivot on, divided by its integer content, so they are exact even where
-positions degenerate.  Single entries go in and out as :class:`GaussianRational`.
+positions degenerate.  A square basis or Gram matrix is proven invertible by
+a certificate: a + bi -> a + b*r mod a prime p = 1 (mod 4), r^2 = -1 mod p, is
+a ring homomorphism Z[i] -> F_p, so a residue determinant that is nonzero mod
+p proves the exact one nonzero; only a residue determinant of 0 is left to the
+exact rank.  Single entries go in and out as :class:`GaussianRational`.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
 full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
@@ -26,6 +30,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from . import _Record, brief_repr, json_fields
@@ -230,6 +236,41 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
+# A prime p = 1 (mod 4) and a root r of x^2 + 1 mod p.  Then a + bi -> a + b*r mod p
+# is a ring homomorphism Z[i] -> F_p, so it maps a determinant to a determinant.
+_P, _R = 1000000009, 569522298
+
+
+def _invertible(matrix: ExactMatrix) -> bool:
+    """Whether a square matrix is invertible, by a certificate mod p where one exists.
+
+    Its primitive columns, mapped to F_p (see ``_P``), are eliminated there by the
+    fraction-free step v <- p*v - v_i*pivot: a pivot for every entry index makes the
+    residue determinant nonzero, which proves the exact one nonzero.  Only a
+    residue determinant of 0 leaves the answer to the exact rank.
+
+    >>> all(_P % k for k in range(2, math.isqrt(_P) + 1)), _P % 4, (_R * _R + 1) % _P
+    (True, 1, 0)
+    >>> _invertible(ExactMatrix([[_P, 0], [1, 1]])), _invertible(ExactMatrix([[1, 2], [2, 4]]))
+    (True, False)
+    """
+    columns = [[(a + b * _R) % _P for a, b in col] for col in matrix._columns]
+    n = len(columns)
+    for i in range(n):
+        for k in range(i, n):
+            if columns[k][i]:
+                break
+        else:  # no pivot for entry i: the residue determinant is 0
+            return matrix.rank() == n
+        pivot, columns[k] = columns[k], columns[i]
+        p = pivot[i]
+        for col in columns[i + 1 :]:
+            if f := col[i]:
+                for j in range(i + 1, n):
+                    col[j] = (p * col[j] - f * pivot[j]) % _P
+    return True
+
+
 class Signature(_Record):
     """Strictly increasing subspace dimensions ``d_1 < ... < d_l`` inside C^n."""
 
@@ -299,7 +340,7 @@ class ExactFlag(_Record):
         n = signature.ambient
         if basis.rows != n or basis.cols != n:
             raise ValueError("flag basis must be square of ambient size")
-        if basis.rank() != n:
+        if not _invertible(basis):
             raise ValueError("flag basis must be invertible")
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "basis", basis)
@@ -342,7 +383,7 @@ class SymplecticForm(_Record):
         _, rows = gram._scaled_rows()
         if any(rows[j][i] != (-a, -b) for i, r in enumerate(rows) for j, (a, b) in enumerate(r)):
             raise ValueError("Gram matrix must be antisymmetric")
-        if gram.rank() != gram.rows:
+        if not _invertible(gram):
             raise ValueError("form is degenerate")
         object.__setattr__(self, "gram", gram)
 
@@ -429,32 +470,40 @@ def _reduce_into(echelon: dict[int, _Row], vector: _Row) -> _Row | None:
 
     Entry v_i is cleared by v <- p*v - v_i*row, p the row's pivot entry, and
     the integer content is divided out after each step.  Entries before the
-    pivot i are zero in v and the row alike, so a step touches only those from
-    i on, and the next pivot is sought from i.  Returns the full-length
-    remainder, inserted under its first nonzero entry, or None if v reduces to 0.
+    pivot i are zero in v and the row alike, so the loop carries only the tail
+    of v from i on and builds the full-length remainder when it inserts it
+    (``vector`` itself if no step changed it), under its first nonzero entry.
+    Returns that remainder, or None if v reduces to 0.
     """
-    i, n = 0, len(vector)
+    i, tail, changed = 0, vector, False
     while True:
-        while i < n and vector[i] == (0, 0):
-            i += 1
-        if i == n:
+        for k, (a, b) in enumerate(tail):
+            if a or b:
+                break
+        else:
             return None
-        tail = vector[i:]
-        content = math.gcd(*tail[0])  # a multiple of the content; 1 settles it
+        if k:
+            i += k
+            tail = tail[k:]
+        content = math.gcd(a, b)  # a multiple of the content; 1 settles it
         if content > 1:
             content = math.gcd(content, *[t for pair in tail for t in pair])
-        if content > 1:
-            tail = [(x // content, y // content) for x, y in tail]
-            vector = [(0, 0)] * i + tail
+            if content > 1:
+                tail = [(x // content, y // content) for x, y in tail]
+                (a, b), changed = tail[0], True
         row = echelon.get(i)
         if row is None:
+            if changed:
+                vector = [(0, 0)] * i + tail
             echelon[i] = vector
             return vector
-        (a, b), (c, d) = tail[0], row[i]
-        vector = [(0, 0)] * (i + 1) + [
+        c, d = row[i]
+        i += 1
+        tail = [
             (c * x - d * y - a * p + b * q, c * y + d * x - a * q - b * p)
-            for (x, y), (p, q) in zip(tail[1:], row[i + 1 :])
+            for (x, y), (p, q) in zip(tail[1:], row[i:])
         ]
+        changed = True
 
 
 def relative_position_symplectic(
@@ -563,8 +612,64 @@ def matrix_from_json(rows) -> ExactMatrix:
     """
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("a matrix must be a list of rows")
-    parts = [[_entry_from_json(entry) for entry in row] for row in rows]
-    return ExactMatrix._make(*_scaled_columns(parts, None))
+    matrix = _plain_matrix_from_json(rows)
+    if matrix is None:
+        parts = [[_entry_from_json(entry) for entry in row] for row in rows]
+        matrix = ExactMatrix._make(*_scaled_columns(parts, None))
+    return matrix
+
+
+# One or more plain "p" or "p/q" parts (q > 0), joined by commas.
+_PLAIN_PARTS = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?:,[+-]?[0-9]+(?:/0*[1-9][0-9]*)?)*")
+
+
+def _plain_matrix_from_json(rows: list[list]) -> ExactMatrix | None:
+    """The matrix of equal-length rows of ``[real, imag]`` pairs whose every part is a
+    plain ``"p"`` or ``"p/q"`` string, checked by one match over the joined parts, or
+    None for any other document, which the per-entry path reads or refuses.
+
+    Each column is built once: its parts read by ``int``, put over the lcm of its
+    denominators, then divided by its integer content, so the stored form is the
+    one :meth:`ExactMatrix._make` gives.
+    """
+    width = len(rows[0]) if rows else 0
+    entries = [entry for row in rows for entry in row]
+    try:  # list.__len__ refuses anything but a list
+        if not width or set(map(len, rows)) != {width} or set(map(list.__len__, entries)) != {2}:
+            return None
+        parts = [part for entry in entries for part in entry]
+        text = ",".join(parts)
+    except TypeError:
+        return None
+    if not _PLAIN_PARTS.fullmatch(text):
+        return None
+    try:  # int refuses a part with a comma inside, or past its digit limit
+        if "/" in text:
+            ratios = list(map(str.partition, parts, repeat("/")))
+            nums = list(map(int, map(itemgetter(0), ratios)))
+            dens = [int(q) if q else 1 for _, _, q in ratios]
+        else:
+            nums, dens = list(map(int, parts)), None
+    except ValueError:
+        return None
+    step, columns, scales = 2 * width, [], []
+    for j in range(0, step, 2):
+        real, imag = nums[j::step], nums[j + 1 :: step]
+        den = 1
+        if dens:
+            real_dens, imag_dens = dens[j::step], dens[j + 1 :: step]
+            den = math.lcm(*real_dens, *imag_dens)
+            if den > 1:
+                real = [a * (den // q) for a, q in zip(real, real_dens)]
+                imag = [b * (den // q) for b, q in zip(imag, imag_dens)]
+        content = math.gcd(*real, *imag)
+        if content > 1:
+            real = [a // content for a in real]
+            imag = [b // content for b in imag]
+        common = math.gcd(content, den)
+        columns.append(tuple(zip(real, imag)))
+        scales.append((content // common, den // common) if content else (0, 1))
+    return ExactMatrix._stored(len(rows), tuple(columns), tuple(scales))
 
 
 def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:

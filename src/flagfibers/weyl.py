@@ -407,16 +407,20 @@ def check_group_order(system: RootSystem) -> None:
         )
 
 
-def _closure(system: RootSystem, gens: list[int], right: list[int]) -> list[tuple[int, ...]]:
+def _closure(system: RootSystem, gens: list[int], right: list[int], grown: bool = False) -> list:
     """Windows of <s_i : i in gens> with no right descent among ``right``, in (length,
     window) order; ``right`` is empty (a subgroup) or ``gens`` is every index.
 
-    It grows the members' inverses u by u s_i at ascents, kept unless u s_i = s_k u, k in ``right``.
+    It grows the members' inverses u by u s_i at ascents, kept unless u s_i = s_k u, k in
+    ``right``.  With ``grown`` (and ``right`` not empty) each window w comes as (w, u).
     """
     layer = {identity(system).window}
-    ordered: list[tuple[int, ...]] = []
+    ordered: list = []
     while layer:
-        ordered += sorted(map(_inverse, layer) if right else layer)
+        if grown:
+            ordered += sorted(zip(map(_inverse, layer), layer))
+        else:
+            ordered += sorted(map(_inverse, layer) if right else layer)
         layer = {
             _times_s(u, i)
             for u in layer
@@ -620,11 +624,14 @@ def double_cosets(system: RootSystem, theta: frozenset[int], eta: frozenset[int]
     left, right = _generators(system, theta), _generators(system, eta)
     every = list(system.simple_indices)
     if _subgroup_order(system, left) > _subgroup_order(system, right):
-        inverses = [_inverse(w) for w in _closure(system, every, left)]
-        kept = [u for u in inverses if _coset_step(u, [], right) is None]
+        grown = _closure(system, every, left, True)
+        kept = [u for _, u in grown if _coset_step(u, [], right) is None]
         reps = sorted(kept, key=lambda u: (WeylElement(system, u).length(), u))
+    elif left:  # a left descent of w is a right descent of the u it was grown as
+        grown = _closure(system, every, right, True)
+        reps = [w for w, u in grown if _coset_step(u, [], left) is None]
     else:
-        reps = [w for w in _closure(system, every, right) if _coset_step(w, left, []) is None]
+        reps = _closure(system, every, right)
     cosets = tuple(DoubleCoset(system, theta, eta, WeylElement(system, w)) for w in reps)
     up = [(1 << len(cosets)) - 1] * len(cosets)
     slots = sorted(i - 1 for i in eta)

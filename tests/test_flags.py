@@ -645,6 +645,93 @@ def test_flag_rejects_bad_bases():
         ExactFlag(sig, ExactMatrix.identity(4))
 
 
+def seeded_basis(rng: random.Random, n: int, gaussian: bool, span: int, singular: bool):
+    """An n x n basis over Q(i) (over Q unless ``gaussian``), each column over its own
+    denominator; ``singular`` makes one column a Gaussian-integer combination of the others."""
+    columns = []
+    for _ in range(n):
+        den = rng.randint(1, span)
+        columns.append([
+            GaussianRational(
+                Fraction(rng.randint(-span, span), den),
+                Fraction(rng.randint(-span, span), den) if gaussian else 0,
+            )
+            for _ in range(n)
+        ])
+    if singular:
+        k = rng.randrange(n)
+        combination = [GaussianRational(0)] * n
+        for j, col in enumerate(columns):
+            if j != k:
+                c = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0)
+                combination = [x - c * y for x, y in zip(combination, col)]
+        columns[k] = combination
+    return ExactMatrix([list(row) for row in zip(*columns)])
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+@pytest.mark.parametrize("span", [3, 10**6], ids=["low", "high"])
+def test_invertibility_certificate_agrees_with_exact_rank(gaussian, span, monkeypatch):
+    """The mod-p certificate accepts exactly the bases of full rank, and decides every
+    invertible one here itself, with no exact rank."""
+    rng = random.Random(f"certificate:{gaussian}:{span}")
+    verdicts = []
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        basis = seeded_basis(rng, n, gaussian, span, singular=rng.random() < 0.5)
+        invertible = oracles.gq_rank(gq_columns(basis)) == n
+        assert basis.rank() == n if invertible else basis.rank() < n
+        with monkeypatch.context() as patch:
+            if invertible:
+                patch.setattr(ExactMatrix, "rank", None)  # the certificate alone answers
+            assert flags._invertible(basis) is invertible
+        if invertible:
+            assert ExactFlag(full_signature(n), basis).basis == basis
+        else:
+            with pytest.raises(ValueError, match="^flag basis must be invertible$"):
+                ExactFlag(full_signature(n), basis)
+        verdicts.append(invertible)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def gaussian_prime_over(p: int, r: int) -> tuple[int, int]:
+    """(a, b) with a^2 + b^2 = p and a + b*r = 0 mod p, by Cornacchia's descent from r."""
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    c = math.isqrt(p - b * b)
+    assert b * b + c * c == p
+    return next((x, y) for x, y in ((b, c), (b, -c)) if (x + y * r) % p == 0)
+
+
+def test_invertible_basis_vanishing_mod_p_is_accepted_by_the_exact_rank(monkeypatch):
+    p, r = flags._P, flags._R
+    a, b = gaussian_prime_over(p, r)
+    bases = [
+        # The first two columns agree mod p, though the determinant is p.
+        ExactMatrix([[p, 0, 0], [1, 1, 0], [0, 0, 1]]),
+        # The primitive column (a + bi, 0, 0) maps to 0: diag(pi, 1, 1) for a prime pi over p.
+        ExactMatrix([[GaussianRational(a, b), 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ]
+    decided = []
+    rank = ExactMatrix.rank
+
+    def counting(matrix):
+        decided.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counting)
+    for basis in bases:
+        assert ExactFlag(full_signature(3), basis).basis == basis
+    assert decided == bases
+    singular = ExactMatrix([[p, 0, 0], [p, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^flag basis must be invertible$"):
+        ExactFlag(full_signature(3), singular)
+    # A degenerate antisymmetric Gram matrix is refused through the same check.
+    with pytest.raises(ValueError, match="^form is degenerate$"):
+        SymplecticForm(ExactMatrix([[0, p, 0, 0], [-p, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+
+
 def test_flag_completion_preserves_leading_columns():
     sig = Signature((2,), 4)
     lead = span_of((0, 0, 1, 0), (1, 1, 1, 1))
@@ -1334,3 +1421,86 @@ def test_json_parts_keep_their_refusals():
             matrix_from_json([[entry]])
         assert str(caught.value) == message
     assert matrix_from_json([[["0.25", 1]]]) == ExactMatrix([[GaussianRational("1/4", 1)]])
+
+
+def read_both_ways(rows) -> tuple:
+    """What ``matrix_from_json`` makes of ``rows`` with the one-pass reading of plain
+    documents, and with the per-entry path alone: a matrix, or the error line."""
+
+    def outcome():
+        try:
+            return matrix_from_json(rows)
+        except ValueError as error:
+            return f"ValueError: {error}"
+
+    bulk = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flags, "_plain_matrix_from_json", lambda rows: None)
+        return bulk, outcome()
+
+
+def plain_part(rng: random.Random) -> str:
+    sign = rng.choice(("", "", "-", "+"))
+    value = rng.choice((0, rng.randint(0, 9), rng.randint(0, 10**30)))
+    digits = "0" * rng.choice((0, 0, 0, 2)) + str(value)
+    if rng.random() < 0.5:
+        return sign + digits
+    return f"{sign}{digits}/{'0' * rng.choice((0, 0, 1))}{rng.randint(1, 10**rng.randint(1, 12))}"
+
+
+# Parts and entries the one-pass reading must leave to the per-entry path.
+ODD_PARTS = [
+    " 1", "1 ", "\t-2", "1_000", "1/2_0", "١٢", "１", "1\u00002", "\u0000",
+    "1e3", "2E-2", "1/0", "0/00", "-3/-4", "1/+2", "1,2", "1,", "", "+", "/3", "1//2", "0.5",
+    True, False, 3, -7, 2.5, float("nan"), None, ["1"], {"1": 2},
+    "7" * 2**20, "1" + "0" * 5000, 10**5000,
+]
+ODD_ENTRIES = ["10", "1", 1, None, [], ["1"], ["1", "0", "0"], ("1", "0"), {"re": "1", "im": "0"}]
+
+
+def test_plain_documents_read_in_one_pass_match_the_per_entry_path():
+    """Seeded plain documents are read in one pass; adversarial ones, with one odd part,
+    entry or row, give the same matrix or the identical error line on both paths."""
+    rng = random.Random("bulk-json")
+    for trial in range(400):
+        height, width = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[[plain_part(rng), plain_part(rng)] for _ in range(width)] for _ in range(height)]
+        if rng.random() < 0.3:  # a zero column
+            for row in rows:
+                row[0] = ["0", "-0"]
+        if rng.random() < 0.3:  # an integer-only document
+            rows = [[[p.split("/")[0], q.split("/")[0]] for p, q in row] for row in rows]
+        bulk, per_entry = read_both_ways(rows)
+        assert flags._plain_matrix_from_json(rows) is not None
+        assert isinstance(bulk, ExactMatrix) and bulk == per_entry
+        assert (bulk._columns, bulk._scales) == (per_entry._columns, per_entry._scales)
+        i, j = rng.randrange(height), rng.randrange(width)
+        odd = [[list(entry) for entry in row] for row in rows]
+        kind = trial % 4
+        if kind == 0:
+            odd[i][j][rng.randrange(2)] = rng.choice(ODD_PARTS)
+        elif kind == 1:
+            odd[i][j] = rng.choice(ODD_ENTRIES)
+        elif kind == 2:
+            odd[i] = odd[i][:-1] if rng.random() < 0.5 else odd[i] + [["1", "0"]]
+        else:
+            odd.insert(i, [])
+        bulk, per_entry = read_both_ways(odd)
+        assert bulk == per_entry, (odd, bulk, per_entry)
+    two = ["1", "2"]
+    for rows in ([], [[]], [[], []], [[two], []], [[two] * 2, [two] * 3, [two]]):
+        bulk, per_entry = read_both_ways(rows)
+        assert bulk == per_entry
+
+
+def part_id(part) -> str:
+    text = part if isinstance(part, str) else type(part).__name__
+    return ascii(text[:12]) + (f"...{len(text)}" if len(text) > 12 else "")
+
+
+@pytest.mark.parametrize("part", ODD_PARTS, ids=part_id)
+def test_every_odd_part_reads_alike_on_both_paths(part):
+    for rows in ([[[part, "0"]]], [[["1/2", "3"], ["4", part]], [["5", "6"], ["7/8", "9"]]]):
+        bulk, per_entry = read_both_ways(rows)
+        assert bulk == per_entry
+        assert flags._plain_matrix_from_json(rows) is None

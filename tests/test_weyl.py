@@ -410,6 +410,18 @@ def test_quotient_closure_matches_inverse_and_filter_oracle(system):
 
 
 @pytest.mark.parametrize("system", [A4, C3], ids=system_id)
+def test_grown_closure_pairs_each_window_with_its_inverse(system):
+    every = list(system.simple_indices)
+    for eta in every_eta(system):
+        right = [i for i in every if i not in eta]
+        if right:
+            pairs = weyl._closure(system, every, right, True)
+            assert [w for w, _ in pairs] == weyl._closure(system, every, right)
+            one = tuple(range(1, len(pairs[0][0]) + 1))
+            assert all(oracles.multiply_windows_via_matrices(w, u) == one for w, u in pairs)
+
+
+@pytest.mark.parametrize("system", [A4, C3], ids=system_id)
 def test_full_left_type_cosets_strip_no_descent(system):
     # w0 * w * w0_eta is the representative of [w0 * w] when w is: it has no
     # right descent s_i, i not in eta, to strip.
