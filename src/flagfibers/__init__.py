@@ -22,6 +22,7 @@ the immutable value types, and the JSON input helpers :func:`json_fields`,
 ``cli`` read documents and word their error lines.
 """
 
+import reprlib
 import sys
 from collections.abc import Sequence
 from operator import attrgetter
@@ -70,13 +71,30 @@ def json_int(digits: str) -> int:
         raise ValueError(f"a JSON number has more than {limit} digits") from None
 
 
+class _BitCounts(reprlib.Repr):
+    """``reprlib`` naming an int past the interpreter's limit on digits by its bit count."""
+
+    def repr_int(self, x, level):
+        try:
+            return repr(x)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
 def brief_repr(value) -> str:
     """``repr(value)`` for an error line: at most its first 60 characters, and then its length.
 
+    An int too long for ``repr``, or one inside ``value``, is named by its bit count.
+
     >>> brief_repr("7" * 10**6)[55:]
     '77777... (1000002 characters)'
+    >>> brief_repr([-(2**20000), "x"])
+    "[<int of 20001 bits>, 'x']"
     """
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        text = _BitCounts().repr(value)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 

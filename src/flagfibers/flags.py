@@ -352,7 +352,8 @@ class ExactFlag(_Record):
     @classmethod
     def from_columns(cls, signature: Signature, columns: ExactMatrix) -> "ExactFlag":
         """Complete leading columns to a basis by one echelon pass over them and
-        then e_1, ..., e_n, keeping each e_i independent of what came before.
+        then e_1, ..., e_n, keeping each e_i independent of what came before,
+        until the echelon holds n rows.
 
         That pass proves the basis invertible, so the rank check of the
         constructor is not run again.
@@ -364,7 +365,9 @@ class ExactFlag(_Record):
         if any(_reduce_into(echelon, c) is None for c in columns._columns):
             raise ValueError("leading columns are linearly dependent")
         units = ExactMatrix.identity(n)._columns
-        completion = tuple(e for e in units if _reduce_into(echelon, e) is not None)
+        completion = tuple(
+            e for e in units if len(echelon) < n and _reduce_into(echelon, e) is not None
+        )
         flag = object.__new__(cls)
         object.__setattr__(flag, "signature", signature)
         completed = ExactMatrix._stored(n, completion, ((1, 1),) * len(completion))

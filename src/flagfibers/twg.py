@@ -8,7 +8,10 @@ reads the tangent weights and invariant two-spheres at each fixed point off
 one chart pass, strings the spheres into a labeled graph, transfers the
 graph from the ambient flag variety to the four-dimensional fiber, and
 classifies the result against the catalogue of Hirzebruch-surface circle
-actions and their equivariant connected sums.
+actions and their equivariant connected sums.  ``analyze_action`` builds
+the graph in one pass over the fixed points, with the label positions,
+weights and chart index pairs found once per call, and ``to_json`` writes
+the graph's JSON text directly.
 
 The tangent data is in closed form, with no linear algebra.  At the fixed
 flag spanned by weight vectors v_1, ..., v_n of weights w_1, ..., w_n, the
@@ -40,8 +43,8 @@ import itertools
 import json
 import math
 import warnings
-from collections import Counter
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import _Record, brief_repr, json_fields, json_int
@@ -193,6 +196,7 @@ def fixed_flags(
     if sig.ambient != len(basis):
         raise ValueError("signature ambient dimension must match the basis")
 
+    position = {label: k for k, label in enumerate(basis.labels)}.__getitem__
     eigen: dict[int, list[str]] = {}
     for label, weight in zip(basis.labels, basis.weights):
         eigen.setdefault(weight, []).append(label)
@@ -208,17 +212,20 @@ def fixed_flags(
     room = tuple(b - a for a, b in zip((0, *sig.dims), (*sig.dims, sig.ambient)))
     choices: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), room)]
     for w in weights:
+        options = list(itertools.combinations_with_replacement(range(depth + 1), len(eigen[w])))
         grown = []
         for entries, left in choices:
-            for entry in itertools.combinations_with_replacement(range(depth + 1), len(eigen[w])):
+            for entry in options:
                 rest = list(left)
                 for level in entry:
                     rest[level] -= 1
-                if min(rest) >= 0:
+                    if rest[level] < 0:
+                        break
+                else:
                     grown.append(((*entries, entry), tuple(rest)))
         choices = grown
 
-    isolated: list[IsolatedFixedFlag] = []
+    isolated: list[tuple[tuple[int, ...], IsolatedFixedFlag]] = []
     surfaces: list[FixedSurface] = []
     # Latest entries first, that is least intersection dimensions first: this
     # fixes which refusal a locus open to both meets.
@@ -240,10 +247,13 @@ def fixed_flags(
                 )
 
         if pencil is None:
-            *heads, completion = (tuple(sorted(level, key=basis.index_of)) for level in levels)
-            flag = IsolatedFixedFlag(tuple(heads), completion)
-            if isotropic(flag.flag_order[: sig.top]):
-                isolated.append(flag)
+            for level in levels:
+                level.sort(key=position)
+            *heads, completion = map(tuple, levels)
+            top = [label for head in heads for label in head]
+            if isotropic(top):
+                order = tuple(map(position, (*top, *completion)))
+                isolated.append((order, IsolatedFixedFlag(tuple(heads), completion)))
         else:
             anchored = tuple(label for level in levels[:depth] for label in level)
             # Each line of the pencil plane is self-isotropic, so every member
@@ -254,11 +264,12 @@ def fixed_flags(
             if all(isotropic([*anchored, *part]) for part in parts):
                 surfaces.append(FixedSurface(anchored, pencil))
 
-    isolated.sort(key=lambda f: tuple(basis.index_of(l) for l in f.flag_order))
+    # Distinct flags have distinct orders, so the sort never compares flags.
+    isolated.sort()
     surfaces.sort(key=lambda s: s.id)
     if len({s.id for s in surfaces}) != len(surfaces):
         raise NotImplementedError("coincident fixed-surface families")
-    return FixedLocus(tuple(isolated), tuple(surfaces))
+    return FixedLocus(tuple(flag for _, flag in isolated), tuple(surfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +315,45 @@ def chart_directions(
     if len(order) != sig.ambient:
         raise ValueError("basis size must match the ambient dimension")
     group.check_weights(order.weights)
-    labels, weights = order.labels, order.weights
+    if partner is not None:
+        n = sig.top
+        if sig.dims != (n,) or 2 * n != sig.ambient:
+            raise ValueError("a Lagrangian chart needs the signature (n) in C^2n")
+        top = order.labels[:n]
+        if any(partner[label] in top for label in top):
+            raise ValueError("flag is not Lagrangian for the given form")
+    return _chart(sig, group, partner)(order.labels, order.weights)
 
-    def swapped(*pairs: tuple[int, int]) -> tuple[str, ...]:
-        far = list(labels)
-        for a, b in pairs:
-            far[a], far[b] = far[b], far[a]
-        return tuple(far)
 
+def _chart(sig: Signature, group: CircleGroup, partner: Mapping[str, str] | None):
+    """:func:`chart_directions` as a function of the labels and weights of a flag
+    that passed its checks; the index pairs of the directions are found once."""
     if partner is None:
-        return [
-            (group.scaled(weights[i - 1] - weights[j - 1]), swapped((i - 1, j - 1)))
-            for i, j in chart_index_set(sig)
-        ]
-    n = sig.top
-    if sig.dims != (n,) or 2 * n != sig.ambient:
-        raise ValueError("a Lagrangian chart needs the signature (n) in C^2n")
-    top = labels[:n]
-    if any(partner[label] in top for label in top):
-        raise ValueError("flag is not Lagrangian for the given form")
-    across = [labels.index(partner[label]) for label in top]
-    directions = [
-        # A set of the two swaps, which coincide when i = j.
-        (-group.scaled(weights[i] + weights[j]), swapped(*{(i, across[j]), (j, across[i])}))
-        for i, j in itertools.combinations_with_replacement(range(n), 2)
-    ]
-    if any(abs(w) >= 2 and count > 1 for w, count in Counter(w for w, _ in directions).items()):
-        raise NotImplementedError("sphere direction with multiplicity")
+        pairs = [(i - 1, j - 1) for i, j in chart_index_set(sig)]
+    else:
+        pairs = list(itertools.combinations_with_replacement(range(sig.top), 2))
+
+    def directions(labels: Sequence[str], weights: Sequence[int]) -> list[tuple[int, tuple[str, ...]]]:
+        chart = []
+        if partner is None:
+            for i, j in pairs:
+                far = list(labels)
+                far[i], far[j] = far[j], far[i]
+                chart.append((group.scaled(weights[i] - weights[j]), tuple(far)))
+            return chart
+        across = [labels.index(partner[label]) for label in labels[: sig.top]]
+        for i, j in pairs:
+            far = list(labels)
+            # Partners lie past the top n, so the swaps are disjoint, or one when i = j.
+            far[i], far[across[j]] = far[across[j]], far[i]
+            if i != j:
+                far[j], far[across[i]] = far[across[i]], far[j]
+            chart.append((-group.scaled(weights[i] + weights[j]), tuple(far)))
+        spheres = [w for w, _ in chart if abs(w) >= 2]
+        if len(set(spheres)) != len(spheres):
+            raise NotImplementedError("sphere direction with multiplicity")
+        return chart
+
     return directions
 
 
@@ -433,14 +456,14 @@ class WeightGraph(_Record):
         squares: tuple[tuple[str, int], ...] = (),
         edges: tuple[tuple[str, str, int], ...] = (),
     ):
-        rounds = tuple(sorted((str(i), _validate_sign(s)) for i, s in rounds))
-        squares = tuple(sorted((str(i), int(e)) for i, e in squares))
-        edges = tuple(sorted((*sorted((str(a), str(b))), int(w)) for a, b, w in edges))
+        rounds = tuple(sorted([(str(i), _validate_sign(s)) for i, s in rounds]))
+        squares = tuple(sorted([(str(i), int(e)) for i, e in squares]))
+        edges = tuple(sorted([(*sorted((str(a), str(b))), int(w)) for a, b, w in edges]))
         ids = [i for i, _ in rounds] + [i for i, _ in squares]
         if len(set(ids)) != len(ids):
             raise ValueError("vertex ids must be distinct")
         round_ids = {i for i, _ in rounds}
-        degree: Counter[str] = Counter()
+        degree = dict.fromkeys(round_ids, 0)
         for a, b, w in edges:
             if w < 2:
                 raise ValueError("edge weights are at least 2")
@@ -450,7 +473,7 @@ class WeightGraph(_Record):
                 raise ValueError("edges join round vertices only")
             degree[a] += 1
             degree[b] += 1
-        if degree and max(degree.values()) > 2:
+        if edges and max(degree.values()) > 2:
             raise ValueError("at most two edges meet a round vertex")
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "squares", squares)
@@ -476,17 +499,23 @@ class WeightGraph(_Record):
         components = sorted(_component_key(*w) for w in _walks(self))
         return tuple(components), tuple(sorted(e for _, e in self.squares))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "round": [
-                {"id": i, "sign": "+" if s > 0 else "-"} for i, s in self.rounds
-            ],
-            "squares": [{"id": i, "euler": e} for i, e in self.squares],
-            "edges": [{"ends": [a, b], "weight": w} for a, b, w in self.edges],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The graph as ``json.dumps(..., indent=2, sort_keys=True)`` writes it, and a
+        newline; the json module's own encoder escapes the ids."""
+        quote = encode_basestring_ascii
+        sections = {
+            "edges": [
+                f'"ends": [\n        {quote(a)},\n        {quote(b)}\n      ],\n      "weight": {w}'
+                for a, b, w in self.edges
+            ],
+            "round": [f'"id": {quote(i)},\n      "sign": "{"+-"[s < 0]}"' for i, s in self.rounds],
+            "squares": [f'"euler": {e},\n      "id": {quote(i)}' for i, e in self.squares],
+        }
+        lines = []
+        for key, items in sections.items():
+            objects = ",\n".join(f"    {{\n      {item}\n    }}" for item in items)
+            lines.append(f'  "{key}": [\n{objects}\n  ]' if items else f'  "{key}": []')
+        return "{\n" + ",\n".join(lines) + "\n}\n"
 
     @staticmethod
     def from_json(text: str) -> "WeightGraph":
@@ -679,6 +708,15 @@ def _catalogue_order(params: tuple[int, int, int]) -> tuple:
     return q, abs(a), abs(b), a < 0, b < 0
 
 
+# The eight ways to read a four-point ring from a point, forward or reflected:
+# the indices of its points in reading order, and of the edges between them.
+_VIEWS = tuple(
+    (tuple((k + d * i) % 4 for i in range(4)), tuple((k + d * i + (d - 1) // 2) % 4 for i in range(4)))
+    for k in range(4)
+    for d in (1, -1)
+)
+
+
 def _reading(signs: Sequence[int], weights: Sequence[int]) -> tuple[int, int, int] | None:
     """The least (q, a, b) whose ``_hirzebruch_ring`` is this four-point ring, if any.
 
@@ -690,19 +728,15 @@ def _reading(signs: Sequence[int], weights: Sequence[int]) -> tuple[int, int, in
     >>> _reading(*_hirzebruch_ring(2, -1, 2))
     (2, 1, -2)
     """
-    signs, weights = tuple(signs), tuple(weights)
-    reflected = (signs[:1] + signs[:0:-1], weights[::-1])
     found = []
-    for ring_signs, ring_weights in (signs, weights), reflected:
-        for k in range(4):
-            (s, minus_s, t, minus_t) = ring_signs[k:] + ring_signs[:k]
-            mag_a, b, c, b_again = ring_weights[k:] + ring_weights[:k]
-            if minus_s != -s or minus_t != -t or b != b_again or math.gcd(mag_a, b) != 1:
-                continue
-            a = s * mag_a
-            q, rest = divmod(t * c - a, b)
-            if rest == 0 and q >= 0:
-                found.append((q, a, b) if a > 0 else (q, -a, -b))
+    for (p0, p1, p2, p3), (e0, e1, e2, e3) in _VIEWS:
+        s, t, mag_a, b = signs[p0], signs[p2], weights[e0], weights[e1]
+        if signs[p1] != -s or signs[p3] != -t or weights[e3] != b or math.gcd(mag_a, b) != 1:
+            continue
+        a = s * mag_a
+        q, rest = divmod(t * weights[e2] - a, b)
+        if rest == 0 and q >= 0:
+            found.append((q, a, b) if a > 0 else (q, -a, -b))
     return min(found, key=_catalogue_order, default=None)
 
 
@@ -842,32 +876,34 @@ def classify_fiber(g: WeightGraph) -> Classification:
             None, None, f"the signs are unbalanced ({plus} +, {count - plus} -)"
         )
 
-    readings: dict[tuple, tuple[int, int, int] | None] = {}
+    # Each reading is kept with its catalogue order, by which matches compare.
+    readings: dict[tuple, tuple[tuple, tuple[int, int, int]] | None] = {}
+    cuts = ((0,),) if count == 4 else ((0, 3), (1, 4), (2, 5))
     matches = set()
     for signs, weights in _rings(g):
         if count == 4:
-            cuts = [[(signs, weights)]]
+            arcs = [(signs, weights)]
         else:
-            # Cut edges e - 1 and e + 2; each arc is closed by a point that takes
-            # both, signed to balance the arc (a sign of +-3 reads as nothing).
-            cuts = []
-            for e in range(3):
-                s, w = signs[e:] + signs[:e], weights[e:] + weights[:e]
-                cuts.append(
-                    [(s[h : h + 3] + (-sum(s[h : h + 3]),), w[h : h + 3] + (w[h - 1],)) for h in (0, 3)]
-                )
-        for factors in cuts:
-            for ring in factors:
-                if ring not in readings:
-                    readings[ring] = _reading(*ring)
-            params = tuple(readings[ring] for ring in factors)
-            if all(params):
-                matches.add(params)
+            # Arc k holds points k, k+1, k+2 and is closed by a point that takes
+            # the cut edges k + 2 and k - 1, signed to balance the arc (a sign
+            # of +-3 reads as nothing).
+            s, w = signs * 2, weights * 2
+            arcs = [
+                (s[k : k + 3] + (-s[k] - s[k + 1] - s[k + 2],), w[k : k + 3] + (w[k + 5],))
+                for k in range(6)
+            ]
+        params = []
+        for ring in arcs:
+            if ring not in readings:
+                found = _reading(*ring)
+                readings[ring] = found and (_catalogue_order(found), found)
+            params.append(readings[ring])
+        for cut in cuts:
+            factors = [params[k] for k in cut]
+            if all(factors):
+                matches.add(tuple(sorted(factors)))
     if matches:
-        factors = min(
-            (sorted(m, key=_catalogue_order) for m in matches),
-            key=lambda m: [_catalogue_order(p) for p in m],
-        )
+        factors = [p for _, p in min(matches)]
         types = [_hirzebruch_diffeotype(q) for q, _, _ in factors]
         if len(types) == 2:
             types = [f"({t})" for t in types]
@@ -909,19 +945,6 @@ class ActionAnalysis:
         self.partition, self.kind, self.group, self.basis = partition, kind, group, basis
         self.signature, self.locus, self.ambient_tangents = signature, locus, ambient_tangents
         self.ambient_graph, self.fiber_graph = ambient_graph, fiber_graph
-
-
-def _order_to_id(
-    order: Sequence[str], sig: Signature, basis: WeightedBasis
-) -> str:
-    groups = []
-    previous = 0
-    for d in sig.dims:
-        groups.append(
-            ",".join(sorted(order[previous:d], key=basis.index_of))
-        )
-        previous = d
-    return "|".join(groups)
 
 
 def analyze_action(
@@ -974,22 +997,27 @@ def analyze_action(
         first, second = sorted(s.id for s in locus.surfaces)
         squares = ((first, euler), (second, -euler))
 
+    position = {label: k for k, label in enumerate(basis.labels)}.__getitem__
+    weight_of = dict(zip(basis.labels, basis.weights)).__getitem__
+    bounds = tuple(zip((0, *sig.dims), sig.dims))
+    chart = _chart(sig, group, partner)
     rounds = []
     tangents: dict[str, tuple[int, ...]] = {}
-    sightings: Counter[tuple[str, str, int]] = Counter()
+    sightings: dict[tuple[str, str, int], int] = {}
     for flag in locus.isolated:
-        directions = chart_directions(basis.permuted(flag.flag_order), sig, group, partner)
-        weights = tuple(sorted((w for w, _ in directions), reverse=True))
-        tangents[flag.id] = weights
-        rounds.append((flag.id, sign_of_fixed_point(weights)))
+        vertex, order = flag.id, flag.flag_order
+        directions = chart(order, tuple(map(weight_of, order)))
+        weights = tuple(sorted([w for w, _ in directions], reverse=True))
+        tangents[vertex] = weights
+        rounds.append((vertex, sign_of_fixed_point(weights)))
         # Weight-1 directions are principal and weight-0 ones lie along fixed
         # surfaces, so only the others close to invariant spheres.
-        for weight, far_end in directions:
+        for weight, far in directions:
             if abs(weight) < 2:
                 continue
-            other = _order_to_id(far_end, sig, basis)
-            key = (min(flag.id, other), max(flag.id, other), abs(weight))
-            sightings[key] += 1
+            other = "|".join([",".join(sorted(far[a:b], key=position)) for a, b in bounds])
+            key = (vertex, other, abs(weight)) if vertex < other else (other, vertex, abs(weight))
+            sightings[key] = sightings.get(key, 0) + 1
 
     if any(count != 2 for count in sightings.values()):
         raise ArithmeticError("an invariant sphere was not seen from both ends")

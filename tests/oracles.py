@@ -67,12 +67,15 @@ Everything here deliberately avoids the library's own code paths:
 - tangent weights and sphere ends of the Lagrangian locus come from the
   library's earlier route: the Gram matrix reindexed to the fixed point,
   and the linearized isotropy equations of the chart solved exactly, one
-  weight class at a time, with ``gq_nullspace``.
+  weight class at a time, with ``gq_nullspace``;
+- weight-graph JSON comes from the library's earlier route: a dict of the
+  three sections written by ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -1004,6 +1007,15 @@ def rings_oracle(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]
         if fits:
             rings.append((tuple(sign[i] for i in order), tuple(weights)))
     return rings
+
+
+def weight_graph_json(g: WeightGraph) -> str:
+    data = {
+        "round": [{"id": i, "sign": "+" if s > 0 else "-"} for i, s in g.rounds],
+        "squares": [{"id": i, "euler": e} for i, e in g.squares],
+        "edges": [{"ends": [a, b], "weight": w} for a, b, w in g.edges],
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _catalogue(max_weight: int) -> list[tuple[tuple[int, int, int], WeightGraph]]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagfibers import flags
+from flagfibers import brief_repr, flags
 from flagfibers.flags import (
     ExactFlag,
     ExactMatrix,
@@ -328,6 +328,24 @@ def test_matrix_shape_validation():
             oracles.from_columns(columns, rows=rows)
     assert oracles.from_columns([[1, 0]], rows=2) == span_of((1, 0))
     assert oracles.from_columns([], rows=3) == oracles.zeros(3, 0)
+
+
+def test_refusals_name_ints_past_the_digit_limit_by_their_bits():
+    # repr refuses ints past the interpreter's limit on digits; the refusal
+    # line names each such int by its bit count instead, however it is nested.
+    huge = 10**5000
+    cases = [
+        ([[[huge, "x"]]], "matrix entry is not a pair of rationals: [<int of 16610 bits>, 'x']"),
+        ([[[{"n": -huge}, 0]]], "not a pair of rationals: [{'n': <int of 16610 bits>}, 0]"),
+        ([[[huge, 1, 2]]], "matrix entries must be [real, imag] pairs, got [<int of 16610 bits>, 1, 2]"),
+    ]
+    for document, message in cases:
+        with pytest.raises(ValueError) as refused:
+            flags.matrix_from_json(document)
+        assert message in str(refused.value) and "digits" not in str(refused.value)
+    assert brief_repr(-huge) == "<int of 16610 bits>"
+    many = brief_repr([huge] * 9)
+    assert many.startswith("[<int of 16610 bits>, <int of") and len(many) < 90
 
 
 def test_rank_matches_oracle_on_random_matrices():
@@ -759,9 +777,10 @@ def test_flag_from_columns_eliminates_once(monkeypatch):
 
     monkeypatch.setattr(flags, "_reduce_into", counting)
     assert ExactFlag.from_columns(sig, lead) == expected
-    # One insertion per leading column and one reduction per unit vector;
-    # no second elimination for the rank check.
-    assert len(calls) == 2 + 4
+    # One insertion per leading column, then unit vectors only until the
+    # echelon is full: e_1 and e_2 complete it, so e_3 and e_4 are never
+    # reduced; no second elimination for the rank check.
+    assert len(calls) == 2 + 2
 
 
 # ---------------------------------------------------------------------------

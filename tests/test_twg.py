@@ -498,6 +498,47 @@ def test_weight_graph_normalization_and_json():
     assert '"a" -- "b" [label="2"];' in dot
 
 
+ID_PIECES = ["f1", "|", ",", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "λ", "\u2028", "𝄞"]
+
+
+def json_sample_graphs(rng: random.Random, count: int) -> list[WeightGraph]:
+    """Empty and squares-only graphs, then graphs of up to 6 round vertices and 2
+    squares, with ids of awkward characters and Euler numbers of up to 400 digits."""
+    out = [WeightGraph(), WeightGraph(squares=(("s", 0),))]
+    while len(out) < count:
+        sizes = rng.randrange(7), rng.randrange(3)
+        ids: set[str] = set()
+        while len(ids) < sum(sizes):
+            ids.add("".join(rng.choice(ID_PIECES) for _ in range(rng.randint(1, 4))))
+        order = rng.sample(sorted(ids), len(ids))
+        rounds = tuple((i, rng.choice((1, -1))) for i in order[: sizes[0]])
+        squares = tuple(
+            (i, rng.choice((-1, 1)) * rng.choice((rng.randrange(6), 10 ** rng.randint(19, 400))))
+            for i in order[sizes[0] :]
+        )
+        degree = dict.fromkeys((i for i, _ in rounds), 0)
+        edges = []
+        for _ in range(rng.randrange(2 * sizes[0] + 1) if sizes[0] > 1 else 0):
+            a, b = rng.sample(sorted(degree), 2)
+            if degree[a] < 2 and degree[b] < 2:
+                degree[a] += 1
+                degree[b] += 1
+                edges.append((a, b, rng.choice((rng.randint(2, 9), 10**30 + rng.randrange(9)))))
+        out.append(WeightGraph(rounds, squares, tuple(edges)))
+    return out
+
+
+def test_to_json_matches_the_json_module_oracle():
+    graphs = json_sample_graphs(random.Random(34), 200)
+    assert any(g.edges and not g.squares for g in graphs)
+    assert any(g.squares and not g.rounds for g in graphs)
+    assert any(any(abs(e) > 10**300 for _, e in g.squares) for g in graphs)
+    for g in graphs:
+        text = g.to_json()
+        assert text == oracles.weight_graph_json(g), g
+        assert WeightGraph.from_json(text) == g and text.isascii()
+
+
 def test_weight_graph_validation():
     with pytest.raises(ValueError):
         WeightGraph(rounds=(("a", 2),))
