@@ -37,6 +37,9 @@ class GroupFamily(enum.Enum):
     Sp = "Sp"
 
 
+_MINIMUM_N = {GroupFamily.SL: 2, GroupFamily.SO: 3, GroupFamily.Sp: 1}
+
+
 class FlagVarietyDescriptor(_Record):
     """A flag variety of a classical group.
 
@@ -55,8 +58,7 @@ class FlagVarietyDescriptor(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "tag", tag)
-        minimum = {GroupFamily.SL: 2, GroupFamily.SO: 3, GroupFamily.Sp: 1}
-        if n < minimum[family]:
+        if n < _MINIMUM_N[family]:
             raise ValueError(f"ambient parameter {n} too small for {family.value}")
         if not indices:
             raise ValueError("no subspace dimensions given")
@@ -129,15 +131,16 @@ class FlagVarietyDescriptor(_Record):
         return record
 
 
-def _linear_flag_dim(indices: tuple[int, ...], n: int) -> int:
-    steps = list(indices) + [n]
-    return sum(d * (e - d) for d, e in zip(steps, steps[1:]))
-
-
-def _isotropic_grassmannian_dim(family: GroupFamily, ambient: int, k: int) -> int:
+def _dim(family: GroupFamily, n: int, indices: tuple[int, ...]) -> int:
+    """:func:`flag_dim` of the variety with these fields, from the ints alone."""
+    top = indices[-1]
+    # The linear flags of the smaller subspaces inside the largest one.
+    inside = sum(d * (e - d) for d, e in zip(indices, indices[1:]))
+    if family is GroupFamily.SL:
+        return top * (n - top) + inside
     if family is GroupFamily.SO:
-        return k * (ambient - k) - comb(k + 1, 2)
-    return k * (ambient - k) - comb(k, 2)
+        return top * (n - top) - comb(top + 1, 2) + inside
+    return top * (2 * n - top) - comb(top, 2) + inside
 
 
 def flag_dim(d: FlagVarietyDescriptor) -> int:
@@ -151,19 +154,7 @@ def flag_dim(d: FlagVarietyDescriptor) -> int:
     >>> flag_dim(FlagVarietyDescriptor(GroupFamily.Sp, 2, (1, 2)))
     4
     """
-    top = d.indices[-1]
-    inside = _linear_flag_dim(d.indices[:-1], top)
-    if d.family is GroupFamily.SL:
-        return _linear_flag_dim((top,), d.n) + inside
-    return _isotropic_grassmannian_dim(d.family, d.ambient, top) + inside
-
-
-def _descriptors(family: GroupFamily, n: int, indices: tuple[int, ...]):
-    if family is GroupFamily.SO and n % 2 == 0 and indices[-1] == n // 2:
-        yield FlagVarietyDescriptor(family, n, indices, "+")
-        yield FlagVarietyDescriptor(family, n, indices, "-")
-    else:
-        yield FlagVarietyDescriptor(family, n, indices)
+    return _dim(d.family, d.n, d.indices)
 
 
 def _three_dim(family: GroupFamily, n: int, limit: int):
@@ -173,17 +164,16 @@ def _three_dim(family: GroupFamily, n: int, limit: int):
     dimension is at least that one-index variety's.  Only indices whose
     one-index varieties have dimension <= 3 can occur, and the index sets
     are the combinations of those, in the order of a scan over all subsets.
+    Each dimension is computed from plain ints before any record is built,
+    so a descriptor is built only for a variety that is kept.
     """
-    pool = [
-        i
-        for i in range(1, limit + 1)
-        if any(flag_dim(d) <= 3 for d in _descriptors(family, n, (i,)))
-    ]
+    pool = [i for i in range(1, limit + 1) if _dim(family, n, (i,)) <= 3]
     for size in range(1, len(pool) + 1):
         for indices in combinations(pool, size):
-            for d in _descriptors(family, n, indices):
-                if flag_dim(d) == 3:
-                    yield d
+            if _dim(family, n, indices) == 3:
+                splits = family is GroupFamily.SO and n % 2 == 0 and indices[-1] == n // 2
+                for tag in ("+", "-") if splits else ("",):
+                    yield FlagVarietyDescriptor(family, n, indices, tag)
 
 
 def enumerate_3dim_flag_varieties(max_rank: int) -> list[FlagVarietyDescriptor]:
@@ -200,7 +190,8 @@ def enumerate_3dim_flag_varieties(max_rank: int) -> list[FlagVarietyDescriptor]:
     at the first or the last index, and there it grows with the rank r:
     r for SL(r+1); 2r - 1 and r(r + 1)/2 for Sp(2r); 2r - 2 and r(r - 1)/2
     for SO(2r); 2r - 1 and r(r + 1)/2 for SO(2r+1).  At r = 4 the least of
-    these is 4.
+    these is 4.  Dimensions are computed before any record is built, so the
+    descriptors built are exactly the ones returned.
     """
     if max_rank < 2:
         raise ValueError(f"max_rank must be >= 2, got {max_rank}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import _Record
 
@@ -140,22 +140,6 @@ class WeightedBasis(_Record):
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def weight_of(self, label: str) -> int:
-        return self.weights[self.index_of(label)]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no basis vector named {label!r}") from None
-
-    def permuted(self, order: Sequence[str]) -> "WeightedBasis":
-        if sorted(order) != sorted(self.labels):
-            raise ValueError("order must be a permutation of the labels")
-        return WeightedBasis(
-            tuple(order), tuple(self.weight_of(label) for label in order)
-        )
 
 
 def so2_weight_basis(p: Partition) -> WeightedBasis:

@@ -10,8 +10,9 @@ graph from the ambient flag variety to the four-dimensional fiber, and
 classifies the result against the catalogue of Hirzebruch-surface circle
 actions and their equivariant connected sums.  ``analyze_action`` builds
 the graph in one pass over the fixed points, with the label positions,
-weights and chart index pairs found once per call, and ``to_json`` writes
-the graph's JSON text directly.
+weights and chart index pairs found once per call, and stores the fiber
+graph without checking again what the ambient graph passed; ``to_json``
+writes the graph's JSON text directly.
 
 The tangent data is in closed form, with no linear algebra.  At the fixed
 flag spanned by weight vectors v_1, ..., v_n of weights w_1, ..., w_n, the
@@ -34,7 +35,8 @@ cycle's least rotation comes from Booth's linear scan).  Classification
 builds no graph and lists no candidates: it closes the graph into rings
 with weight-1 edges and reads (q, a, b) off each four-point ring in closed
 form; a two-term connected sum is a six-point ring that cuts into two arcs,
-each reading as a factor once a point closes it.
+each reading as a factor once a point closes it.  Each six-point ring is
+read once up to rotation and reflection.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import math
 import warnings
 from enum import Enum
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import _Record, brief_repr, json_fields, json_int
@@ -175,6 +178,10 @@ def form_partners(basis: WeightedBasis, omega: SymplecticForm) -> dict[str, str]
     return partner
 
 
+_PENCILS = "fixed locus with more than one pencil factor"
+_BEYOND = "fixed locus beyond isolated flags and line pencils"
+
+
 def fixed_flags(
     basis: WeightedBasis,
     sig: Signature,
@@ -200,21 +207,22 @@ def fixed_flags(
     eigen: dict[int, list[str]] = {}
     for label, weight in zip(basis.labels, basis.weights):
         eigen.setdefault(weight, []).append(label)
-    weights = sorted(eigen, reverse=True)
     depth = len(sig.dims)
 
     def isotropic(labels: Sequence[str]) -> bool:
         return partner is None or not any(partner[label] in labels for label in labels)
 
-    # Entry levels, one sorted tuple per eigenspace, grown largest weight
-    # first; a choice is kept with the room its levels have left, and the
-    # completion counts as a level.
+    # Choices grow one eigenspace at a time, largest weight first, with the
+    # labels at each level (the completion last), the state (None while each
+    # eigenspace enters whole, then the (plane, completed) pencil of the one
+    # that does not, or the first refusal met) and the room left.
     room = tuple(b - a for a, b in zip((0, *sig.dims), (*sig.dims, sig.ambient)))
-    choices: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), room)]
-    for w in weights:
-        options = list(itertools.combinations_with_replacement(range(depth + 1), len(eigen[w])))
+    choices = [(((),) * (depth + 1), None, room)]
+    for w in sorted(eigen, reverse=True):
+        space = tuple(eigen[w])
+        options = list(itertools.combinations_with_replacement(range(depth + 1), len(space)))
         grown = []
-        for entries, left in choices:
+        for levels, state, left in choices:
             for entry in options:
                 rest = list(left)
                 for level in entry:
@@ -222,39 +230,32 @@ def fixed_flags(
                     if rest[level] < 0:
                         break
                 else:
-                    grown.append(((*entries, entry), tuple(rest)))
+                    k = entry[0]
+                    if k == entry[-1]:
+                        levels_k = (*levels[:k], levels[k] + space, *levels[k + 1 :])
+                        grown.append((levels_k, state, tuple(rest)))
+                    elif state.__class__ is str:
+                        grown.append((levels, state, tuple(rest)))
+                    else:
+                        refusal = _BEYOND if len(entry) > 2 else _PENCILS if state else None
+                        grown.append((levels, refusal or (space, entry[1] < depth), tuple(rest)))
         choices = grown
 
     isolated: list[tuple[tuple[int, ...], IsolatedFixedFlag]] = []
     surfaces: list[FixedSurface] = []
     # Latest entries first, that is least intersection dimensions first: this
     # fixes which refusal a locus open to both meets.
-    for entries, _ in reversed(choices):
-        levels: list[list[str]] = [[] for _ in range(depth + 1)]
-        pencil = None
-        for w, entry in zip(weights, entries):
-            if entry[0] == entry[-1]:
-                levels[entry[0]].extend(eigen[w])
-            elif len(entry) == 2:
-                if pencil is not None:
-                    raise NotImplementedError(
-                        "fixed locus with more than one pencil factor"
-                    )
-                pencil, completed = tuple(eigen[w]), entry[1] < depth
-            else:
-                raise NotImplementedError(
-                    "fixed locus beyond isolated flags and line pencils"
-                )
-
-        if pencil is None:
-            for level in levels:
-                level.sort(key=position)
-            *heads, completion = map(tuple, levels)
+    for levels, state, _ in reversed(choices):
+        if state is None:
+            *heads, completion = [tuple(sorted(level, key=position)) for level in levels]
             top = [label for head in heads for label in head]
             if isotropic(top):
                 order = tuple(map(position, (*top, *completion)))
                 isolated.append((order, IsolatedFixedFlag(tuple(heads), completion)))
+        elif state.__class__ is str:
+            raise NotImplementedError(state)
         else:
+            pencil, completed = state
             anchored = tuple(label for level in levels[:depth] for label in level)
             # Each line of the pencil plane is self-isotropic, so every member
             # flag is isotropic when the anchored vectors span an isotropic
@@ -322,39 +323,40 @@ def chart_directions(
         top = order.labels[:n]
         if any(partner[label] in top for label in top):
             raise ValueError("flag is not Lagrangian for the given form")
-    return _chart(sig, group, partner)(order.labels, order.weights)
+    chart = _chart(sig, group, partner)(order.labels, order.weights)
+    return [(weight, _swapped(order.labels, swaps)) for weight, swaps in chart]
 
 
 def _chart(sig: Signature, group: CircleGroup, partner: Mapping[str, str] | None):
-    """:func:`chart_directions` as a function of the labels and weights of a flag
-    that passed its checks; the index pairs of the directions are found once."""
+    """:func:`chart_directions` as a function of a checked flag's labels and weights,
+    each far end given as the position pairs it swaps; index pairs are found once."""
     if partner is None:
         pairs = [(i - 1, j - 1) for i, j in chart_index_set(sig)]
     else:
         pairs = list(itertools.combinations_with_replacement(range(sig.top), 2))
 
-    def directions(labels: Sequence[str], weights: Sequence[int]) -> list[tuple[int, tuple[str, ...]]]:
-        chart = []
+    def directions(labels: Sequence[str], weights: Sequence[int]) -> list[tuple[int, Iterable]]:
         if partner is None:
-            for i, j in pairs:
-                far = list(labels)
-                far[i], far[j] = far[j], far[i]
-                chart.append((group.scaled(weights[i] - weights[j]), tuple(far)))
-            return chart
-        across = [labels.index(partner[label]) for label in labels[: sig.top]]
-        for i, j in pairs:
-            far = list(labels)
-            # Partners lie past the top n, so the swaps are disjoint, or one when i = j.
-            far[i], far[across[j]] = far[across[j]], far[i]
-            if i != j:
-                far[j], far[across[i]] = far[across[i]], far[j]
-            chart.append((-group.scaled(weights[i] + weights[j]), tuple(far)))
+            return [(group.scaled(weights[i] - weights[j]), ((i, j),)) for i, j in pairs]
+        mate = [labels.index(partner[label]) for label in labels[: sig.top]]
+        # Partners lie past the top n, so the swaps are disjoint, or one when i = j.
+        chart = [
+            (-group.scaled(weights[i] + weights[j]), {(i, mate[j]), (j, mate[i])}) for i, j in pairs
+        ]
         spheres = [w for w, _ in chart if abs(w) >= 2]
         if len(set(spheres)) != len(spheres):
             raise NotImplementedError("sphere direction with multiplicity")
         return chart
 
     return directions
+
+
+def _swapped(labels: Sequence[str], swaps: Iterable[tuple[int, int]]) -> tuple[str, ...]:
+    """``labels`` with the labels at each pair of positions swapped in turn."""
+    far = list(labels)
+    for i, j in swaps:
+        far[i], far[j] = far[j], far[i]
+    return tuple(far)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +480,15 @@ class WeightGraph(_Record):
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "squares", squares)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _stored(cls, rounds: tuple, squares: tuple, edges: tuple) -> "WeightGraph":
+        """A graph from fields in the sorted form ``__init__`` checks, such as those
+        of a checked graph less some edges, which passes every check again."""
+        graph = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rounds, squares, edges)):
+            object.__setattr__(graph, name, value)
+        return graph
 
     def sign_of(self, vertex: str) -> int:
         for i, s in self.rounds:
@@ -610,7 +621,7 @@ def ambient_to_fiber_graph(
         for a, b, w in ambient.edges
         if not (group is CircleGroup.SO2 and w == h)
     )
-    return WeightGraph(ambient.rounds, ambient.squares, edges)
+    return WeightGraph._stored(ambient.rounds, ambient.squares, edges)
 
 
 def fixed_surface_euler(
@@ -681,21 +692,39 @@ def _orders(items: Sequence) -> Iterator[tuple]:
 
 
 def _rings(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (signs, weights) ring whose edges of weight >= 2 are exactly ``g``'s.
+    """Every (signs, weights) ring whose edges of weight >= 2 are exactly ``g``'s,
+    each ring of six or more points once up to rotation and reflection.
 
     A graph that is one cycle is its own ring.  Otherwise its components
     must all be paths, and a ring strings them in some order and direction
-    with weight-1 edges between.  The longest path leads in one direction,
-    since rings are read up to rotation and reflection.
+    with weight-1 edges between.  The longest path leads in one direction.
+    From six points on, each other path is listed by its lesser reading, and
+    when a rotation or reflection can keep the lead in front (a path reads
+    as the lead, or the lead reads alike both ways) each ring built marks
+    those images of itself, to be skipped.  A four-point ring costs one
+    reading, less than that work.
     """
     walks = sorted(_walks(g), key=lambda w: -len(w[0]))
     if any(len(weights) == len(signs) for signs, weights in walks):
         return walks if len(walks) == 1 else []
-    (lead_signs, lead_weights), *rest = walks
-    rings = []
+    lead, *rest = walks
+    ways = {path: {path, (path[0][::-1], path[1][::-1])} for path in rest}
+    symmetric = len(g.rounds) > 4
+    if symmetric:
+        rest = [min(ways[path]) for path in rest]
+        ways = {min(both): both for both in ways.values()}
+        back = (lead[0][::-1], lead[1][::-1])
+        symmetric = back == lead or min(lead, back) in ways
+    rings, seen = [], set()
     for order in _orders(rest):
-        for paths in itertools.product(*({p, (p[0][::-1], p[1][::-1])} for p in order)):
-            signs, weights = lead_signs, lead_weights + (1,)
+        for paths in itertools.product(*map(ways.__getitem__, order)):
+            if symmetric:
+                ring = (lead, *paths)
+                if ring in seen:
+                    continue
+                flip = tuple((s[::-1], w[::-1]) for s, w in reversed(ring))
+                seen.update(r[k:] + r[:k] for r in (ring, flip) for k in range(len(r)) if r[k] == lead)
+            signs, weights = lead[0], lead[1] + (1,)
             for more_signs, more_weights in paths:
                 signs, weights = signs + more_signs, weights + more_weights + (1,)
             rings.append((signs, weights))
@@ -733,11 +762,23 @@ def _reading(signs: Sequence[int], weights: Sequence[int]) -> tuple[int, int, in
         s, t, mag_a, b = signs[p0], signs[p2], weights[e0], weights[e1]
         if signs[p1] != -s or signs[p3] != -t or weights[e3] != b or math.gcd(mag_a, b) != 1:
             continue
-        a = s * mag_a
-        q, rest = divmod(t * weights[e2] - a, b)
+        q, rest = divmod(t * weights[e2] - s * mag_a, b)
         if rest == 0 and q >= 0:
-            found.append((q, a, b) if a > 0 else (q, -a, -b))
-    return min(found, key=_catalogue_order, default=None)
+            # The reading is (q, |a|, b), or its twin (q, |a|, -b) when a < 0, so
+            # (q, |a|, b, a < 0) sorts the readings in catalogue order.
+            found.append((q, mag_a, b, s < 0))
+    if not found:
+        return None
+    q, a, b, negated = min(found)
+    return (q, a, -b) if negated else (q, a, b)
+
+
+# Arc k of a six-point ring holds points k, k+1 and k+2 and is closed by a
+# point that takes the cut edges k + 2 and k - 1: the points and edges it reads.
+_ARCS = tuple(
+    (itemgetter(k, (k + 1) % 6, (k + 2) % 6), itemgetter(k, (k + 1) % 6, (k + 2) % 6, (k + 5) % 6))
+    for k in range(6)
+)
 
 
 def hirzebruch_graph(q: int, a: int, b: int) -> WeightGraph:
@@ -881,17 +922,11 @@ def classify_fiber(g: WeightGraph) -> Classification:
     cuts = ((0,),) if count == 4 else ((0, 3), (1, 4), (2, 5))
     matches = set()
     for signs, weights in _rings(g):
-        if count == 4:
-            arcs = [(signs, weights)]
-        else:
-            # Arc k holds points k, k+1, k+2 and is closed by a point that takes
-            # the cut edges k + 2 and k - 1, signed to balance the arc (a sign
-            # of +-3 reads as nothing).
-            s, w = signs * 2, weights * 2
-            arcs = [
-                (s[k : k + 3] + (-s[k] - s[k + 1] - s[k + 2],), w[k : k + 3] + (w[k + 5],))
-                for k in range(6)
-            ]
+        arcs = [(signs, weights)] if count == 4 else []
+        for points, edges in _ARCS if count == 6 else ():
+            # The closing point is signed to balance the arc (+-3 reads as nothing).
+            a, b, c = points(signs)
+            arcs.append(((a, b, c, -a - b - c), edges(weights)))
         params = []
         for ring in arcs:
             if ring not in readings:
@@ -1012,9 +1047,10 @@ def analyze_action(
         rounds.append((vertex, sign_of_fixed_point(weights)))
         # Weight-1 directions are principal and weight-0 ones lie along fixed
         # surfaces, so only the others close to invariant spheres.
-        for weight, far in directions:
+        for weight, swaps in directions:
             if abs(weight) < 2:
                 continue
+            far = _swapped(order, swaps)
             other = "|".join([",".join(sorted(far[a:b], key=position)) for a, b in bounds])
             key = (vertex, other, abs(weight)) if vertex < other else (other, vertex, abs(weight))
             sightings[key] = sightings.get(key, 0) + 1
@@ -1024,17 +1060,7 @@ def analyze_action(
 
     ambient = WeightGraph(tuple(rounds), squares, tuple(sightings))
     fiber = ambient_to_fiber_graph(ambient, group, tangents)
-    return ActionAnalysis(
-        partition=partition,
-        kind=kind,
-        group=group,
-        basis=basis,
-        signature=sig,
-        locus=locus,
-        ambient_tangents=tangents,
-        ambient_graph=ambient,
-        fiber_graph=fiber,
-    )
+    return ActionAnalysis(partition, kind, group, basis, sig, locus, tangents, ambient, fiber)
 
 
 def fiber_weight_graph(

@@ -55,6 +55,8 @@ Everything here deliberately avoids the library's own code paths:
 - ``zeros``, ``from_columns``, ``column``, ``transpose``, ``neg``, ``matmul``
   and ``is_zero`` are the matrix operations only the tests need, written on
   the library's stored column form rather than kept in it;
+- ``index_of``, ``weight_of`` and ``permuted`` read a weight basis by label,
+  as only the tests need to;
 - the invariant pairing on the circle basis comes from expanding each
   f_w = (X - iY)^a (X + iY)^b in monomials and multiplying out
   ``basis^T @ pairing @ basis`` with the library's exact matrices;
@@ -80,6 +82,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
@@ -1205,6 +1208,29 @@ def census_oracle(max_rank: int) -> list[FlagVarietyDescriptor]:
 
 
 # ---------------------------------------------------------------------------
+# weight bases read by label
+
+
+def index_of(basis: WeightedBasis, label: str) -> int:
+    """The position of ``label`` in ``basis``; a label it lacks raises ``KeyError``."""
+    try:
+        return basis.labels.index(label)
+    except ValueError:
+        raise KeyError(f"no basis vector named {label!r}") from None
+
+
+def weight_of(basis: WeightedBasis, label: str) -> int:
+    return basis.weights[index_of(basis, label)]
+
+
+def permuted(basis: WeightedBasis, order: Sequence[str]) -> WeightedBasis:
+    """The vectors of ``basis`` in ``order``, a reordering of its labels."""
+    if sorted(order) != sorted(basis.labels):
+        raise ValueError("order must be a permutation of the labels")
+    return WeightedBasis(tuple(order), tuple(weight_of(basis, label) for label in order))
+
+
+# ---------------------------------------------------------------------------
 # fixed flags, by cutting every ordering of the basis
 
 
@@ -1227,16 +1253,17 @@ def fixed_flags_oracle(
     for label, weight in zip(basis.labels, basis.weights):
         eigen.setdefault(weight, set()).add(label)
     isolated, pencils = set(), set()
+    position = partial(index_of, basis)
     for order in itertools.permutations(basis.labels):
         blocks = [set(order[a:b]) for a, b in cuts]
         split = [space for space in eigen.values() if not any(space <= b for b in blocks)]
         top = set(order[: dims[-1]])
         if not split:
             if partner is None or not any(partner[label] in top for label in top):
-                levels = tuple(tuple(sorted(b, key=basis.index_of)) for b in blocks)
+                levels = tuple(tuple(sorted(b, key=position)) for b in blocks)
                 isolated.add((levels[:-1], levels[-1]))
         elif len(split) == 1 and len(split[0]) == 2:
-            pencils.add((frozenset(top - split[0]), tuple(sorted(split[0], key=basis.index_of))))
+            pencils.add((frozenset(top - split[0]), tuple(sorted(split[0], key=position))))
     return isolated, pencils
 
 
@@ -1263,10 +1290,10 @@ def lagrangian_chart_oracle(
     pairs it with), or None when the class has more than one solution.
     """
     zero = gq()
-    positions = [basis.index_of(label) for label in order]
+    positions = [index_of(basis, label) for label in order]
     columns = gq_columns(omega.gram)
     gram = [[columns[c][r] for c in positions] for r in positions]
-    weights = [basis.weight_of(label) for label in order]
+    weights = [weight_of(basis, label) for label in order]
     size = len(order)
     if size % 2:
         raise ValueError("a Lagrangian chart needs an even ambient dimension")

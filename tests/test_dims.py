@@ -216,6 +216,21 @@ def test_census_matches_exhaustive_scan(max_rank):
     assert enumerate_3dim_flag_varieties(max_rank) == oracles.census_oracle(max_rank)
 
 
+@pytest.mark.parametrize("max_rank", [*range(2, 9), 60])
+def test_census_builds_only_the_descriptors_it_returns(monkeypatch, max_rank):
+    built = []
+    init = FlagVarietyDescriptor.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FlagVarietyDescriptor, "__init__", counting)
+    census = enumerate_3dim_flag_varieties(max_rank)
+    assert len(built) == len(census)
+    assert all(made is kept for made, kept in zip(built, census))
+
+
 def test_census_rejects_tiny_rank():
     with pytest.raises(ValueError):
         enumerate_3dim_flag_varieties(1)

@@ -13,6 +13,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,7 @@ def spheres_of(directions) -> list[tuple[tuple[str, ...], int]]:
 
 def test_difference_matrix_full_flag_example():
     basis = so2_weight_basis(Partition((3,)))
-    order = basis.permuted(["f2", "f-2", "f0"])
+    order = oracles.permuted(basis, ["f2", "f-2", "f0"])
     directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.PSO2)
     # Directions follow chart_index_set: (2, 1), (3, 1), (3, 2).
     assert weights_of(directions) == [-2, -1, 1]
@@ -218,7 +219,7 @@ def coordinate_flag_is_isotropic(basis, sig, flag, omega) -> bool:
     identity = ExactMatrix.identity(len(basis))
     top = flag.flag_order[: sig.top]
     columns = oracles.from_columns(
-        [oracles.column(identity, basis.index_of(label)) for label in top]
+        [oracles.column(identity, oracles.index_of(basis, label)) for label in top]
     )
     return is_isotropic(ExactFlag.from_columns(sig, columns), omega)
 
@@ -330,21 +331,21 @@ def test_sign_of_fixed_point():
 
 def test_exceptional_sphere_targets_full_flag():
     basis = so2_weight_basis(Partition((3,)))
-    order = basis.permuted(["f2", "f-2", "f0"])
+    order = oracles.permuted(basis, ["f2", "f-2", "f0"])
     directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.PSO2)
     assert spheres_of(directions) == [(("f-2", "f2", "f0"), 2)]
 
 
 def test_exceptional_sphere_targets_projective():
     basis = so2_weight_basis(Partition((4,)))
-    order = basis.permuted(["f-3", "f3", "f1", "f-1"])
+    order = oracles.permuted(basis, ["f-3", "f3", "f1", "f-1"])
     directions = chart_directions(order, Signature((1,), 4), CircleGroup.PSO2)
     assert {(far[0], w) for far, w in spheres_of(directions)} == {("f3", 3), ("f1", 2)}
 
 
 def test_weight_one_directions_are_principal():
     basis = so2_weight_basis(Partition((2, 1)))
-    order = basis.permuted(["f1", "f0", "f-1"])
+    order = oracles.permuted(basis, ["f1", "f0", "f-1"])
     directions = chart_directions(order, Signature((1, 2), 3), CircleGroup.SO2)
     # Of the directions (2, 1), (3, 1), (3, 2), only (3, 1) has weight 2.
     assert weights_of(directions) == [-1, -2, -1]
@@ -364,7 +365,7 @@ LAGRANGIAN = Signature((2,), 4)
 def lag_chart_at(p: Partition, order: list[str], group: CircleGroup):
     basis = so2_weight_basis(p)
     partner = form_partners(basis, invariant_symplectic_form(p))
-    return chart_directions(basis.permuted(order), LAGRANGIAN, group, partner)
+    return chart_directions(oracles.permuted(basis, order), LAGRANGIAN, group, partner)
 
 
 def test_tangent_weights_lagrangian_examples():
@@ -407,12 +408,13 @@ def weight_basis_lagrangians(totals):
             basis = so2_weight_basis(p)
             omega = invariant_symplectic_form(p)
             partner = form_partners(basis, omega)
-            pairs = {tuple(sorted((a, b), key=basis.index_of)) for a, b in partner.items()}
+            position = partial(oracles.index_of, basis)
+            pairs = {tuple(sorted((a, b), key=position)) for a, b in partner.items()}
             for group in CircleGroup:
                 if group is CircleGroup.PSO2 and len({w % 2 for w in basis.weights}) > 1:
                     continue
                 for span in itertools.product(*sorted(pairs)):
-                    top = sorted(span, key=basis.index_of)
+                    top = sorted(span, key=position)
                     order = top + [label for label in basis.labels if label not in span]
                     yield basis, omega, order, group
 
@@ -422,7 +424,7 @@ def test_lagrangian_charts_match_the_isotropy_oracle():
     for basis, omega, order, group in weight_basis_lagrangians((2, 4, 6, 8)):
         weights, spheres = oracles.lagrangian_chart_oracle(basis, omega, order, group)
         n = len(order) // 2
-        w = [basis.weight_of(label) for label in order[:n]]
+        w = [oracles.weight_of(basis, label) for label in order[:n]]
         sym2 = sorted(
             (-group.scaled(w[i] + w[j]) for i in range(n) for j in range(i, n)),
             reverse=True,
@@ -432,10 +434,10 @@ def test_lagrangian_charts_match_the_isotropy_oracle():
         sig = Signature((n,), 2 * n)
         if None in spheres.values():
             with pytest.raises(NotImplementedError, match="multiplicity"):
-                chart_directions(basis.permuted(order), sig, group, partner)
+                chart_directions(oracles.permuted(basis, order), sig, group, partner)
             refused += 1
             continue
-        directions = chart_directions(basis.permuted(order), sig, group, partner)
+        directions = chart_directions(oracles.permuted(basis, order), sig, group, partner)
         assert sorted(weights_of(directions), reverse=True) == list(weights)
         assert {w: far for w, far in directions if abs(w) >= 2} == spheres
         checked += 1
@@ -452,7 +454,7 @@ def test_scaled_forms_give_the_same_chart_data():
             return str(refusal)
 
     for basis, omega, order, group in weight_basis_lagrangians((2, 4, 6)):
-        expected = chart_data(basis.permuted(order), group, form_partners(basis, omega))
+        expected = chart_data(oracles.permuted(basis, order), group, form_partners(basis, omega))
         wanted = oracles.lagrangian_chart_oracle(basis, omega, order, group)
         size = len(basis)
         for scale in (Fraction(1, 3), Fraction(-1, 2)):
@@ -460,7 +462,8 @@ def test_scaled_forms_give_the_same_chart_data():
                 [omega.gram.entry(i, j).real * scale for j in range(size)]
                 for i in range(size)
             ]))
-            assert chart_data(basis.permuted(order), group, form_partners(basis, scaled)) == expected
+            scaled_partner = form_partners(basis, scaled)
+            assert chart_data(oracles.permuted(basis, order), group, scaled_partner) == expected
             assert oracles.lagrangian_chart_oracle(basis, scaled, order, group) == wanted
 
 
@@ -618,6 +621,22 @@ def test_ambient_to_fiber_so2_keeps_higher_weights():
     data = {"x": (2, 3, -1), "y": (2, -3, -1)}
     fiber = ambient_to_fiber_graph(ambient, CircleGroup.SO2, data)
     assert fiber.edges == (("x", "y", 3),)
+
+
+def test_stored_fiber_graphs_equal_validated_ones():
+    # The fiber graph is stored without the checks its ambient graph passed;
+    # the validating constructor, given its fields, builds the same graph.
+    answered = 0
+    for n in range(2, 6):
+        for p, kind, group in itertools.product(partitions_of(n), ("full", "proj", "lag"), CircleGroup):
+            try:
+                g = analyze_action(p, kind, group).fiber_graph
+            except (ValueError, NotImplementedError, ArithmeticError):
+                continue
+            rebuilt = WeightGraph(g.rounds, g.squares, g.edges)
+            assert (g, repr(g), g.to_json()) == (rebuilt, repr(rebuilt), rebuilt.to_json())
+            answered += 1
+    assert answered == 7
 
 
 def test_ambient_to_fiber_requires_tangent_data():
@@ -791,15 +810,34 @@ def test_rings_match_the_cyclic_order_oracle():
         graphs.append(WeightGraph(rounds, (), tuple(edges)))
     kinds = set()
     for g in graphs:
-        got = {dihedral_least(*ring) for ring in _rings(g)}
+        rings = _rings(g)
+        got = {dihedral_least(*ring) for ring in rings}
         expected = {dihedral_least(*ring) for ring in oracles.rings_oracle(g)}
         assert got == expected, g
+        if len(g.rounds) == 6:
+            # Six-point rings come once up to rotation and reflection.
+            assert len(rings) == len(got), g
         kinds.add((len(got) > 0, len(g.edges) == len(g.rounds)))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
-    # The paper's (2, 1) full SO2 fiber is six lone points, three of each
-    # sign: after the lead, 5!/(2! 3!) = 10 orders, each built once.
-    edgeless = fiber_weight_graph(Partition((2, 1)), "full", CircleGroup.SO2)
-    assert len(_rings(edgeless)) == len(set(_rings(edgeless))) == 10
+
+
+def test_classify_reads_each_six_point_ring_of_the_full_cases_once(monkeypatch):
+    # The (2, 1) fiber is six lone points, three of each sign: 10 orders
+    # after the lead, 3 up to rotation and reflection.  The (3,) fiber is
+    # three equal weight-2 edges: 4 choices of direction, 2 up to symmetry.
+    read = []
+    rings = twg._rings
+
+    def recording(g):
+        found = rings(g)
+        read.extend(found)
+        return found
+
+    monkeypatch.setattr(twg, "_rings", recording)
+    for parts, group, count in (((2, 1), CircleGroup.SO2, 3), ((3,), CircleGroup.PSO2, 2)):
+        read.clear()
+        assert classify_fiber(fiber_weight_graph(Partition(parts), "full", group)).matched
+        assert len(read) == len({dihedral_least(*ring) for ring in read}) == count
 
 
 # ---------------------------------------------------------------------------

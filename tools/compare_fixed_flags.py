@@ -1,4 +1,5 @@
-"""Compare fixed loci, case analyses and classifications between two source trees.
+"""Compare fixed loci, case analyses, classifications and the dimension census
+between two source trees.
 
     python tools/compare_fixed_flags.py OLD_SRC NEW_SRC
 
@@ -15,9 +16,12 @@ line per answer:
   weight up to 8 and every Hir(q;1,0) with q <= 8, on every connected sum
   of two Hir(q;a,b) of largest weight up to 3 at every gluing the factors
   admit, and on each of these graphs with every sign negated and with its
-  first sign negated.
+  first sign negated;
+- ``dims.enumerate_3dim_flag_varieties`` with ``max_rank`` 2..8 and 60, and
+  ``dims.fullcases_table``.
 
 An answer is the repr of the result (for ``analyze_action``, of each of its
+fields; for the census and the case table, of each record with its JSON
 fields) or the exception's type and text.  The script prints the number of
 calls and of differences and exits 1 on any difference.
 """
@@ -51,6 +55,7 @@ def hirzebruch_params(largest: int) -> list[tuple[int, int, int]]:
 
 
 def answers() -> None:
+    from flagfibers import dims
     from flagfibers.flags import Signature
     from flagfibers.sl2reps import (
         admits_symplectic_form,
@@ -107,6 +112,13 @@ def answers() -> None:
         for rounds in g.rounds, flipped, flipped[:1] + g.rounds[1:]:
             variant = WeightGraph(rounds, g.squares, g.edges)
             print("classify_fiber", repr(variant), answer(classify_fiber, variant))
+
+    def records(table):
+        return [(record, record.to_json_dict()) for record in table]
+
+    for max_rank in (*range(2, 9), 60):
+        print("census", max_rank, answer(lambda: records(dims.enumerate_3dim_flag_varieties(max_rank))))
+    print("fullcases_table", answer(lambda: records(dims.fullcases_table())))
 
 
 def run(src: str) -> list[str]:
