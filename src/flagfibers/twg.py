@@ -10,9 +10,8 @@ graph from the ambient flag variety to the four-dimensional fiber, and
 classifies the result against the catalogue of Hirzebruch-surface circle
 actions and their equivariant connected sums.  ``analyze_action`` builds
 the graph in one pass over the fixed points, with the label positions,
-weights and chart index pairs found once per call, and stores the fiber
-graph without checking again what the ambient graph passed; ``to_json``
-writes the graph's JSON text directly.
+weights and chart index pairs found once per call, and ``to_json`` writes
+the graph's JSON text directly.
 
 The tangent data is in closed form, with no linear algebra.  At the fixed
 flag spanned by weight vectors v_1, ..., v_n of weights w_1, ..., w_n, the
@@ -35,8 +34,7 @@ cycle's least rotation comes from Booth's linear scan).  Classification
 builds no graph and lists no candidates: it closes the graph into rings
 with weight-1 edges and reads (q, a, b) off each four-point ring in closed
 form; a two-term connected sum is a six-point ring that cuts into two arcs,
-each reading as a factor once a point closes it.  Each six-point ring is
-read once up to rotation and reflection.
+each reading as a factor once a point closes it.
 """
 
 from __future__ import annotations
@@ -323,40 +321,39 @@ def chart_directions(
         top = order.labels[:n]
         if any(partner[label] in top for label in top):
             raise ValueError("flag is not Lagrangian for the given form")
-    chart = _chart(sig, group, partner)(order.labels, order.weights)
-    return [(weight, _swapped(order.labels, swaps)) for weight, swaps in chart]
+    return _chart(sig, group, partner)(order.labels, order.weights)
 
 
 def _chart(sig: Signature, group: CircleGroup, partner: Mapping[str, str] | None):
-    """:func:`chart_directions` as a function of a checked flag's labels and weights,
-    each far end given as the position pairs it swaps; index pairs are found once."""
+    """:func:`chart_directions` as a function of the labels and weights of a flag
+    that passed its checks; the index pairs of the directions are found once."""
     if partner is None:
         pairs = [(i - 1, j - 1) for i, j in chart_index_set(sig)]
     else:
         pairs = list(itertools.combinations_with_replacement(range(sig.top), 2))
 
-    def directions(labels: Sequence[str], weights: Sequence[int]) -> list[tuple[int, Iterable]]:
+    def directions(labels: Sequence[str], weights: Sequence[int]) -> list[tuple[int, tuple[str, ...]]]:
+        chart = []
         if partner is None:
-            return [(group.scaled(weights[i] - weights[j]), ((i, j),)) for i, j in pairs]
-        mate = [labels.index(partner[label]) for label in labels[: sig.top]]
-        # Partners lie past the top n, so the swaps are disjoint, or one when i = j.
-        chart = [
-            (-group.scaled(weights[i] + weights[j]), {(i, mate[j]), (j, mate[i])}) for i, j in pairs
-        ]
+            for i, j in pairs:
+                far = list(labels)
+                far[i], far[j] = far[j], far[i]
+                chart.append((group.scaled(weights[i] - weights[j]), tuple(far)))
+            return chart
+        across = [labels.index(partner[label]) for label in labels[: sig.top]]
+        for i, j in pairs:
+            far = list(labels)
+            # Partners lie past the top n, so the swaps are disjoint, or one when i = j.
+            far[i], far[across[j]] = far[across[j]], far[i]
+            if i != j:
+                far[j], far[across[i]] = far[across[i]], far[j]
+            chart.append((-group.scaled(weights[i] + weights[j]), tuple(far)))
         spheres = [w for w, _ in chart if abs(w) >= 2]
         if len(set(spheres)) != len(spheres):
             raise NotImplementedError("sphere direction with multiplicity")
         return chart
 
     return directions
-
-
-def _swapped(labels: Sequence[str], swaps: Iterable[tuple[int, int]]) -> tuple[str, ...]:
-    """``labels`` with the labels at each pair of positions swapped in turn."""
-    far = list(labels)
-    for i, j in swaps:
-        far[i], far[j] = far[j], far[i]
-    return tuple(far)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +477,6 @@ class WeightGraph(_Record):
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "squares", squares)
         object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def _stored(cls, rounds: tuple, squares: tuple, edges: tuple) -> "WeightGraph":
-        """A graph from fields in the sorted form ``__init__`` checks, such as those
-        of a checked graph less some edges, which passes every check again."""
-        graph = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (rounds, squares, edges)):
-            object.__setattr__(graph, name, value)
-        return graph
 
     def sign_of(self, vertex: str) -> int:
         for i, s in self.rounds:
@@ -621,7 +609,7 @@ def ambient_to_fiber_graph(
         for a, b, w in ambient.edges
         if not (group is CircleGroup.SO2 and w == h)
     )
-    return WeightGraph._stored(ambient.rounds, ambient.squares, edges)
+    return WeightGraph(ambient.rounds, ambient.squares, edges)
 
 
 def fixed_surface_euler(
@@ -692,39 +680,21 @@ def _orders(items: Sequence) -> Iterator[tuple]:
 
 
 def _rings(g: WeightGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (signs, weights) ring whose edges of weight >= 2 are exactly ``g``'s,
-    each ring of six or more points once up to rotation and reflection.
+    """Every (signs, weights) ring whose edges of weight >= 2 are exactly ``g``'s.
 
     A graph that is one cycle is its own ring.  Otherwise its components
     must all be paths, and a ring strings them in some order and direction
-    with weight-1 edges between.  The longest path leads in one direction.
-    From six points on, each other path is listed by its lesser reading, and
-    when a rotation or reflection can keep the lead in front (a path reads
-    as the lead, or the lead reads alike both ways) each ring built marks
-    those images of itself, to be skipped.  A four-point ring costs one
-    reading, less than that work.
+    with weight-1 edges between.  The longest path leads in one direction,
+    since rings are read up to rotation and reflection.
     """
     walks = sorted(_walks(g), key=lambda w: -len(w[0]))
     if any(len(weights) == len(signs) for signs, weights in walks):
         return walks if len(walks) == 1 else []
-    lead, *rest = walks
-    ways = {path: {path, (path[0][::-1], path[1][::-1])} for path in rest}
-    symmetric = len(g.rounds) > 4
-    if symmetric:
-        rest = [min(ways[path]) for path in rest]
-        ways = {min(both): both for both in ways.values()}
-        back = (lead[0][::-1], lead[1][::-1])
-        symmetric = back == lead or min(lead, back) in ways
-    rings, seen = [], set()
+    (lead_signs, lead_weights), *rest = walks
+    rings = []
     for order in _orders(rest):
-        for paths in itertools.product(*map(ways.__getitem__, order)):
-            if symmetric:
-                ring = (lead, *paths)
-                if ring in seen:
-                    continue
-                flip = tuple((s[::-1], w[::-1]) for s, w in reversed(ring))
-                seen.update(r[k:] + r[:k] for r in (ring, flip) for k in range(len(r)) if r[k] == lead)
-            signs, weights = lead[0], lead[1] + (1,)
+        for paths in itertools.product(*({p, (p[0][::-1], p[1][::-1])} for p in order)):
+            signs, weights = lead_signs, lead_weights + (1,)
             for more_signs, more_weights in paths:
                 signs, weights = signs + more_signs, weights + more_weights + (1,)
             rings.append((signs, weights))
@@ -1047,10 +1017,9 @@ def analyze_action(
         rounds.append((vertex, sign_of_fixed_point(weights)))
         # Weight-1 directions are principal and weight-0 ones lie along fixed
         # surfaces, so only the others close to invariant spheres.
-        for weight, swaps in directions:
+        for weight, far in directions:
             if abs(weight) < 2:
                 continue
-            far = _swapped(order, swaps)
             other = "|".join([",".join(sorted(far[a:b], key=position)) for a, b in bounds])
             key = (vertex, other, abs(weight)) if vertex < other else (other, vertex, abs(weight))
             sightings[key] = sightings.get(key, 0) + 1
@@ -1060,7 +1029,17 @@ def analyze_action(
 
     ambient = WeightGraph(tuple(rounds), squares, tuple(sightings))
     fiber = ambient_to_fiber_graph(ambient, group, tangents)
-    return ActionAnalysis(partition, kind, group, basis, sig, locus, tangents, ambient, fiber)
+    return ActionAnalysis(
+        partition=partition,
+        kind=kind,
+        group=group,
+        basis=basis,
+        signature=sig,
+        locus=locus,
+        ambient_tangents=tangents,
+        ambient_graph=ambient,
+        fiber_graph=fiber,
+    )
 
 
 def fiber_weight_graph(
