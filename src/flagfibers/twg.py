@@ -176,10 +176,6 @@ def form_partners(basis: WeightedBasis, omega: SymplecticForm) -> dict[str, str]
     return partner
 
 
-_PENCILS = "fixed locus with more than one pencil factor"
-_BEYOND = "fixed locus beyond isolated flags and line pencils"
-
-
 def fixed_flags(
     basis: WeightedBasis,
     sig: Signature,
@@ -205,22 +201,21 @@ def fixed_flags(
     eigen: dict[int, list[str]] = {}
     for label, weight in zip(basis.labels, basis.weights):
         eigen.setdefault(weight, []).append(label)
+    weights = sorted(eigen, reverse=True)
     depth = len(sig.dims)
 
     def isotropic(labels: Sequence[str]) -> bool:
         return partner is None or not any(partner[label] in labels for label in labels)
 
-    # Choices grow one eigenspace at a time, largest weight first, with the
-    # labels at each level (the completion last), the state (None while each
-    # eigenspace enters whole, then the (plane, completed) pencil of the one
-    # that does not, or the first refusal met) and the room left.
+    # Entry levels, one sorted tuple per eigenspace, grown largest weight
+    # first; a choice is kept with the room its levels have left, and the
+    # completion counts as a level.
     room = tuple(b - a for a, b in zip((0, *sig.dims), (*sig.dims, sig.ambient)))
-    choices = [(((),) * (depth + 1), None, room)]
-    for w in sorted(eigen, reverse=True):
-        space = tuple(eigen[w])
-        options = list(itertools.combinations_with_replacement(range(depth + 1), len(space)))
+    choices: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), room)]
+    for w in weights:
+        options = list(itertools.combinations_with_replacement(range(depth + 1), len(eigen[w])))
         grown = []
-        for levels, state, left in choices:
+        for entries, left in choices:
             for entry in options:
                 rest = list(left)
                 for level in entry:
@@ -228,32 +223,39 @@ def fixed_flags(
                     if rest[level] < 0:
                         break
                 else:
-                    k = entry[0]
-                    if k == entry[-1]:
-                        levels_k = (*levels[:k], levels[k] + space, *levels[k + 1 :])
-                        grown.append((levels_k, state, tuple(rest)))
-                    elif state.__class__ is str:
-                        grown.append((levels, state, tuple(rest)))
-                    else:
-                        refusal = _BEYOND if len(entry) > 2 else _PENCILS if state else None
-                        grown.append((levels, refusal or (space, entry[1] < depth), tuple(rest)))
+                    grown.append(((*entries, entry), tuple(rest)))
         choices = grown
 
     isolated: list[tuple[tuple[int, ...], IsolatedFixedFlag]] = []
     surfaces: list[FixedSurface] = []
     # Latest entries first, that is least intersection dimensions first: this
     # fixes which refusal a locus open to both meets.
-    for levels, state, _ in reversed(choices):
-        if state is None:
-            *heads, completion = [tuple(sorted(level, key=position)) for level in levels]
+    for entries, _ in reversed(choices):
+        levels: list[list[str]] = [[] for _ in range(depth + 1)]
+        pencil = None
+        for w, entry in zip(weights, entries):
+            if entry[0] == entry[-1]:
+                levels[entry[0]].extend(eigen[w])
+            elif len(entry) == 2:
+                if pencil is not None:
+                    raise NotImplementedError(
+                        "fixed locus with more than one pencil factor"
+                    )
+                pencil, completed = tuple(eigen[w]), entry[1] < depth
+            else:
+                raise NotImplementedError(
+                    "fixed locus beyond isolated flags and line pencils"
+                )
+
+        if pencil is None:
+            for level in levels:
+                level.sort(key=position)
+            *heads, completion = map(tuple, levels)
             top = [label for head in heads for label in head]
             if isotropic(top):
                 order = tuple(map(position, (*top, *completion)))
                 isolated.append((order, IsolatedFixedFlag(tuple(heads), completion)))
-        elif state.__class__ is str:
-            raise NotImplementedError(state)
         else:
-            pencil, completed = state
             anchored = tuple(label for level in levels[:depth] for label in level)
             # Each line of the pencil plane is self-isotropic, so every member
             # flag is isotropic when the anchored vectors span an isotropic
