@@ -15,9 +15,9 @@ exact rank.  Single entries go in and out as :class:`GaussianRational`.
 
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
 full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
-Tableaux*, 1997, ch. 10), read off one column elimination; isotropic flags,
-extended by F^{n+k} = (F^{n-k})^perp, give a signed window, partial flags a
-double coset.
+Tableaux*, 1997, ch. 10), read off a row pass over [F | H] and a column pass
+over its H half; isotropic flags, extended by F^{n+k} = (F^{n-k})^perp, give
+a signed window, partial flags a double coset.
 
 >>> F = ExactFlag.standard(full_signature(3))
 >>> H = ExactFlag(full_signature(3), ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
@@ -450,21 +450,20 @@ def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:
 
 def _bruhat_window(f_basis: Sequence[_Row], h_basis: Sequence[_Row]) -> tuple[int, ...]:
     """One-line permutation of the Bruhat cell of F^-1 H, for bases adapted to
-    two full flags in C^n, by one elimination.
-
-    Each f_j goes in over the tag e_{n+1-j}.  Each h_j over zeros first
-    reduces to 0 over F^-1 h_j (up to a scalar, bottom up), then on against
-    the earlier such columns; its remainder lands under pivot p = 2n - w(j).
-    """
+    two full flags in C^n.  The rows of [F | H] go into one echelon as A F = U,
+    upper triangular with every pivot 0..n-1 taken (F is invertible), beside
+    A H = U F^-1 H.  U keeps each column's lowest nonzero entry left by reduction
+    against the earlier columns: each column of A H, read bottom up, reduces
+    into a second echelon under pivot p = n - w(j)."""
     n = len(f_basis)
+    rows: dict[int, _Row] = {}
+    for row in zip(*f_basis, *h_basis):
+        _reduce_into(rows, row)
     echelon: dict[int, _Row] = {}
-    for j, f in enumerate(f_basis):
-        _reduce_into(echelon, [*f, *((int(k == n - 1 - j), 0) for k in range(n))])
-    zeros = ((0, 0),) * n
     window = []
-    for h in h_basis:
-        remainder = _reduce_into(echelon, [*h, *zeros])
-        window.append(2 * n - next(k for k, (a, b) in enumerate(remainder) if a or b))
+    for j in range(n, 2 * n):
+        remainder = _reduce_into(echelon, [rows[k][j] for k in reversed(range(n))])
+        window.append(n - next(k for k, (a, b) in enumerate(remainder) if a or b))
     return tuple(window)
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -553,8 +554,9 @@ def test_column_rescaling_keeps_the_stored_columns_and_every_position():
 def kernel_sequence(rng: random.Random, span: int, tagged: bool) -> list:
     """Z[i] vectors for one echelon: runs of leading zeros, integer common
     factors, Z[i] combinations of earlier vectors, and, when ``tagged``,
-    ``[*v, *tag]`` as ``_bruhat_window`` builds them (first under unit tags in
-    reversed order, then over zeros)."""
+    ``[*v, *tag]`` under unit tags, as ``_perp_extension``, the one caller
+    that tags its vectors, builds them (here a leading run under unit tags
+    in reversed order, the rest over zeros)."""
     length = rng.randint(1, 8)
     vectors = []
     for _ in range(rng.randint(1, length + 3)):
@@ -833,11 +835,10 @@ def test_position_matches_search_oracle():
             assert got.window == expected
 
 
-def test_full_position_reduces_each_level_once(monkeypatch):
-    rng = random.Random(73)
-    F = random_full_flag(rng, 5)
-    H = random_full_flag(rng, 5)
-    expected = relative_position_full(F, H)
+def kernel_calls(monkeypatch, position) -> list:
+    """The vectors that ``position()`` hands ``_reduce_into``, once its answer is
+    checked against an unpatched call."""
+    expected = position()
     calls = []
     reduce_into = flags._reduce_into
 
@@ -845,10 +846,64 @@ def test_full_position_reduces_each_level_once(monkeypatch):
         calls.append(vector)
         return reduce_into(echelon, vector)
 
-    monkeypatch.setattr(flags, "_reduce_into", counting)
-    assert relative_position_full(F, H) == expected
-    # One insertion per F column, one reduction per H column.
-    assert len(calls) == 10
+    with monkeypatch.context() as patch:
+        patch.setattr(flags, "_reduce_into", counting)
+        assert position() == expected
+    return calls
+
+
+def test_full_position_reduces_each_level_once(monkeypatch):
+    rng = random.Random(73)
+    F = random_full_flag(rng, 5)
+    H = random_full_flag(rng, 5)
+    calls = kernel_calls(monkeypatch, lambda: relative_position_full(F, H))
+    # One insertion per row of [F | H], then one reduction per column of its
+    # H half: 5 rows plus 5 columns, none carrying tags.
+    assert [len(v) for v in calls] == [10] * 5 + [5] * 5
+
+
+def test_symplectic_position_reduces_each_level_once(monkeypatch):
+    rng = random.Random(79)
+    omega = SymplecticForm.standard(3)
+    F, H = random_isotropic_flag(rng, omega), random_isotropic_flag(rng, omega)
+    calls = kernel_calls(monkeypatch, lambda: relative_position_symplectic(F, H, omega))
+    # Each perp extension inserts its 3 pairing columns over 3 tags; the window
+    # of the extended pair in C^6 then takes 6 rows of [F | H] and 6 columns:
+    # 3 + 3 + 6 + 6 = 18 calls.
+    assert [len(v) for v in calls] == [6] * 6 + [12] * 6 + [6] * 6
+
+
+def test_partial_position_reduces_each_level_once(monkeypatch):
+    rng = random.Random(89)
+    theta, eta = frozenset({1, 3}), frozenset({2})
+    F = ExactFlag(Signature((1, 3), 4), random_invertible(rng, 4))
+    H = ExactFlag(Signature((2,), 4), random_invertible(rng, 4))
+    calls = kernel_calls(monkeypatch, lambda: relative_position_partial(F, H, theta, eta))
+    # The stored bases are the full-flag lifts: 4 rows of [F | H], 4 columns.
+    assert [len(v) for v in calls] == [8] * 4 + [4] * 4
+
+
+def test_gaussian_flag_against_standard_flag_within_budget():
+    """A full flag of independent 10-digit Gaussian rationals p/q + (r/s)i in C^6
+    meets the standard flag in the generic cell, in both orders, within a budget:
+    the two calls took 0.05 s together (Python 3.11, shared 2-core VM) when the
+    bound was set at about six times that.  Entries still grow about tenfold per
+    step in n, so C^7 takes about 0.8 s and C^8 about 11 s; fraction-free
+    division by the previous pivot (Bareiss) would bound that growth."""
+    rng = random.Random("gaussian-budget")
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-(10**10), 10**10), rng.randint(1, 10**10))
+
+    n = 6
+    entries = [[GaussianRational(part(), part()) for _ in range(n)] for _ in range(n)]
+    F = ExactFlag(full_signature(n), ExactMatrix(entries))
+    E = ExactFlag.standard(full_signature(n))
+    start = time.perf_counter()
+    windows = relative_position_full(F, E).window, relative_position_full(E, F).window
+    elapsed = time.perf_counter() - start
+    assert windows == (tuple(range(n, 0, -1)),) * 2
+    assert elapsed < 0.3
 
 
 def test_position_inverse_swaps_arguments():

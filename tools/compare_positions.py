@@ -13,6 +13,10 @@ process, answers every command on them:
   form and under D^T omega D for a diagonal D of distinct rationals, given
   by a full basis or by their leading columns;
 - a pair of full flags in C^8 whose files hold about 8 KB of long rationals;
+- full flags in C^5 and C^6 whose entries are independent Gaussian rationals
+  p/q + (r/s)i of up to 10 digits each, against the standard flag in both
+  orders and against their products with a sampled permutation between two
+  Borel elements, so cells other than the generic one occur;
 - refusals: singular and dependent bases, flags that are not isotropic,
   forms that are not antisymmetric or are degenerate, bad entries, and
   signatures or dimensions the question does not take;
@@ -82,6 +86,15 @@ def borel(rng, n, span):
     m = unitriangular(rng, n, span, upper=True)
     units = [rng.choice(UNITS) for _ in range(n)]
     return [[gmul(x, units[j]) for j, x in enumerate(row)] for row in m]
+
+
+def gaussian_rationals(rng, n, digits):
+    """An n x n matrix of independent p/q + (r/s)i, each part of up to ``digits`` digits."""
+
+    def part():
+        return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+
+    return [[(part(), part()) for _ in range(n)] for _ in range(n)]
 
 
 def permutation(window):
@@ -233,6 +246,15 @@ def commands(directory: Path) -> list[list[str]]:
     h = matmul(g, borel(rng, n, 10**6), permutation(w), borel(rng, n, 10**6))
     big = [save(flag_file(scale_columns(rng, m, 23), range(1, n))) for m in (g, h)]
     out += [["position", *big], ["position", *reversed(big)]]
+    for n, sample in ((5, 3), (6, 2)):
+        dims, standard = range(1, n), flag_file(identity(n), range(1, n))
+        for w in windows(rng, n, False, sample):
+            g = gaussian_rationals(rng, n, 10)
+            h = matmul(g, borel(rng, n, 3), permutation(w), borel(rng, n, 3))
+            flag = flag_file(g, dims)
+            position(flag, standard)
+            position(standard, flag)
+            position(flag, flag_file(h, dims))
 
     # Refusals, each with one line on stderr.
     zero, one = (0, 0), (1, 0)
