@@ -16,8 +16,8 @@ exact rank.  Single entries go in and out as :class:`GaussianRational`.
 Relative positions land in the Weyl groups of :mod:`flagfibers.weyl`.  Two
 full flags meet in the Bruhat cell BwB that holds F^-1 H (Fulton, *Young
 Tableaux*, 1997, ch. 10), read off a row pass over [F | H] and a column pass
-over its H half; isotropic flags, extended by F^{n+k} = (F^{n-k})^perp, give
-a signed window, partial flags a double coset.
+over its H half.  Partial flags read H up to its top level for a double coset;
+isotropic ones read H^n, and the pairing omega(F^n, H^n) for levels above n.
 
 >>> F = ExactFlag.standard(full_signature(3))
 >>> H = ExactFlag(full_signature(3), ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
@@ -448,20 +448,21 @@ def relative_position_full(F: ExactFlag, H: ExactFlag) -> WeylElement:
     return WeylElement(RootSystem(Family.A, n - 1), window)
 
 
-def _bruhat_window(f_basis: Sequence[_Row], h_basis: Sequence[_Row]) -> tuple[int, ...]:
-    """One-line permutation of the Bruhat cell of F^-1 H, for bases adapted to
-    two full flags in C^n.  The rows of [F | H] go into one echelon as A F = U,
-    upper triangular with every pivot 0..n-1 taken (F is invertible), beside
-    A H = U F^-1 H.  U keeps each column's lowest nonzero entry left by reduction
-    against the earlier columns: each column of A H, read bottom up, reduces
-    into a second echelon under pivot p = n - w(j)."""
+def _bruhat_window(f_basis: Sequence[_Row], h_columns: Sequence[_Row]) -> tuple[int, ...]:
+    """The levels w(1..m) of a flag H's leading columns h_1..h_m against a basis
+    adapted to a full flag F in C^n: the Bruhat cell of F^-1 H when m = n.  The
+    rows of [F | h_1..h_m] go into one echelon as A F = U, upper triangular with
+    every pivot 0..n-1 taken (F is invertible), beside A H = U F^-1 H, so no
+    later column of H would change a step.  U keeps each column's lowest nonzero
+    entry left by reduction against the earlier ones: each column of A H, read
+    bottom up, reduces into a second echelon under pivot p = n - w(j)."""
     n = len(f_basis)
     rows: dict[int, _Row] = {}
-    for row in zip(*f_basis, *h_basis):
+    for row in zip(*f_basis, *h_columns):
         _reduce_into(rows, row)
     echelon: dict[int, _Row] = {}
     window = []
-    for j in range(n, 2 * n):
+    for j in range(n, n + len(h_columns)):
         remainder = _reduce_into(echelon, [rows[k][j] for k in reversed(range(n))])
         window.append(n - next(k for k, (a, b) in enumerate(remainder) if a or b))
     return tuple(window)
@@ -511,14 +512,13 @@ def _reduce_into(echelon: dict[int, _Row], vector: _Row) -> _Row | None:
 def relative_position_symplectic(
     F: ExactFlag, H: ExactFlag, omega: SymplecticForm
 ) -> WeylElement:
-    """The signed permutation describing how two isotropic flags meet.
-
-    Both flags must be complete isotropic flags (signature 1..n) in the
-    form's C^{2n}.
-    Each is extended to a full flag by F^{n+k} = perp of F^{n-k}, the Bruhat
-    cell of the extended pair is found as in :func:`relative_position_full`,
-    and levels above n are relabelled to the negative letters: level 2n+1-j
-    plays the role of -j.
+    """The signed permutation describing how two complete isotropic flags
+    (signature 1..n) in the form's C^{2n} meet, read as full flags through
+    F^{n+m} = perp of F^{n-m}, level 2n+1-k as letter -k.  The window of F's
+    stored basis against H's isotropic columns h_j gives each level w(j) <= n.
+    Above n, dim(F^{n+m} meet H^j) = j - rank P[1..n-m, 1..j], P = (omega(f_i,
+    h_j)) for i, j <= n: column j of P, reduced against the earlier ones, has a
+    remainder exactly when w(j) > n, whose first nonzero index k makes -(k+1).
     """
     check_position_signature(F.signature, symplectic=True)
     check_position_signature(H.signature, symplectic=True)
@@ -526,40 +526,37 @@ def relative_position_symplectic(
     if F.signature.ambient != size or H.signature.ambient != size:
         raise ValueError("ambient dimension mismatch between the flags and the form")
     n = size // 2
-    levels = _bruhat_window(_perp_extension(F, omega), _perp_extension(H, omega))
-    labels = [p if p <= n else p - size - 1 for p in levels]
-    window = tuple(labels[:n])
-    if labels[n:] != [-j for j in reversed(window)]:
-        raise ArithmeticError("Bruhat cell lost the symplectic symmetry")
-    return WeylElement(RootSystem(Family.C, n), window)
-
-
-def _perp_extension(flag: ExactFlag, omega: SymplecticForm) -> list[_Row]:
-    """f_1, ..., f_n, g_n, ..., g_1: a basis adapted to F^1, ..., F^n, then
-    F^{n+k} = perp of F^{n-k}, from the stored integer columns b_j of the basis.
-
-    Column j of the pairing holds omega(f_i, b_j) up to a nonzero factor per
-    row i and per column j: integer dot products with D G f_i = -(f_i^T D G)^T,
-    D the common denominator of the antisymmetric Gram matrix G, taken through
-    the rows of D G.  Its first n columns vanish exactly when F^n is
-    isotropic.  The rest, eliminated over tags, leave under pivot j the
-    coefficients of a combination g_j of the completion with
-    omega(f_i, g_j) = 0 for i < j.
-    """
-    n = omega.ambient // 2
-    basis = flag.basis._columns
-    _, gram = omega.gram._scaled_rows()
-    rows = [[_dot(g, f) for g in gram] for f in basis[:n]]
-    pairing = [[_dot(row, b) for row in rows] for b in basis]
-    if any(a or b for column in pairing[:n] for a, b in column):
-        raise ValueError("flag is not isotropic for the given form")
+    f, h = F.basis._columns[:n], H.basis._columns[:n]
+    paired = _form_products(omega.gram, f + h)
+    paired_f, paired_h = paired[:n], paired[n:]
+    # u . (D G v) is omega(u, v) times D; antisymmetry settles the pairs with i <= k.
+    for u, g in ((f, paired_f), (h, paired_h)):
+        if any(any(_dot(u[i], g[k])) for i in range(n) for k in range(i)):
+            raise ValueError("flag is not isotropic for the given form")
     echelon: dict[int, _Row] = {}
-    for c, column in enumerate(pairing[n:]):
-        _reduce_into(echelon, [*column, *((int(k == c), 0) for k in range(n))])
-    # F^n is Lagrangian, so the pairing is invertible and every pivot j < n is taken.
-    completion = list(zip(*basis[n:]))
-    lifts = [[_dot(row, echelon[j][n:]) for row in completion] for j in reversed(range(n))]
-    return [*basis[:n], *lifts]
+    window = []
+    for level, g in zip(_bruhat_window(F.basis._columns, h), paired_h):
+        remainder = _reduce_into(echelon, [_dot(u, g) for u in f])
+        if (remainder is None) != (level <= n):
+            raise ArithmeticError("pairing rank disagrees with the Bruhat window")
+        if remainder is not None:
+            level = -1 - next(k for k, (a, b) in enumerate(remainder) if a or b)
+        window.append(level)
+    return WeylElement(RootSystem(Family.C, n), tuple(window))
+
+
+def _form_products(gram: ExactMatrix, vectors: Sequence[_Row]) -> list[list[list[int]]]:
+    """D G v for each integer vector v, D the Gram matrix G's common denominator,
+    summed over G's nonzero entries alone."""
+    _, rows = gram._scaled_rows()
+    terms = [(i, j, a, b) for i, row in enumerate(rows) for j, (a, b) in enumerate(row) if a or b]
+    products = [[[0, 0] for _ in v] for v in vectors]
+    for v, product in zip(vectors, products):
+        for i, j, a, b in terms:
+            x, y = v[j]
+            product[i][0] += a * x - b * y
+            product[i][1] += a * y + b * x
+    return products
 
 
 def relative_position_partial(
@@ -568,19 +565,20 @@ def relative_position_partial(
     """The double coset position of two partial flags of types theta and eta.
 
     A flag has type theta when its signature dimensions are exactly the
-    members of theta.  Both stored bases, already checked invertible, serve
-    as full-flag lifts; the resulting coset does not depend on that choice.
+    members of theta.  F's stored basis, checked invertible, serves as its
+    full-flag lift, and H's columns up to its top level give the first letters;
+    W_eta permutes the rest freely, so any order of them names the same coset.
     """
     n = F.signature.ambient
     if H.signature.ambient != n:
         raise ValueError("ambient dimension mismatch")
-    theta = frozenset(theta)
-    eta = frozenset(eta)
+    theta, eta = frozenset(theta), frozenset(eta)
     if tuple(sorted(theta)) != F.signature.dims:
         raise ValueError("left flag signature does not match theta")
     if tuple(sorted(eta)) != H.signature.dims:
         raise ValueError("right flag signature does not match eta")
-    window = _bruhat_window(F.basis._columns, H.basis._columns)
+    levels = _bruhat_window(F.basis._columns, H.basis._columns[: H.signature.top])
+    window = levels + tuple(sorted(set(range(1, n + 1)).difference(levels)))
     w = WeylElement(RootSystem(Family.A, n - 1), window)
     return double_coset_of(w.system, theta, eta, w)
 

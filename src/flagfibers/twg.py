@@ -920,16 +920,6 @@ def classify_fiber(g: WeightGraph) -> Classification:
     )
 
 
-def check_almost_complex_obstruction(signature_of_form: int, euler_char: int) -> bool:
-    """Whether the signature-Euler congruence mod 4 permits an almost
-    complex structure.
-
-    >>> check_almost_complex_obstruction(0, 6)
-    False
-    """
-    return (signature_of_form - euler_char) % 4 == 0
-
-
 # ---------------------------------------------------------------------------
 # end-to-end case analysis
 

@@ -71,7 +71,9 @@ Everything here deliberately avoids the library's own code paths:
   and the linearized isotropy equations of the chart solved exactly, one
   weight class at a time, with ``gq_nullspace``;
 - weight-graph JSON comes from the library's earlier route: a dict of the
-  three sections written by ``json.dumps(..., indent=2, sort_keys=True)``.
+  three sections written by ``json.dumps(..., indent=2, sort_keys=True)``;
+- ``check_almost_complex_obstruction`` is the signature-Euler congruence
+  mod 4, which only the tests ask.
 """
 
 from __future__ import annotations
@@ -1352,3 +1354,13 @@ def lagrangian_chart_oracle(
     if len(tangent) != n * (n + 1) // 2:
         raise ArithmeticError("isotropy cut has the wrong dimension")
     return tuple(sorted(tangent, reverse=True)), spheres
+
+
+def check_almost_complex_obstruction(signature_of_form: int, euler_char: int) -> bool:
+    """Whether the signature-Euler congruence mod 4 permits an almost
+    complex structure.
+
+    >>> check_almost_complex_obstruction(0, 6)
+    False
+    """
+    return (signature_of_form - euler_char) % 4 == 0

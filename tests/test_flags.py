@@ -554,9 +554,9 @@ def test_column_rescaling_keeps_the_stored_columns_and_every_position():
 def kernel_sequence(rng: random.Random, span: int, tagged: bool) -> list:
     """Z[i] vectors for one echelon: runs of leading zeros, integer common
     factors, Z[i] combinations of earlier vectors, and, when ``tagged``,
-    ``[*v, *tag]`` under unit tags, as ``_perp_extension``, the one caller
-    that tags its vectors, builds them (here a leading run under unit tags
-    in reversed order, the rest over zeros)."""
+    ``[*v, *tag]`` (a leading run under unit tags in reversed order, the rest
+    over zeros).  No caller tags its vectors any more; the tagged cases keep
+    a dense head over a sparse tail of unit entries in the kernel's inputs."""
     length = rng.randint(1, 8)
     vectors = []
     for _ in range(rng.randint(1, length + 3)):
@@ -862,15 +862,33 @@ def test_full_position_reduces_each_level_once(monkeypatch):
     assert [len(v) for v in calls] == [10] * 5 + [5] * 5
 
 
+def recompleted(flag: ExactFlag) -> ExactFlag:
+    """The flag's leading columns over another completion: the old completion
+    in reverse order, each column plus the first basis column."""
+    n, top = flag.signature.ambient, flag.signature.top
+    mixer = [
+        [int(i == j) if j < top else int(i == 0 or i == n - 1 - j + top) for j in range(n)]
+        for i in range(n)
+    ]
+    moved = ExactFlag(flag.signature, oracles.matmul(flag.basis, ExactMatrix(mixer)))
+    assert moved.basis.prefix_columns(top) == flag.basis.prefix_columns(top)
+    assert moved.basis != flag.basis
+    return moved
+
+
 def test_symplectic_position_reduces_each_level_once(monkeypatch):
     rng = random.Random(79)
     omega = SymplecticForm.standard(3)
     F, H = random_isotropic_flag(rng, omega), random_isotropic_flag(rng, omega)
+    completed = recompleted(H)
     calls = kernel_calls(monkeypatch, lambda: relative_position_symplectic(F, H, omega))
-    # Each perp extension inserts its 3 pairing columns over 3 tags; the window
-    # of the extended pair in C^6 then takes 6 rows of [F | H] and 6 columns:
-    # 3 + 3 + 6 + 6 = 18 calls.
-    assert [len(v) for v in calls] == [6] * 6 + [12] * 6 + [6] * 6
+    # The window takes the 6 rows of [F | h_1 h_2 h_3] and H's 3 isotropic
+    # columns; then each column of the 3 x 3 pairing omega(f_i, h_j) is reduced
+    # once: 6 + 3 + 3 = 12 calls.  No column of H's completion is read.
+    assert [len(v) for v in calls] == [9] * 6 + [6] * 3 + [3] * 3
+    window = relative_position_symplectic(F, H, omega)
+    assert relative_position_symplectic(F, completed, omega) == window
+    assert kernel_calls(monkeypatch, lambda: relative_position_symplectic(F, completed, omega)) == calls
 
 
 def test_partial_position_reduces_each_level_once(monkeypatch):
@@ -878,9 +896,14 @@ def test_partial_position_reduces_each_level_once(monkeypatch):
     theta, eta = frozenset({1, 3}), frozenset({2})
     F = ExactFlag(Signature((1, 3), 4), random_invertible(rng, 4))
     H = ExactFlag(Signature((2,), 4), random_invertible(rng, 4))
+    completed = recompleted(H)
     calls = kernel_calls(monkeypatch, lambda: relative_position_partial(F, H, theta, eta))
-    # The stored bases are the full-flag lifts: 4 rows of [F | H], 4 columns.
-    assert [len(v) for v in calls] == [8] * 4 + [4] * 4
+    # F's stored basis is its full-flag lift; of H only the 2 columns up to its
+    # top level are read: 4 rows of [F | h_1 h_2], then 2 columns.
+    assert [len(v) for v in calls] == [6] * 4 + [4] * 2
+    coset = relative_position_partial(F, H, theta, eta)
+    assert relative_position_partial(F, completed, theta, eta) == coset
+    assert kernel_calls(monkeypatch, lambda: relative_position_partial(F, completed, theta, eta)) == calls
 
 
 def test_gaussian_flag_against_standard_flag_within_budget():
@@ -1234,6 +1257,49 @@ def test_symplectic_position_under_a_rescaled_form_matches_oracle(n, sample):
             moved_H = ExactFlag(H.signature, oracles.matmul(d_inverse, H.basis))
             assert relative_position_symplectic(moved_F, moved_H, omega).window == w
             assert oracles.relative_position_symplectic_oracle(moved_F, moved_H, omega) == w
+
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, 16)], ids=["C2", "C3"])
+def test_symplectic_position_under_a_dense_form_matches_oracle(n, sample):
+    """The form P^T omega P for a seeded invertible integer P with no zero
+    entry, so the Gram matrix is dense rather than monomial; P^-1 F and P^-1 H
+    are isotropic for it and keep the position of F and H, given by full bases
+    or by their leading columns.  A flag isotropic only for omega is refused."""
+    rng = random.Random(457 + n)
+    size = 2 * n
+    nonzero = [k for k in range(-4, 5) if k]
+    while True:
+        p = ExactMatrix([[rng.choice(nonzero) for _ in range(size)] for _ in range(size)])
+        if p.rank() == size:
+            break
+    identity_rows = [[oracles.gq(int(i == j)) for j in range(size)] for i in range(size)]
+    inverse_rows = oracles.gq_solve(gq_columns(oracles.transpose(p)), identity_rows)
+    p_inverse = ExactMatrix([[GaussianRational(*x) for x in row] for row in inverse_rows])
+    standard = SymplecticForm.standard(n)
+    omega = SymplecticForm(oracles.matmul(oracles.transpose(p), standard.gram, p))
+    assert len(omega.gram.nonzero_positions()) > 2 * size
+    for w in seeded_windows("C", n, sample):
+        for height in PAIR_HEIGHTS:
+            F, H = (
+                ExactFlag(X.signature, oracles.matmul(p_inverse, X.basis))
+                for X in c_pair(rng, w, height)
+            )
+            leading = (
+                ExactFlag.from_columns(X.signature, X.basis.prefix_columns(n)) for X in (F, H)
+            )
+            for left, right in ((F, H), tuple(leading)):
+                assert relative_position_symplectic(left, right, omega).window == w
+                assert oracles.relative_position_symplectic_oracle(left, right, omega) == w
+    units = [label_column(1, n), label_column(-1, n)]
+    units += [label_column(k, n) for k in range(2, n + 1)]
+    units += [label_column(-k, n) for k in range(2, n + 1)]
+    paired = oracles.from_columns(units)
+    lagrangian = ExactFlag(isotropic_signature(n), p_inverse)
+    bad = ExactFlag(isotropic_signature(n), oracles.matmul(p_inverse, paired))
+    for form in (omega, standard):
+        for left, right in ((bad, lagrangian), (lagrangian, bad)):
+            with pytest.raises(ValueError, match="^flag is not isotropic for the given form$"):
+                relative_position_symplectic(left, right, form)
 
 
 def test_position_errors_keep_their_messages():

@@ -44,7 +44,6 @@ from flagfibers.twg import (
     analyze_action,
     chart_directions,
     chart_index_set,
-    check_almost_complex_obstruction,
     classify_fiber,
     complete_intersection_c1_coeff,
     connected_sum,
@@ -65,7 +64,7 @@ from flagfibers.twg import (
 from flagfibers import weyl
 
 import oracles
-from oracles import is_isotropic
+from oracles import check_almost_complex_obstruction, is_isotropic
 
 
 SIX_CASES = [

@@ -21,7 +21,11 @@ process, answers every command on them:
   forms that are not antisymmetric or are degenerate, bad entries, and
   signatures or dimensions the question does not take;
 - ``reps`` for every partition of 2..8, whose invariant form is printed
-  entry by entry.
+  entry by entry;
+- complete isotropic flags of C2 and C3 in known positions under the dense
+  form P^T omega P, P a seeded invertible integer matrix with no zero entry,
+  the flags moved by P^-1 and given by a full basis or by their leading
+  columns, and flags isotropic for only one of the two forms, refused.
 
 A command's answer is its exit code and the SHA-256 of its standard output
 and of its standard error.  The script prints the number of commands and of
@@ -131,6 +135,24 @@ def symplectic(rng, n, span, upper):
         torus = units + [(a, -b) for a, b in reversed(units)]
         m = [[gmul(x, torus[j]) for j, x in enumerate(row)] for row in m]
     return m
+
+
+def inverse(m):
+    """The inverse of an invertible real matrix, by Gauss-Jordan over Q."""
+    n = len(m)
+    rows = [[Fraction(a) for a, _ in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [[(x, 0) for x in row[n:]] for row in rows]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def signed_permutation(window):
@@ -277,6 +299,32 @@ def commands(directory: Path) -> list[list[str]]:
     out.append(["position", str(directory / "missing.json"), big[0]])
     for k in range(2, 9):
         out += [["reps", "--partition", ",".join(map(str, p))] for p in partitions(k)]
+
+    # Dense forms, drawn from their own generator so the inputs above stay as they are.
+    rng = random.Random("compare_positions:dense")
+    for n, sample in ((2, None), (3, 16)):
+        size, dims = 2 * n, range(1, n + 1)
+        while True:
+            p = [[(rng.choice((-3, -2, -1, 1, 2, 3)), 0) for _ in range(size)] for _ in range(size)]
+            try:
+                p_inverse = inverse(p)
+                break
+            except StopIteration:  # no pivot: P is singular
+                pass
+        omega = standard_form(n)
+        form = {"gram": matrix_file(matmul(transpose(p), omega, p))}
+        for w in windows(rng, n, True, sample):
+            g = symplectic(rng, n, 2, False)
+            h = matmul(g, symplectic(rng, n, 2, True), signed_permutation(w), symplectic(rng, n, 2, True))
+            f_basis, h_basis = matmul(p_inverse, g), matmul(p_inverse, h)
+            lead = n if len(out) % 2 else None
+            position(flag_file(f_basis, dims, lead), flag_file(h_basis, dims, lead), form)
+        lagrangian = flag_file(p_inverse, dims)
+        order = [0, size - 1, *range(1, size - 1)]  # e_1 and e_-1 lead: not isotropic for omega
+        paired = flag_file(matmul(p_inverse, [[row[j] for j in order] for row in identity(size)]), dims)
+        for gram in (form, {"gram": matrix_file(omega)}):
+            position(lagrangian, paired, gram)
+            position(paired, lagrangian, gram)
     return out
 
 
