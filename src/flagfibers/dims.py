@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 
 from . import _Record
-from .sl2reps import Partition, admits_symplectic_form, anosov_type
+from .sl2reps import Partition
 
 
 class GroupFamily(enum.Enum):
@@ -228,41 +228,19 @@ class CaseRow(_Record):
         }
 
 
-def fullcases_table() -> list[CaseRow]:
-    """The three varieties supporting the analysis and their decompositions.
+# The three varieties that support the analysis, each with its irreducible and
+# its reducible decomposition.  Every partition opens the singular-value gaps
+# that the variety's unique balanced ideal requires, and the rows with a
+# symplectic group hold self-paired ones; the tests derive both from the
+# position posets.
+_CASE_ROWS = (
+    CaseRow(("SL(3,C)",), "Flag(C^3)", (Partition((3,)), Partition((2, 1)))),
+    CaseRow(("SL(4,C)", "Sp(4,C)"), "CP^3", (Partition((4,)), Partition((2, 2)))),
+    CaseRow(("Sp(4,C)",), "Lag(C^4)", (Partition((4,)), Partition((2, 1, 1)))),
+)
 
-    Each row pairs the irreducible decomposition with the reducible one.
-    The rows are internally checked: every partition must open the singular
-    value gaps the variety's unique balanced ideal requires, and rows with a
-    symplectic group must consist of self-paired decompositions.
-    """
-    rows = [
-        (
-            CaseRow(("SL(3,C)",), "Flag(C^3)", (Partition((3,)), Partition((2, 1)))),
-            {1, 2},
-        ),
-        (
-            CaseRow(
-                ("SL(4,C)", "Sp(4,C)"),
-                "CP^3",
-                (Partition((4,)), Partition((2, 2))),
-            ),
-            {2},
-        ),
-        (
-            CaseRow(
-                ("Sp(4,C)",),
-                "Lag(C^4)",
-                (Partition((4,)), Partition((2, 1, 1))),
-            ),
-            {1, 3},
-        ),
-    ]
-    for row, needed_gaps in rows:
-        for p in row.partitions:
-            if not needed_gaps <= anosov_type(p):
-                raise ArithmeticError(f"{p} lacks the gaps {needed_gaps}")
-            if any(g.startswith("Sp") for g in row.groups):
-                if not admits_symplectic_form(p):
-                    raise ArithmeticError(f"{p} admits no invariant pairing")
-    return [row for row, _ in rows]
+
+def fullcases_table() -> list[CaseRow]:
+    """The three varieties supporting the analysis and their decompositions,
+    a fresh list of the shared immutable rows."""
+    return list(_CASE_ROWS)

@@ -3,8 +3,9 @@
 A flag in C^n is stored as an invertible matrix whose leading columns span
 the flag subspaces, together with a signature recording which prefix
 dimensions carry meaning.  Matrices store each column as a primitive
-Gaussian-integer vector times its own positive rational scale; ranks, flag
-completions and Bruhat cells come from one fraction-free elimination kernel
+Gaussian-integer vector times its own positive rational scale, which one
+normaliser gives however the entries arrive (as scalars or as JSON); ranks,
+flag completions and Bruhat cells come from one fraction-free elimination kernel
 over Z[i] fed those primitive columns, each step p*v - v_i*row from the
 pivot on, divided by its integer content, so they are exact even where
 positions degenerate.  A square basis or Gram matrix is proven invertible by
@@ -98,20 +99,38 @@ def _parts(x: Scalar) -> tuple[_Ratio, _Ratio]:
     return (value.numerator, value.denominator), (0, 1)
 
 
-def _scaled_columns(
-    rows: list[list[tuple[_Ratio, _Ratio]]], cols: int | None
-) -> tuple[int, list[list[tuple[int, int]]], list[_Ratio]]:
-    """Rows of ``(re, im)`` ratio pairs as (height, int-pair columns, scales), each
-    column put over the lcm of its own denominators."""
-    width = len(rows[0]) if rows else cols or 0
+def _from_ratio_rows(rows: list[list[tuple[_Ratio, _Ratio]]], cols: int) -> ExactMatrix:
+    """The matrix of rows of ``(re, im)`` ratio pairs, or ``cols`` empty columns if no rows."""
+    width = len(rows[0]) if rows else cols
     if any(len(row) != width for row in rows):
         raise ValueError("rows must all have the same length")
-    columns, scales = [], []
-    for col in zip(*rows):
-        den = math.lcm(*[q for pair in col for _, q in pair])
-        columns.append([(a * (den // b), c * (den // d)) for (a, b), (c, d) in col])
-        scales.append((1, den))
-    return len(rows), columns or [()] * width, scales or [(1, 1)] * width
+    ratios = [ratio for row in rows for pair in row for ratio in pair]
+    return _from_parts(len(rows), width, [p for p, _ in ratios], [q for _, q in ratios])
+
+
+def _from_parts(height: int, width: int, nums: list[int], dens: list[int] | None) -> ExactMatrix:
+    """The one normaliser into the stored form.  ``nums`` and ``dens`` hold the parts
+    of the entries row by row, real then imaginary, as numerators and denominators
+    (> 0, maybe unreduced; None for all 1).  Each column is put over the lcm of its
+    denominators, then divided by its integer content."""
+    step, columns, scales = 2 * width, [], []
+    for j in range(0, step, 2):
+        real, imag = nums[j::step], nums[j + 1 :: step]
+        den = 1
+        if dens:
+            real_dens, imag_dens = dens[j::step], dens[j + 1 :: step]
+            den = math.lcm(*real_dens, *imag_dens)
+            if den > 1:
+                real = [a * (den // q) for a, q in zip(real, real_dens)]
+                imag = [b * (den // q) for b, q in zip(imag, imag_dens)]
+        content = math.gcd(*real, *imag)
+        if content > 1:
+            real = [a // content for a in real]
+            imag = [b // content for b in imag]
+        common = math.gcd(content, den)
+        columns.append(tuple(zip(real, imag)))
+        scales.append((content // common, den // common) if content else (0, 1))
+    return ExactMatrix._stored(height, tuple(columns), tuple(scales))
 
 
 def _dot(u: _Row, v: _Row) -> tuple[int, int]:
@@ -143,27 +162,7 @@ class ExactMatrix:
     __slots__ = ("_rows", "_columns", "_scales")
 
     def __new__(cls, entries: Iterable[Iterable[Scalar]] = (), *, cols: int | None = None):
-        return cls._make(*_scaled_columns([list(map(_parts, row)) for row in entries], cols))
-
-    @classmethod
-    def _make(cls, rows: int, columns: Sequence[_Row], scales: Sequence[_Ratio]) -> "ExactMatrix":
-        """The one normalising constructor: column j times ``scales[j]`` (any sign,
-        denominator > 0), stored primitive with a positive scale in lowest terms."""
-        stored, kept = [], []
-        for col, (num, den) in zip(columns, scales):
-            content = math.gcd(*[t for pair in col for t in pair]) if num else 0
-            if content > 1:
-                col = [(a // content, b // content) for a, b in col]
-            elif not content:  # a zero column: gcd(0, den) = den makes its scale (0, 1)
-                col = [(0, 0)] * len(col)
-            num *= content
-            common = math.gcd(num, den)
-            num, den = num // common, den // common
-            if num < 0:
-                col, num = [(-a, -b) for a, b in col], -num
-            stored.append(tuple(col))
-            kept.append((num, den))
-        return cls._stored(rows, tuple(stored), tuple(kept))
+        return _from_ratio_rows([list(map(_parts, row)) for row in entries], cols or 0)
 
     @classmethod
     def _stored(cls, rows: int, columns: tuple, scales: tuple) -> "ExactMatrix":
@@ -199,13 +198,6 @@ class ExactMatrix:
             raise ValueError(f"no prefix of {k} columns in a matrix with {self.cols}")
         return ExactMatrix._stored(self.rows, self._columns[:k], self._scales[:k])
 
-    def _scaled_rows(self) -> tuple[int, list[list[tuple[int, int]]]]:
-        """(D, rows): D the common denominator of the scales, rows those of D times the matrix."""
-        den = math.lcm(*[q for _, q in self._scales])
-        factors = [p * (den // q) for p, q in self._scales]
-        scaled = [[(a * f, b * f) for a, b in col] for col, f in zip(self._columns, factors)]
-        return den, list(zip(*scaled)) if scaled else [()] * self.rows
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
@@ -217,9 +209,15 @@ class ExactMatrix:
         echelon: dict[int, _Row] = {}
         return sum(_reduce_into(echelon, c) is not None for c in self._columns)
 
-    def nonzero_positions(self) -> list[tuple[int, int]]:
-        """The (row, column) indices of the nonzero entries, column by column."""
-        return [(i, j) for j, col in enumerate(self._columns) for i, (a, b) in enumerate(col) if a or b]
+    def integer_entries(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """The nonzero entries of D times the matrix, D the lcm of the scales'
+        denominators, as ``(re, im)`` ints keyed by (row, column), column by column."""
+        den = math.lcm(*[q for _, q in self._scales])
+        entries = {}
+        for j, (col, (p, q)) in enumerate(zip(self._columns, self._scales)):
+            f = p * (den // q)
+            entries.update(((i, j), (a * f, b * f)) for i, (a, b) in enumerate(col) if a or b)
+        return entries
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -303,11 +301,6 @@ def full_signature(n: int) -> Signature:
     return Signature(tuple(range(1, n)), n)
 
 
-def isotropic_signature(n: int) -> Signature:
-    """Signature of a complete isotropic flag in C^{2n}: dimensions 1..n."""
-    return Signature(tuple(range(1, n + 1)), 2 * n)
-
-
 def check_position_signature(signature: Signature, symplectic: bool) -> None:
     """Refuse a flag whose signature a relative position question cannot take.
 
@@ -383,8 +376,8 @@ class SymplecticForm(_Record):
     def __init__(self, gram: ExactMatrix):
         if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
-        _, rows = gram._scaled_rows()
-        if any(rows[j][i] != (-a, -b) for i, r in enumerate(rows) for j, (a, b) in enumerate(r)):
+        entries = gram.integer_entries()
+        if any(entries.get((j, i)) != (-a, -b) for (i, j), (a, b) in entries.items()):
             raise ValueError("Gram matrix must be antisymmetric")
         if not _invertible(gram):
             raise ValueError("form is degenerate")
@@ -548,11 +541,10 @@ def relative_position_symplectic(
 def _form_products(gram: ExactMatrix, vectors: Sequence[_Row]) -> list[list[list[int]]]:
     """D G v for each integer vector v, D the Gram matrix G's common denominator,
     summed over G's nonzero entries alone."""
-    _, rows = gram._scaled_rows()
-    terms = [(i, j, a, b) for i, row in enumerate(rows) for j, (a, b) in enumerate(row) if a or b]
+    terms = gram.integer_entries().items()
     products = [[[0, 0] for _ in v] for v in vectors]
     for v, product in zip(vectors, products):
-        for i, j, a, b in terms:
+        for (i, j), (a, b) in terms:
             x, y = v[j]
             product[i][0] += a * x - b * y
             product[i][1] += a * y + b * x
@@ -614,8 +606,7 @@ def matrix_from_json(rows) -> ExactMatrix:
         raise ValueError("a matrix must be a list of rows")
     matrix = _plain_matrix_from_json(rows)
     if matrix is None:
-        parts = [[_entry_from_json(entry) for entry in row] for row in rows]
-        matrix = ExactMatrix._make(*_scaled_columns(parts, None))
+        matrix = _from_ratio_rows([[_entry_from_json(entry) for entry in row] for row in rows], 0)
     return matrix
 
 
@@ -626,11 +617,8 @@ _PLAIN_PARTS = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?:,[+-]?[0-9]+(?:/0*[
 def _plain_matrix_from_json(rows: list[list]) -> ExactMatrix | None:
     """The matrix of equal-length rows of ``[real, imag]`` pairs whose every part is a
     plain ``"p"`` or ``"p/q"`` string, checked by one match over the joined parts, or
-    None for any other document, which the per-entry path reads or refuses.
-
-    Each column is built once: its parts read by ``int``, put over the lcm of its
-    denominators, then divided by its integer content, so the stored form is the
-    one :meth:`ExactMatrix._make` gives.
+    None for any other document, which the per-entry path reads or refuses.  The
+    parts are read by ``int`` in one pass and left unreduced for :func:`_from_parts`.
     """
     width = len(rows[0]) if rows else 0
     entries = [entry for row in rows for entry in row]
@@ -652,66 +640,24 @@ def _plain_matrix_from_json(rows: list[list]) -> ExactMatrix | None:
             nums, dens = list(map(int, parts)), None
     except ValueError:
         return None
-    step, columns, scales = 2 * width, [], []
-    for j in range(0, step, 2):
-        real, imag = nums[j::step], nums[j + 1 :: step]
-        den = 1
-        if dens:
-            real_dens, imag_dens = dens[j::step], dens[j + 1 :: step]
-            den = math.lcm(*real_dens, *imag_dens)
-            if den > 1:
-                real = [a * (den // q) for a, q in zip(real, real_dens)]
-                imag = [b * (den // q) for b, q in zip(imag, imag_dens)]
-        content = math.gcd(*real, *imag)
-        if content > 1:
-            real = [a // content for a in real]
-            imag = [b // content for b in imag]
-        common = math.gcd(content, den)
-        columns.append(tuple(zip(real, imag)))
-        scales.append((content // common, den // common) if content else (0, 1))
-    return ExactMatrix._stored(len(rows), tuple(columns), tuple(scales))
+    return _from_parts(len(rows), width, nums, dens)
 
 
 def _entry_from_json(entry) -> tuple[_Ratio, _Ratio]:
+    """A ``[real, imag]`` pair whose parts ``Fraction`` reads, any but a boolean."""
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"matrix entries must be [real, imag] pairs, got {brief_repr(entry)}")
-    real, imag = entry
-    real_plain = _PLAIN_RATIO.fullmatch(real) if isinstance(real, str) else None
-    imag_plain = _PLAIN_RATIO.fullmatch(imag) if isinstance(imag, str) else None
-    if not (real_plain and imag_plain) and any(
-        not plain and isinstance(part, str) and "e" in part.lower()
-        for part, plain in ((real, real_plain), (imag, imag_plain))
-    ):
+    if any(isinstance(part, str) and "e" in part.lower() for part in entry):
         raise ValueError(
             f'matrix entry parts must read "p" or "p/q", not use an exponent: {brief_repr(entry)}'
         )
     try:
-        return _ratio_from_json(real, real_plain), _ratio_from_json(imag, imag_plain)
+        if any(isinstance(part, bool) for part in entry):
+            raise TypeError("a boolean is not a rational")
+        real, imag = map(Fraction, entry)
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"matrix entry is not a pair of rationals: {brief_repr(entry)}") from None
-
-
-_PLAIN_RATIO = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-
-
-def _ratio_from_json(part, plain: re.Match | None) -> _Ratio:
-    """A ``"p"`` or ``"p/q"`` string (q > 0) that ``plain`` matched by ``int``, left unreduced;
-    any other part but a boolean (a decimal, spaces, a JSON number) by ``Fraction``."""
-    if plain:
-        return int(plain[1]), int(plain[2] or 1)
-    if isinstance(part, bool):
-        raise TypeError("a boolean is not a rational")
-    value = Fraction(part)
-    return value.numerator, value.denominator
-
-
-def flag_to_json(flag: ExactFlag) -> dict:
-    """A JSON-ready description: ambient, signature, basis entries as pairs."""
-    return {
-        "ambient": flag.signature.ambient,
-        "signature": list(flag.signature.dims),
-        "matrix": matrix_to_json(flag.basis),
-    }
+    return (real.numerator, real.denominator), (imag.numerator, imag.denominator)
 
 
 def signature_from_json(data) -> Signature:

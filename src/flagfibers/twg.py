@@ -167,7 +167,7 @@ def form_partners(basis: WeightedBasis, omega: SymplecticForm) -> dict[str, str]
         raise ValueError("form and basis sizes differ")
     labels, weights = basis.labels, basis.weights
     partner: dict[str, str] = {}
-    for i, j in omega.gram.nonzero_positions():
+    for i, j in omega.gram.integer_entries():
         if labels[j] in partner:
             raise NotImplementedError("the form pairs a basis vector with more than one other")
         if weights[i] != -weights[j]:
@@ -288,47 +288,11 @@ def sign_of_fixed_point(weights: Iterable[int]) -> int:
     return -1 if negatives % 2 else 1
 
 
-def chart_directions(
-    order: WeightedBasis,
-    sig: Signature,
-    group: CircleGroup,
-    partner: Mapping[str, str] | None = None,
-) -> list[tuple[int, tuple[str, ...]]]:
-    """The weight and far end of each chart direction at the fixed flag ``order`` spans.
-
-    In a flag chart, direction (i, j) of :func:`chart_index_set` has weight
-    scaled(w_i - w_j), and its invariant sphere ends at the flag with the
-    i-th and j-th vectors swapped.  With ``partner`` (see
-    :func:`form_partners`) the chart is that of the Lagrangian locus at the
-    span L of the first n vectors, where T_L Lag = Sym^2(L*): direction
-    {i <= j} has weight -scaled(w_i + w_j) and ends where v_i swaps with the
-    partner of v_j and v_j with the partner of v_i.  Two Lagrangian
-    directions sharing a weight of absolute value >= 2 span a plane of
-    sphere directions, whose ends are not followed: that raises
-    ``NotImplementedError``.
-
-    >>> from flagfibers.flags import Signature
-    >>> from flagfibers.sl2reps import Partition, so2_weight_basis
-    >>> basis = so2_weight_basis(Partition((4,)))
-    >>> chart_directions(basis, Signature((1,), 4), CircleGroup.PSO2)[0]
-    (-1, ('f1', 'f3', 'f-1', 'f-3'))
-    """
-    if len(order) != sig.ambient:
-        raise ValueError("basis size must match the ambient dimension")
-    group.check_weights(order.weights)
-    if partner is not None:
-        n = sig.top
-        if sig.dims != (n,) or 2 * n != sig.ambient:
-            raise ValueError("a Lagrangian chart needs the signature (n) in C^2n")
-        top = order.labels[:n]
-        if any(partner[label] in top for label in top):
-            raise ValueError("flag is not Lagrangian for the given form")
-    return _chart(sig, group, partner)(order.labels, order.weights)
-
-
 def _chart(sig: Signature, group: CircleGroup, partner: Mapping[str, str] | None):
-    """:func:`chart_directions` as a function of the labels and weights of a flag
-    that passed its checks; the index pairs of the directions are found once."""
+    """Each direction's weight and sphere end at a fixed flag, in closed form (see the
+    module docstring), as a function of the flag's labels and weights; the index pairs
+    are found once.  With ``partner`` (:func:`form_partners`) it is the Lagrangian
+    chart, where two sphere directions sharing a weight raise ``NotImplementedError``."""
     if partner is None:
         pairs = [(i - 1, j - 1) for i, j in chart_index_set(sig)]
     else:
@@ -1033,9 +997,3 @@ def analyze_action(
         fiber_graph=fiber,
     )
 
-
-def fiber_weight_graph(
-    partition: Partition, kind: str, group: CircleGroup
-) -> WeightGraph:
-    """The tangential weight graph of the fiber for one case."""
-    return analyze_action(partition, kind, group).fiber_graph

@@ -502,10 +502,7 @@ class PositionPoset:
 
     def coset_index(self, w: WeylElement) -> int:
         """Index of the double coset containing ``w``, by its minimal representative."""
-        return self._index_of(w.window)
-
-    def _index_of(self, window: tuple[int, ...]) -> int:
-        index = self._index_of_window
+        index, window = self._index_of_window, w.window
         return index[window] if window in index else index[_min_rep(window, *self._gens)]
 
     @cached_property

@@ -54,7 +54,14 @@ Everything here deliberately avoids the library's own code paths:
   backtracking isomorphism oracle);
 - ``zeros``, ``from_columns``, ``column``, ``transpose``, ``neg``, ``matmul``
   and ``is_zero`` are the matrix operations only the tests need, written on
-  the library's stored column form rather than kept in it;
+  the library's stored column form rather than kept in it, with the
+  library's earlier general normaliser ``make`` (any scale sign) and its
+  rows of D times a matrix ``scaled_rows``;
+- ``isotropic_signature`` and ``flag_to_json`` write the flags only the
+  tests need to write;
+- ``chart_directions`` is the library's chart with the checks only the
+  tests ask for: basis size, weights, and a Lagrangian chart's shape and
+  isotropy;
 - ``index_of``, ``weight_of`` and ``permuted`` read a weight basis by label,
   as only the tests need to;
 - the invariant pairing on the circle basis comes from expanding each
@@ -88,7 +95,15 @@ from functools import partial
 from typing import Sequence
 
 from flagfibers.dims import FlagVarietyDescriptor, GroupFamily, flag_dim
-from flagfibers.flags import ExactFlag, ExactMatrix, GaussianRational, SymplecticForm, _dot
+from flagfibers.flags import (
+    ExactFlag,
+    ExactMatrix,
+    GaussianRational,
+    Signature,
+    SymplecticForm,
+    _dot,
+    matrix_to_json,
+)
 from flagfibers.ideals import Ideal
 from flagfibers.sl2reps import WeightedBasis
 from flagfibers.twg import (
@@ -96,6 +111,7 @@ from flagfibers.twg import (
     Classification,
     WeightGraph,
     _canonical_name,
+    _chart,
     _hirzebruch_diffeotype,
     connected_sum,
     hirzebruch_graph,
@@ -451,13 +467,43 @@ def column(matrix: ExactMatrix, j: int) -> tuple[GaussianRational, ...]:
     return tuple(matrix.entry(i, j) for i in range(matrix.rows))
 
 
+def make(
+    rows: int, columns: Sequence[Sequence[tuple[int, int]]], scales: Sequence[tuple[int, int]]
+) -> ExactMatrix:
+    """The matrix whose column j is ``columns[j]`` times ``scales[j]`` (any sign,
+    denominator > 0), stored primitive with a positive scale in lowest terms."""
+    stored, kept = [], []
+    for col, (num, den) in zip(columns, scales):
+        content = math.gcd(*[t for pair in col for t in pair]) if num else 0
+        if content > 1:
+            col = [(a // content, b // content) for a, b in col]
+        elif not content:  # a zero column: gcd(0, den) = den makes its scale (0, 1)
+            col = [(0, 0)] * len(col)
+        num *= content
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        if num < 0:
+            col, num = [(-a, -b) for a, b in col], -num
+        stored.append(tuple(col))
+        kept.append((num, den))
+    return ExactMatrix._stored(rows, tuple(stored), tuple(kept))
+
+
+def scaled_rows(matrix: ExactMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, rows): D the common denominator of the scales, rows those of D times the matrix."""
+    den = math.lcm(*[q for _, q in matrix._scales])
+    factors = [p * (den // q) for p, q in matrix._scales]
+    scaled = [[(a * f, b * f) for a, b in col] for col, f in zip(matrix._columns, factors)]
+    return den, list(zip(*scaled)) if scaled else [()] * matrix.rows
+
+
 def transpose(matrix: ExactMatrix) -> ExactMatrix:
-    den, rows = matrix._scaled_rows()
-    return ExactMatrix._make(matrix.cols, rows, [(1, den)] * matrix.rows)
+    den, rows = scaled_rows(matrix)
+    return make(matrix.cols, rows, [(1, den)] * matrix.rows)
 
 
 def neg(matrix: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix._make(matrix.rows, matrix._columns, [(-p, q) for p, q in matrix._scales])
+    return make(matrix.rows, matrix._columns, [(-p, q) for p, q in matrix._scales])
 
 
 def matmul(first: ExactMatrix, *factors: ExactMatrix) -> ExactMatrix:
@@ -467,14 +513,28 @@ def matmul(first: ExactMatrix, *factors: ExactMatrix) -> ExactMatrix:
     for other in factors:
         if first.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        den, rows = first._scaled_rows()
+        den, rows = scaled_rows(first)
         columns = [[_dot(row, col) for row in rows] for col in other._columns]
-        first = ExactMatrix._make(first.rows, columns, [(p, q * den) for p, q in other._scales])
+        first = make(first.rows, columns, [(p, q * den) for p, q in other._scales])
     return first
 
 
 def is_zero(matrix: ExactMatrix) -> bool:
     return not any(p for p, _ in matrix._scales)
+
+
+def isotropic_signature(n: int) -> Signature:
+    """Signature of a complete isotropic flag in C^{2n}: dimensions 1..n."""
+    return Signature(tuple(range(1, n + 1)), 2 * n)
+
+
+def flag_to_json(flag: ExactFlag) -> dict:
+    """A JSON-ready description: ambient, signature, basis entries as pairs."""
+    return {
+        "ambient": flag.signature.ambient,
+        "signature": list(flag.signature.dims),
+        "matrix": matrix_to_json(flag.basis),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1364,3 +1424,40 @@ def check_almost_complex_obstruction(signature_of_form: int, euler_char: int) ->
     False
     """
     return (signature_of_form - euler_char) % 4 == 0
+
+
+def chart_directions(
+    order: WeightedBasis,
+    sig: Signature,
+    group: CircleGroup,
+    partner: dict[str, str] | None = None,
+) -> list[tuple[int, tuple[str, ...]]]:
+    """The weight and far end of each chart direction at the fixed flag ``order``
+    spans, by the library's ``_chart`` after the checks only the tests ask for.
+
+    In a flag chart, direction (i, j) of ``chart_index_set`` has weight
+    scaled(w_i - w_j), and its invariant sphere ends at the flag with the
+    i-th and j-th vectors swapped.  With ``partner`` (see ``form_partners``)
+    the chart is that of the Lagrangian locus at the span L of the first n
+    vectors, where T_L Lag = Sym^2(L*): direction {i <= j} has weight
+    -scaled(w_i + w_j) and ends where v_i swaps with the partner of v_j and
+    v_j with the partner of v_i.  Two Lagrangian directions sharing a weight
+    of absolute value >= 2 span a plane of sphere directions, whose ends are
+    not followed: that raises ``NotImplementedError``.
+
+    >>> from flagfibers.sl2reps import Partition, so2_weight_basis
+    >>> basis = so2_weight_basis(Partition((4,)))
+    >>> chart_directions(basis, Signature((1,), 4), CircleGroup.PSO2)[0]
+    (-1, ('f1', 'f3', 'f-1', 'f-3'))
+    """
+    if len(order) != sig.ambient:
+        raise ValueError("basis size must match the ambient dimension")
+    group.check_weights(order.weights)
+    if partner is not None:
+        n = sig.top
+        if sig.dims != (n,) or 2 * n != sig.ambient:
+            raise ValueError("a Lagrangian chart needs the signature (n) in C^2n")
+        top = order.labels[:n]
+        if any(partner[label] in top for label in top):
+            raise ValueError("flag is not Lagrangian for the given form")
+    return _chart(sig, group, partner)(order.labels, order.weights)

@@ -24,14 +24,13 @@ from flagfibers.flags import (
     Signature,
     SymplecticForm,
     flag_from_json,
-    flag_to_json,
     full_signature,
-    isotropic_signature,
     matrix_to_json,
 )
 from flagfibers.sl2reps import PARTITION_TOTAL_LIMIT
 
 import oracles
+from oracles import flag_to_json, isotropic_signature
 from test_flags import a_pair, c_pair, weyl_windows
 
 REPO = Path(__file__).resolve().parents[1]
@@ -990,7 +989,7 @@ def test_reproduce_write_round_trip(capsys, tmp_path):
 
 def test_golden_twg_files_are_fiber_graphs():
     from flagfibers.sl2reps import Partition
-    from flagfibers.twg import CircleGroup, WeightGraph, fiber_weight_graph
+    from flagfibers.twg import CircleGroup, WeightGraph, analyze_action
 
     cases = {
         "twg_full_3.json": ((3,), "full", CircleGroup.PSO2),
@@ -1002,7 +1001,7 @@ def test_golden_twg_files_are_fiber_graphs():
     }
     for name, (parts, kind, group) in cases.items():
         stored = WeightGraph.from_json((GOLDEN / name).read_text())
-        assert stored == fiber_weight_graph(Partition(parts), kind, group)
+        assert stored == analyze_action(Partition(parts), kind, group).fiber_graph
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from flagfibers.dims import (
     fullcases_table,
 )
 from flagfibers.ideals import enumerate_balanced_ideals, minimal_anosov_type
-from flagfibers.sl2reps import Partition, admits_symplectic_form, anosov_type
+from flagfibers.sl2reps import Partition, admits_symplectic_form, anosov_type, partitions_of
 from flagfibers.weyl import (
     Family,
     RootSystem,
@@ -261,29 +261,80 @@ def test_fullcases_partitions_are_consistent():
                 assert admits_symplectic_form(p)
 
 
-def test_fullcases_types_cover_balanced_ideal_requirements():
-    # Each variety admits a unique balanced ideal; its minimal type must be
-    # opened by every decomposition in the row.
-    varieties = {
-        "Flag(C^3)": (RootSystem(Family.A, 2), {1, 2}, lambda t: t),
-        "CP^3": (RootSystem(Family.A, 3), {1}, lambda t: t | {4 - x for x in t}),
-        "Lag(C^4)": (RootSystem(Family.C, 2), {2}, None),
+# The SL(m) gaps that each case-table variety's unique balanced ideal requires.
+CASE_GAPS = {"Flag(C^3)": {1, 2}, "CP^3": {2}, "Lag(C^4)": {1, 3}}
+
+
+def balanced_gaps(d: FlagVarietyDescriptor) -> frozenset[int] | None:
+    """The singular-value gaps of SL(m), m the ambient dimension, that the one
+    balanced ideal (Kapovich-Leeb-Porti thickening) of the variety's position
+    poset, full left type and right type its indices, requires by its
+    ``minimal_anosov_type``; None unless the poset has exactly one."""
+    if d.family is GroupFamily.SL:
+        system = RootSystem(Family.A, d.n - 1)
+    else:
+        system = RootSystem(Family.C, d.n)
+    poset = double_cosets(system, frozenset(system.simple_indices), frozenset(d.indices))
+    ideals = enumerate_balanced_ideals(poset)
+    if len(ideals) != 1:
+        return None
+    minimal = minimal_anosov_type(ideals[0])
+    if d.family is GroupFamily.SL:
+        return minimal
+    # Root k of C_n is the gap pair {k, 2n - k} of SL(2n); root n is gap n alone.
+    return frozenset(g for k in minimal for g in (k, 2 * d.n - k))
+
+
+def compatible(d: FlagVarietyDescriptor, gaps: frozenset[int]) -> set[Partition]:
+    """The partitions of the ambient dimension that open ``gaps``, self-paired for Sp."""
+    return {
+        p
+        for p in partitions_of(d.ambient)
+        if gaps <= anosov_type(p) and (d.family is GroupFamily.SL or admits_symplectic_form(p))
     }
-    for row in fullcases_table():
-        system, eta, spread = varieties[row.variety]
-        full = frozenset(system.simple_indices)
-        poset = double_cosets(system, full, frozenset(eta))
-        [ideal] = enumerate_balanced_ideals(poset)
-        minimal = minimal_anosov_type(ideal)
-        for p in row.partitions:
-            gaps = anosov_type(p)
-            if row.variety == "Lag(C^4)":
-                # A first singular-value gap of the size-4 matrix is gap 1
-                # together with its mirror gap 3.
-                assert minimal == frozenset({1})
-                assert {1, 3} <= gaps
-            else:
-                assert spread(minimal) <= gaps
+
+
+def test_fullcases_types_cover_balanced_ideal_requirements():
+    """For every group of a row, the variety's unique balanced ideal requires the
+    row's gaps, and the row holds exactly the partitions that open them (each
+    self-paired when the group is Sp)."""
+    census = {(d.group_label, d.symbol): d for d in enumerate_3dim_flag_varieties(3)}
+    rows = fullcases_table()
+    assert [row.variety for row in rows] == list(CASE_GAPS)
+    for row in rows:
+        for group in row.groups:
+            d = census[group, row.variety]
+            gaps = balanced_gaps(d)
+            assert gaps == CASE_GAPS[row.variety], (group, row.variety)
+            assert set(row.partitions) == compatible(d, gaps), (group, row.variety)
+
+
+def test_census_sl_and_sp_varieties_have_one_balanced_ideal_each():
+    """Every SL and Sp variety of the census has exactly one balanced ideal, and
+    Gr_3(C^4) needs the gaps of its dual CP^3, opened by the same partitions."""
+    found = {}
+    for d in enumerate_3dim_flag_varieties(3):
+        if d.family is not GroupFamily.SO:
+            gaps = balanced_gaps(d)
+            found[d.group_label, d.symbol] = gaps, {str(p) for p in compatible(d, gaps)}
+    assert found == {
+        ("SL(3,C)", "Flag(C^3)"): ({1, 2}, {"(3)", "(2,1)"}),
+        ("SL(4,C)", "CP^3"): ({2}, {"(4)", "(2,2)"}),
+        ("SL(4,C)", "Gr_3(C^4)"): ({2}, {"(4)", "(2,2)"}),
+        ("Sp(4,C)", "CP^3"): ({2}, {"(4)", "(2,2)"}),
+        ("Sp(4,C)", "Lag(C^4)"): ({1, 3}, {"(4)", "(2,1,1)"}),
+    }
+
+
+def test_fullcases_rows_are_built_once():
+    """Each call returns a fresh list of the same immutable rows."""
+    first, second = fullcases_table(), fullcases_table()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.pop()
+    assert len(fullcases_table()) == 3
+    with pytest.raises(AttributeError):
+        second[0].partitions = ()
 
 
 def test_fullcases_json_dict():

@@ -16,9 +16,7 @@ from flagfibers.flags import (
     Signature,
     SymplecticForm,
     flag_from_json,
-    flag_to_json,
     full_signature,
-    isotropic_signature,
     matrix_from_json,
     relative_position_full,
     relative_position_partial,
@@ -38,7 +36,14 @@ from flagfibers.weyl import (
 )
 
 import oracles
-from oracles import gq_columns, intersection_dim, is_isotropic, omega_perp
+from oracles import (
+    flag_to_json,
+    gq_columns,
+    intersection_dim,
+    is_isotropic,
+    isotropic_signature,
+    omega_perp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1277,7 +1282,7 @@ def test_symplectic_position_under_a_dense_form_matches_oracle(n, sample):
     p_inverse = ExactMatrix([[GaussianRational(*x) for x in row] for row in inverse_rows])
     standard = SymplecticForm.standard(n)
     omega = SymplecticForm(oracles.matmul(oracles.transpose(p), standard.gram, p))
-    assert len(omega.gram.nonzero_positions()) > 2 * size
+    assert len(omega.gram.integer_entries()) > 2 * size
     for w in seeded_windows("C", n, sample):
         for height in PAIR_HEIGHTS:
             F, H = (
@@ -1516,8 +1521,9 @@ def test_flag_json_accepts_leading_columns():
 def test_json_parts_read_as_fraction_reads_them(
     sign, zeros, numerator, denominator, pad, underscore
 ):
-    """Plain "p" and "p/q" parts (signed, zero-padded, unreduced) take the ``int``
-    path and stay unreduced; padded or underscored ones go to ``Fraction``."""
+    """Every part reads as ``Fraction`` reads it: plain "p" and "p/q" ones (signed,
+    zero-padded, unreduced) alike on the one-pass ``int`` path and on the per-entry
+    path, padded or underscored ones on the per-entry path."""
     digits = "0" * zeros + str(numerator)
     if underscore:
         digits = f"{digits[0]}_{digits[1:]}" if len(digits) > 1 else f"{digits}_0"
@@ -1530,8 +1536,8 @@ def test_json_parts_read_as_fraction_reads_them(
         return
     (p, q), _ = flags._entry_from_json([text, "0"])
     assert Fraction(p, q) == expected
-    if not pad and not underscore:
-        assert q == (1 if denominator is None else denominator)
+    bulk, alone = read_both_ways([[[text, "0"]]])
+    assert bulk == alone == ExactMatrix([[expected]])
     got = matrix_from_json([[[text, "0"], ["1/3", text]], [["-2/4", "0"], ["0", "5"]]])
     assert got == ExactMatrix(
         [

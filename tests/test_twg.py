@@ -42,13 +42,11 @@ from flagfibers.twg import (
     WeightGraph,
     ambient_to_fiber_graph,
     analyze_action,
-    chart_directions,
     chart_index_set,
     classify_fiber,
     complete_intersection_c1_coeff,
     connected_sum,
     fiber_tangent_weights,
-    fiber_weight_graph,
     fixed_flags,
     fixed_surface_euler,
     form_partners,
@@ -64,7 +62,7 @@ from flagfibers.twg import (
 from flagfibers import weyl
 
 import oracles
-from oracles import check_almost_complex_obstruction, is_isotropic
+from oracles import chart_directions, check_almost_complex_obstruction, is_isotropic
 
 
 SIX_CASES = [
@@ -800,7 +798,7 @@ def test_rings_match_the_cyclic_order_oracle():
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
     # The paper's (2, 1) full SO2 fiber is six lone points, three of each
     # sign: after the lead, 5!/(2! 3!) = 10 orders, each built once.
-    edgeless = fiber_weight_graph(Partition((2, 1)), "full", CircleGroup.SO2)
+    edgeless = analyze_action(Partition((2, 1)), "full", CircleGroup.SO2).fiber_graph
     assert len(_rings(edgeless)) == len(set(_rings(edgeless))) == 10
 
 
@@ -818,7 +816,7 @@ def test_connected_sum_spec_example():
     assert all(w == 2 for _, _, w in total.edges)
     for u, v, _ in total.edges:
         assert total.sign_of(u) + total.sign_of(v) == 0
-    case1 = fiber_weight_graph(Partition((3,)), "full", CircleGroup.PSO2)
+    case1 = analyze_action(Partition((3,)), "full", CircleGroup.PSO2).fiber_graph
     assert graphs_isomorphic(total, case1)
 
 
@@ -830,7 +828,7 @@ def test_connected_sum_edgeless_example():
     total = connected_sum(g, plus, g, minus)
     assert len(total.rounds) == 6
     assert total.edges == ()
-    case2 = fiber_weight_graph(Partition((2, 1)), "full", CircleGroup.SO2)
+    case2 = analyze_action(Partition((2, 1)), "full", CircleGroup.SO2).fiber_graph
     assert graphs_isomorphic(total, case2)
 
 
@@ -888,7 +886,7 @@ def test_graphs_isomorphic_reflexive_and_relabeled():
         hirzebruch_graph(2, -1, 2),
         hirzebruch_graph(0, 1, 2),
         hirzebruch_graph(1, 1, 0),
-        fiber_weight_graph(Partition((3,)), "full", CircleGroup.PSO2),
+        analyze_action(Partition((3,)), "full", CircleGroup.PSO2).fiber_graph,
     ]
     for g in samples:
         assert graphs_isomorphic(g, g)
@@ -897,7 +895,7 @@ def test_graphs_isomorphic_reflexive_and_relabeled():
 
 
 def test_graphs_isomorphic_distinguishes():
-    case3 = fiber_weight_graph(Partition((4,)), "proj", CircleGroup.PSO2)
+    case3 = analyze_action(Partition((4,)), "proj", CircleGroup.PSO2).fiber_graph
     assert graphs_isomorphic(case3, hirzebruch_graph(2, -1, 2))
     assert not graphs_isomorphic(case3, hirzebruch_graph(1, -1, 3))
     # Same weights and sign counts, different sign placement along the chain.
@@ -908,7 +906,7 @@ def test_graphs_isomorphic_distinguishes():
 
 def test_graphs_isomorphic_symmetric_transitive():
     rng = random.Random(11)
-    g = fiber_weight_graph(Partition((4,)), "lag", CircleGroup.PSO2)
+    g = analyze_action(Partition((4,)), "lag", CircleGroup.PSO2).fiber_graph
     h = relabeled(g, rng)
     k = relabeled(h, rng)
     assert graphs_isomorphic(g, h) == graphs_isomorphic(h, g)
@@ -1204,7 +1202,7 @@ def test_analyze_action_validation():
     ],
 )
 def test_classify_six_cases(parts, kind, group, model, diffeotype):
-    record = classify_fiber(fiber_weight_graph(Partition(parts), kind, group))
+    record = classify_fiber(analyze_action(Partition(parts), kind, group).fiber_graph)
     assert record.matched
     assert record.model == model
     assert record.diffeotype == diffeotype
@@ -1316,7 +1314,7 @@ def test_classify_builds_no_candidate_graphs(monkeypatch):
 
     hirs = [relabeled(hirzebruch_graph(*p), rng) for p in [(2, -1, 2), (1, -1, 3), (3, 2, 5)]]
     hirs += [flip_one_sign(rng, g) for g in hirs]
-    sums = [fiber_weight_graph(Partition((3,)), "full", CircleGroup.PSO2)]
+    sums = [analyze_action(Partition((3,)), "full", CircleGroup.PSO2).fiber_graph]
     sums += sum_sample(rng, hirzebruch_params_up_to(3), 6)
     sums += [flip_one_sign(rng, g) for g in sums]
     graphs = hirs + sums + random_balanced_graphs(rng, 20)

@@ -25,7 +25,11 @@ process, answers every command on them:
 - complete isotropic flags of C2 and C3 in known positions under the dense
   form P^T omega P, P a seeded invertible integer matrix with no zero entry,
   the flags moved by P^-1 and given by a full basis or by their leading
-  columns, and flags isotropic for only one of the two forms, refused.
+  columns, and flags isotropic for only one of the two forms, refused;
+- full flags of C^3 and C^4 and complete isotropic flags of C^4 in known
+  positions whose parts mix JSON ints and floats, decimal strings, padded
+  ``" p/q "`` strings and plain ones, so that only the per-entry path of
+  ``matrix_from_json`` reads them, forms included.
 
 A command's answer is its exit code and the SHA-256 of its standard output
 and of its standard error.  The script prints the number of commands and of
@@ -178,6 +182,12 @@ def scale_columns(rng, m, digits):
     return [[(Fraction(a) * r, Fraction(b) * r) for (a, b), r in zip(row, ratios)] for row in m]
 
 
+def scale_columns_by(rng, m, ratios):
+    """Each column times its own rational drawn from ``ratios``."""
+    picks = [rng.choice(ratios) for _ in m[0]]
+    return [[(Fraction(a) * r, Fraction(b) * r) for (a, b), r in zip(row, picks)] for row in m]
+
+
 def text(x, factor=1):
     x = Fraction(x)
     return str(x) if factor == 1 else f"{x.numerator * factor}/{x.denominator * factor}"
@@ -191,6 +201,42 @@ def flag_file(m, dims, width=None, unreduced=False):
     """A flag document: the full basis, or its first ``width`` columns; with
     ``unreduced``, every part is written as 6p/6q."""
     matrix = matrix_file(m, width, 6 if unreduced else 1)
+    return {"ambient": len(m), "signature": list(dims), "matrix": matrix}
+
+
+def decimal_text(x):
+    """``x``, whose denominator has no prime but 2 and 5, as a decimal string."""
+    k = next(k for k in itertools.count() if (x * 10**k).denominator == 1)
+    digits = str(abs(x.numerator) * 10**k // x.denominator).rjust(k + 1, "0")
+    whole, tail = digits[: len(digits) - k], digits[len(digits) - k :]
+    return ("-" if x < 0 else "") + whole + "." + (tail or "0")
+
+
+def loose_part(rng, x):
+    """One part in a style picked at random: a padded or plain string always; a JSON
+    int and a decimal string for an integer; a float for a dyadic rational (exact);
+    a decimal string for a denominator of 2s and 5s."""
+    x = Fraction(x)
+    styles = [f" {x} ", f"{x}\t", str(x)]
+    q = x.denominator
+    if q == 1:
+        styles.append(int(x))
+    if q & (q - 1) == 0:
+        styles.append(float(x))
+    while q % 2 == 0:
+        q //= 2
+    while q % 5 == 0:
+        q //= 5
+    if q == 1:
+        styles.append(decimal_text(x))
+    return rng.choice(styles)
+
+
+def loose_file(rng, m, dims, width=None):
+    """A flag document whose first part is not a plain string and whose other parts
+    take ``loose_part``'s styles, so only the per-entry path reads it."""
+    matrix = [[[loose_part(rng, a), loose_part(rng, b)] for a, b in row[:width]] for row in m]
+    matrix[0][0][0] = f" {Fraction(m[0][0][0])} "
     return {"ambient": len(m), "signature": list(dims), "matrix": matrix}
 
 
@@ -325,6 +371,26 @@ def commands(directory: Path) -> list[list[str]]:
         for gram in (form, {"gram": matrix_file(omega)}):
             position(lagrangian, paired, gram)
             position(paired, lagrangian, gram)
+
+    # Documents only the per-entry path reads, from their own generator as well.
+    rng = random.Random("compare_positions:per-entry")
+    ratios = [Fraction(p, q) for p in (-5, -3, -1, 1, 3, 7) for q in (1, 2, 4, 5, 8, 3)]
+    for n, sample in ((3, None), (4, 12)):
+        dims = range(1, n)
+        for w in windows(rng, n, False, sample):
+            g = matmul(unitriangular(rng, n, 3, False), unitriangular(rng, n, 3, True))
+            h = matmul(g, borel(rng, n, 3), permutation(w), borel(rng, n, 3))
+            g, h = (scale_columns_by(rng, m, ratios) for m in (g, h))
+            lead = n - 1 if len(out) % 3 == 0 else None
+            position(loose_file(rng, g, dims, lead), loose_file(rng, h, dims))
+    n, dims = 2, range(1, 3)
+    for w in windows(rng, n, True, 8):
+        g = symplectic(rng, n, 2, False)
+        h = matmul(g, symplectic(rng, n, 2, True), signed_permutation(w), symplectic(rng, n, 2, True))
+        g, h = (scale_columns_by(rng, m, ratios) for m in (g, h))
+        lead = n if len(out) % 2 else None
+        form = {"gram": loose_file(rng, standard_form(n), ())["matrix"]}
+        position(loose_file(rng, g, dims, lead), loose_file(rng, h, dims), form)
     return out
 
 
